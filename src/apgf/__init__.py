@@ -9,23 +9,21 @@ provides the ground truth it is compared to.
 __version__ = "0.1.0"
 
 from .errors import ApgfError, CapExceededError, GraphFormatError, NumericError, ValidationError
-from .graphgen import WeightedGraph, generate_random_graph, load_graph, save_graph, to_adjacency_tensor
+from .graphgen import WeightedGraph, generate_random_graph, load_graph, save_graph
 from .model import (
-    DecoderParams,
-    EncoderParams,
     ModelParams,
-    NodeEmbeddings,
     candidate_probs,
     copy_params,
     decoder_scores,
     encode,
     init_params,
     load_checkpoint,
+    param_spec,
     save_checkpoint,
 )
 from .numcore import AdamState, Tape, Tensor, adam_step, tensor
 from .oracle import ComparisonReport, OracleResult, brute_force_scores, compare
-from .rollout import RolloutResult, ScoreConfig, decode_all, greedy_reward, path_score
+from .rollout import RolloutResult, ScoreConfig, decode_all, path_score
 from .trainer import EpochMetrics, TrainConfig, evaluate, reinforce_loss, train
 
 __all__ = [
@@ -38,17 +36,14 @@ __all__ = [
     "generate_random_graph",
     "load_graph",
     "save_graph",
-    "to_adjacency_tensor",
-    "DecoderParams",
-    "EncoderParams",
     "ModelParams",
-    "NodeEmbeddings",
     "candidate_probs",
     "copy_params",
     "decoder_scores",
     "encode",
     "init_params",
     "load_checkpoint",
+    "param_spec",
     "save_checkpoint",
     "AdamState",
     "Tape",
@@ -62,7 +57,6 @@ __all__ = [
     "RolloutResult",
     "ScoreConfig",
     "decode_all",
-    "greedy_reward",
     "path_score",
     "EpochMetrics",
     "TrainConfig",

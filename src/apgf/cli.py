@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .charts import grouped_bar_chart, line_chart
 from .errors import CapExceededError, NumericError, ValidationError
+from .files import atomic_write_text
 from .graphgen import generate_random_graph, graph_to_json, load_graph
 from .model import load_checkpoint
 from .oracle import DEFAULT_NODE_CAP, EndNodeBest, OracleResult, brute_force_scores, compare
@@ -34,12 +34,6 @@ EXIT_CAP = 4
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _write_manifest(
@@ -61,7 +55,7 @@ def _write_manifest(
         "started_at": started_at,
         "finished_at": _utc_now(),
     }
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 # -- gen ---------------------------------------------------------------
@@ -75,7 +69,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     if not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out, graph_to_json(graph))
+    atomic_write_text(out, graph_to_json(graph))
     config = {
         "nodes": args.nodes,
         "edges": args.edges,
@@ -200,8 +194,8 @@ def cmd_train(args) -> int:
             x_label="epoch",
             y_label="mean reward",
         )
-        _atomic_write_text(out_dir / "loss_curve.svg", loss_svg)
-        _atomic_write_text(out_dir / "reward_curve.svg", reward_svg)
+        atomic_write_text(out_dir / "loss_curve.svg", loss_svg)
+        atomic_write_text(out_dir / "reward_curve.svg", reward_svg)
         outputs["loss_curve"] = out_dir / "loss_curve.svg"
         outputs["reward_curve"] = out_dir / "reward_curve.svg"
 
@@ -226,24 +220,39 @@ def _oracle_digest(graph_json: str, aggregator: str) -> str:
 
 
 def _load_oracle_cache(path: Path, digest: str) -> OracleResult | None:
+    """The cached result for ``digest``, or None on a miss.
+
+    An unreadable file or one for another graph is a miss; a file for
+    this graph with a missing or ill-typed field is a ValidationError.
+    """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if doc.get("version") != 1 or doc.get("digest") != digest:
+    if not isinstance(doc, dict) or doc.get("version") != 1 or doc.get("digest") != digest:
         return None
-    per_node = {
-        int(k): EndNodeBest(
-            score=float(v["score"]),
-            path=[int(x) for x in v["path"]],
-            explored_paths=int(v["explored_paths"]),
+
+    def field(obj, key, kinds, where=""):
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise ValidationError(f"oracle cache {path}: bad or missing field '{where}{key}'")
+        return value
+
+    per_node = {}
+    for node, entry in field(doc, "entries", dict).items():
+        where = f"entries.{node}."
+        route = field(entry, "path", list, where)
+        if not node.isdigit() or not all(type(x) is int for x in route):
+            raise ValidationError(f"oracle cache {path}: bad or missing field 'entries.{node}'")
+        per_node[int(node)] = EndNodeBest(
+            score=field(entry, "score", float, where),
+            path=route,
+            explored_paths=field(entry, "explored_paths", int, where),
         )
-        for k, v in doc["entries"].items()
-    }
     return OracleResult(
         per_node=per_node,
-        explored_path_count=int(doc["explored_path_count"]),
-        wall_clock=float(doc["wall_clock"]),
+        explored_path_count=field(doc, "explored_path_count", int),
+        wall_clock=field(doc, "wall_clock", float),
     )
 
 
@@ -258,7 +267,7 @@ def _write_oracle_cache(path: Path, digest: str, result: OracleResult) -> None:
         "explored_path_count": result.explored_path_count,
         "wall_clock": result.wall_clock,
     }
-    _atomic_write_text(path, json.dumps(doc) + "\n")
+    atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 def cmd_compare(args) -> int:
@@ -283,7 +292,7 @@ def cmd_compare(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out_dir / "comparison.csv", report.to_csv())
+    atomic_write_text(out_dir / "comparison.csv", report.to_csv())
     svg = grouped_bar_chart(
         [r.node for r in report.rows],
         {
@@ -294,7 +303,7 @@ def cmd_compare(args) -> int:
         x_label="end node",
         y_label="score",
     )
-    _atomic_write_text(out_dir / "comparison.svg", svg)
+    atomic_write_text(out_dir / "comparison.svg", svg)
 
     outputs = {
         "comparison_csv": out_dir / "comparison.csv",

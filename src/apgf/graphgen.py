@@ -1,4 +1,4 @@
-"""Random weighted connected graphs and their tensor form.
+"""Random weighted connected graphs and their JSON file form.
 
 Graphs are undirected, connected, tree-like (a spanning tree plus a few
 extra edges), carry one uniform-[0,1] weight per node, and designate a
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphFormatError, ValidationError
+from .files import atomic_write_text
 
 GRAPH_FILE_VERSION = 1
 
@@ -163,19 +164,6 @@ def generate_random_graph(
     )
 
 
-def to_adjacency_tensor(graphs: list[WeightedGraph]) -> np.ndarray:
-    """Stack 0/1 adjacency matrices into a [batch, n, n] float tensor."""
-    if not graphs:
-        raise ValidationError("empty batch: need at least one graph")
-    n = graphs[0].num_nodes
-    for i, g in enumerate(graphs):
-        if g.num_nodes != n:
-            raise ValidationError(
-                f"mixed node counts in batch: graph 0 has {n}, graph {i} has {g.num_nodes}"
-            )
-    return np.stack([g.adjacency.astype(np.float64) for g in graphs])
-
-
 def _format_weight(w: float) -> str:
     # 17 significant digits round-trip any float64 exactly.
     return format(float(w), ".17g")
@@ -196,8 +184,7 @@ def graph_to_json(graph: WeightedGraph) -> str:
 
 
 def save_graph(graph: WeightedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_json(graph))
+    atomic_write_text(path, graph_to_json(graph))
 
 
 def graph_from_json(text: str) -> WeightedGraph:

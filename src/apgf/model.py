@@ -14,120 +14,70 @@ scores of the unvisited neighbors into move probabilities.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
+from .files import atomic_write_text
 from .graphgen import WeightedGraph
 from .numcore import Tape, Tensor, tensor
 
 CHECKPOINT_VERSION = 1
 
 LEAKY_SLOPE = 0.2  # standard GAT negative slope
+NUM_LAYERS = 2
+HYPER_FIELDS = ("embed_dim", "num_heads", "ff_dim", "score_clip")  # checkpoint header
 
 
-@dataclass
-class HeadParams:
-    weight: Tensor  # [embed_dim, head_dim]
-    attn: Tensor  # [2*head_dim, 1]; first half scores the source, second the target
+def param_spec(embed_dim: int, num_heads: int, ff_dim: int) -> dict[str, tuple]:
+    """Every parameter as ``name -> (shape, fan_in)``.
 
-
-@dataclass
-class AttentionLayerParams:
-    heads: list[HeadParams]
-
-
-@dataclass
-class EncoderParams:
-    input_lift: Tensor  # [1, embed_dim]
-    layers: list[AttentionLayerParams]
-    ff_in_weight: Tensor  # [embed_dim, ff_dim]
-    ff_in_bias: Tensor  # [1, ff_dim]
-    ff_out_weight: Tensor  # [ff_dim, embed_dim]
-    ff_out_bias: Tensor  # [1, embed_dim]
-
-
-@dataclass
-class DecoderParams:
-    query_proj: Tensor  # [embed_dim, embed_dim]
-    key_proj: Tensor  # [embed_dim, embed_dim]
-    score_clip: float
-    embed_dim: int
-
-    def __post_init__(self):
-        if self.score_clip <= 0:
-            raise ValidationError("score_clip must be positive")
-
-
-@dataclass
-class NodeEmbeddings:
-    vectors: Tensor  # [num_nodes, embed_dim], one row per node
+    The order is the initialization and checkpoint order. An attention
+    head's ``attn`` is ``[2*head_dim, 1]``: the first half scores the
+    source node, the second half the target.
+    """
+    head_dim = embed_dim // num_heads
+    spec = {"encoder.input_lift": ((1, embed_dim), 1)}
+    for li in range(NUM_LAYERS):
+        for hi in range(num_heads):
+            spec[f"encoder.layer{li}.head{hi}.weight"] = ((embed_dim, head_dim), embed_dim)
+            spec[f"encoder.layer{li}.head{hi}.attn"] = ((2 * head_dim, 1), 2 * head_dim)
+    spec["encoder.ff_in_weight"] = ((embed_dim, ff_dim), embed_dim)
+    spec["encoder.ff_in_bias"] = ((1, ff_dim), embed_dim)
+    spec["encoder.ff_out_weight"] = ((ff_dim, embed_dim), ff_dim)
+    spec["encoder.ff_out_bias"] = ((1, embed_dim), ff_dim)
+    spec["decoder.query_proj"] = ((embed_dim, embed_dim), embed_dim)
+    spec["decoder.key_proj"] = ((embed_dim, embed_dim), embed_dim)
+    return spec
 
 
 @dataclass
 class ModelParams:
-    encoder: EncoderParams
-    decoder: DecoderParams
+    """Hyperparameters plus one tensor per ``param_spec`` entry."""
 
-    @property
-    def embed_dim(self) -> int:
-        return self.decoder.embed_dim
+    embed_dim: int
+    num_heads: int
+    ff_dim: int
+    score_clip: float
+    tensors: dict[str, Tensor]
 
-    @property
-    def num_heads(self) -> int:
-        return len(self.encoder.layers[0].heads)
-
-    @property
-    def ff_dim(self) -> int:
-        return self.encoder.ff_in_weight.shape[1]
-
-    @property
-    def score_clip(self) -> float:
-        return self.decoder.score_clip
+    def __post_init__(self):
+        if min(self.embed_dim, self.num_heads, self.ff_dim) <= 0:
+            raise ValidationError(f"model sizes must be positive, got {self.hyper()}")
+        if self.embed_dim % self.num_heads != 0:
+            raise ValidationError(
+                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
+            )
+        if not (0 < self.score_clip < math.inf):
+            raise ValidationError(f"score_clip must be finite and positive, got {self.score_clip}")
 
     def hyper(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "num_heads": self.num_heads,
-            "ff_dim": self.ff_dim,
-            "score_clip": self.score_clip,
-        }
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "encoder.input_lift", self.encoder.input_lift
-        for li, layer in enumerate(self.encoder.layers):
-            for hi, head in enumerate(layer.heads):
-                yield f"encoder.layer{li}.head{hi}.weight", head.weight
-                yield f"encoder.layer{li}.head{hi}.attn", head.attn
-        yield "encoder.ff_in_weight", self.encoder.ff_in_weight
-        yield "encoder.ff_in_bias", self.encoder.ff_in_bias
-        yield "encoder.ff_out_weight", self.encoder.ff_out_weight
-        yield "encoder.ff_out_bias", self.encoder.ff_out_bias
-        yield "decoder.query_proj", self.decoder.query_proj
-        yield "decoder.key_proj", self.decoder.key_proj
-
-    def param_dict(self) -> dict[str, Tensor]:
-        return dict(self.named_parameters())
-
-
-def _expected_shapes(embed_dim: int, num_heads: int, ff_dim: int) -> dict[str, tuple[int, ...]]:
-    head_dim = embed_dim // num_heads
-    shapes: dict[str, tuple[int, ...]] = {"encoder.input_lift": (1, embed_dim)}
-    for li in range(2):
-        for hi in range(num_heads):
-            shapes[f"encoder.layer{li}.head{hi}.weight"] = (embed_dim, head_dim)
-            shapes[f"encoder.layer{li}.head{hi}.attn"] = (2 * head_dim, 1)
-    shapes["encoder.ff_in_weight"] = (embed_dim, ff_dim)
-    shapes["encoder.ff_in_bias"] = (1, ff_dim)
-    shapes["encoder.ff_out_weight"] = (ff_dim, embed_dim)
-    shapes["encoder.ff_out_bias"] = (1, embed_dim)
-    shapes["decoder.query_proj"] = (embed_dim, embed_dim)
-    shapes["decoder.key_proj"] = (embed_dim, embed_dim)
-    return shapes
+        return {key: getattr(self, key) for key in HYPER_FIELDS}
 
 
 def init_params(
@@ -138,68 +88,25 @@ def init_params(
     score_clip: float = 10.0,
 ) -> ModelParams:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization."""
-    if embed_dim % num_heads != 0:
-        raise ValidationError(f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
+    params = ModelParams(embed_dim, num_heads, ff_dim, score_clip, tensors={})
     rng = np.random.default_rng(seed)
-
-    def u(shape: tuple[int, ...], fan_in: int) -> Tensor:
+    for name, (shape, fan_in) in param_spec(embed_dim, num_heads, ff_dim).items():
         bound = 1.0 / math.sqrt(fan_in)
-        return tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    head_dim = embed_dim // num_heads
-    input_lift = u((1, embed_dim), 1)
-    layers = []
-    for _ in range(2):
-        heads = [
-            HeadParams(weight=u((embed_dim, head_dim), embed_dim), attn=u((2 * head_dim, 1), 2 * head_dim))
-            for _ in range(num_heads)
-        ]
-        layers.append(AttentionLayerParams(heads=heads))
-    encoder = EncoderParams(
-        input_lift=input_lift,
-        layers=layers,
-        ff_in_weight=u((embed_dim, ff_dim), embed_dim),
-        ff_in_bias=u((1, ff_dim), embed_dim),
-        ff_out_weight=u((ff_dim, embed_dim), ff_dim),
-        ff_out_bias=u((1, embed_dim), ff_dim),
-    )
-    decoder = DecoderParams(
-        query_proj=u((embed_dim, embed_dim), embed_dim),
-        key_proj=u((embed_dim, embed_dim), embed_dim),
-        score_clip=score_clip,
-        embed_dim=embed_dim,
-    )
-    return ModelParams(encoder=encoder, decoder=decoder)
+        params.tensors[name] = tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return params
 
 
 def copy_params(params: ModelParams, requires_grad: bool = False) -> ModelParams:
     """Deep copy, e.g. to freeze a baseline network."""
-
-    def cp(t: Tensor) -> Tensor:
-        return Tensor(t.values.copy(), requires_grad=requires_grad)
-
-    encoder = EncoderParams(
-        input_lift=cp(params.encoder.input_lift),
-        layers=[
-            AttentionLayerParams(heads=[HeadParams(cp(h.weight), cp(h.attn)) for h in layer.heads])
-            for layer in params.encoder.layers
-        ],
-        ff_in_weight=cp(params.encoder.ff_in_weight),
-        ff_in_bias=cp(params.encoder.ff_in_bias),
-        ff_out_weight=cp(params.encoder.ff_out_weight),
-        ff_out_bias=cp(params.encoder.ff_out_bias),
-    )
-    decoder = DecoderParams(
-        query_proj=cp(params.decoder.query_proj),
-        key_proj=cp(params.decoder.key_proj),
-        score_clip=params.decoder.score_clip,
-        embed_dim=params.decoder.embed_dim,
-    )
-    return ModelParams(encoder=encoder, decoder=decoder)
+    tensors = {
+        name: Tensor(t.values.copy(), requires_grad=requires_grad)
+        for name, t in params.tensors.items()
+    }
+    return replace(params, tensors=tensors)
 
 
-def encode(graph: WeightedGraph, params: EncoderParams, tape: Tape | None = None) -> NodeEmbeddings:
-    """Embed every node of the graph.
+def encode(graph: WeightedGraph, params: ModelParams, tape: Tape | None = None) -> Tensor:
+    """Embed every node of the graph: one ``[num_nodes, embed_dim]`` row per node.
 
     Per attention layer and head: score each neighborhood edge (self-loop
     included) with a LeakyReLU of the learned attention form, normalize
@@ -208,19 +115,22 @@ def encode(graph: WeightedGraph, params: EncoderParams, tape: Tape | None = None
     layer with its own residual follows the second attention layer.
     """
     tape = tape if tape is not None else Tape()
+    p = params.tensors
     n = graph.num_nodes
     mask = graph.adjacency | np.eye(n, dtype=bool)
 
     weights_col = tensor(graph.node_weights.reshape(n, 1))
-    h = tape.matmul(weights_col, params.input_lift)  # [n, embed_dim]
+    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [n, embed_dim]
 
-    for layer in params.layers:
+    for li in range(NUM_LAYERS):
         head_outputs = []
-        for head in layer.heads:
-            head_dim = head.weight.shape[1]
-            projected = tape.matmul(h, head.weight)  # [n, head_dim]
-            attn_src = tape.gather_rows(head.attn, range(head_dim))
-            attn_dst = tape.gather_rows(head.attn, range(head_dim, 2 * head_dim))
+        for hi in range(params.num_heads):
+            weight = p[f"encoder.layer{li}.head{hi}.weight"]
+            attn = p[f"encoder.layer{li}.head{hi}.attn"]
+            head_dim = weight.shape[1]
+            projected = tape.matmul(h, weight)  # [n, head_dim]
+            attn_src = tape.gather_rows(attn, range(head_dim))
+            attn_dst = tape.gather_rows(attn, range(head_dim, 2 * head_dim))
             score_src = tape.matmul(projected, attn_src)  # [n, 1]
             score_dst = tape.matmul(projected, attn_dst)  # [n, 1]
             # pairwise scores: row i, column j = src score of i + dst score of j
@@ -231,17 +141,17 @@ def encode(graph: WeightedGraph, params: EncoderParams, tape: Tape | None = None
         h = tape.add(h, tape.concat(head_outputs, axis=1))
 
     inner = tape.leaky_relu(
-        tape.add(tape.matmul(h, params.ff_in_weight), params.ff_in_bias), LEAKY_SLOPE
+        tape.add(tape.matmul(h, p["encoder.ff_in_weight"]), p["encoder.ff_in_bias"]), LEAKY_SLOPE
     )
-    ff = tape.add(tape.matmul(inner, params.ff_out_weight), params.ff_out_bias)
-    return NodeEmbeddings(vectors=tape.add(h, ff))
+    ff = tape.add(tape.matmul(inner, p["encoder.ff_out_weight"]), p["encoder.ff_out_bias"])
+    return tape.add(h, ff)
 
 
 def decoder_scores(
-    embeddings: NodeEmbeddings,
+    emb: Tensor,
     current: int,
     candidates,
-    params: DecoderParams,
+    params: ModelParams,
     tape: Tape | None = None,
 ) -> dict[int, Tensor]:
     """Score each candidate next node; every score lies in [-clip, +clip]."""
@@ -249,9 +159,10 @@ def decoder_scores(
     if not cands:
         raise ValidationError("decoder_scores needs a nonempty candidate set")
     tape = tape if tape is not None else Tape()
-    v = embeddings.vectors
-    query = tape.matmul(tape.gather_rows(v, [int(current)]), tape.transpose(params.query_proj))
-    keys = tape.matmul(tape.gather_rows(v, cands), tape.transpose(params.key_proj))
+    query_proj = params.tensors["decoder.query_proj"]
+    key_proj = params.tensors["decoder.key_proj"]
+    query = tape.matmul(tape.gather_rows(emb, [int(current)]), tape.transpose(query_proj))
+    keys = tape.matmul(tape.gather_rows(emb, cands), tape.transpose(key_proj))
     raw = tape.matmul(query, tape.transpose(keys))  # [1, m]
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
     clipped = tape.mul_scalar(tape.tanh(scaled), params.score_clip)
@@ -277,86 +188,91 @@ def candidate_probs(
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "hyper": params.hyper(),
-        "params": {
-            name: {"shape": list(t.shape), "values": [float(x) for x in t.values.reshape(-1)]}
-            for name, t in params.named_parameters()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    blobs = {}
+    for name in param_spec(params.embed_dim, params.num_heads, params.ff_dim):
+        t = params.tensors[name]
+        blobs[name] = {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
+    doc = {"version": CHECKPOINT_VERSION, "hyper": params.hyper(), "params": blobs}
+    # Streamed chunk by chunk: the whole text at once would double peak memory.
+    atomic_write_text(path, itertools.chain(json.JSONEncoder().iterencode(doc), ["\n"]))
 
 
-def load_checkpoint(path, expected_hyper: Mapping | None = None) -> ModelParams:
+def load_checkpoint(path) -> ModelParams:
     """Rebuild ModelParams from a checkpoint file.
 
-    The hyperparameter header is validated against the stored blob
-    shapes, and against ``expected_hyper`` when the caller pins one.
+    The hyperparameter header must agree with every stored parameter
+    shape. Malformed content raises ValidationError naming the file and
+    the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    try:
+        return _params_from_doc(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from exc
+
+
+def _params_from_doc(doc) -> ModelParams:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+    version = doc.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ValidationError(f"unsupported version {version!r} (expected {CHECKPOINT_VERSION})")
+    hyper = doc.get("hyper")
+    if not isinstance(hyper, dict):
+        raise ValidationError("field 'hyper' is missing or not an object")
+    blobs = doc.get("params")
+    if not isinstance(blobs, dict):
+        raise ValidationError("field 'params' is missing or not an object")
+    params = ModelParams(**{key: _header_number(hyper, key) for key in HYPER_FIELDS}, tensors={})
+    # Every head has its own parameters, so this bounds the spec by the file.
+    if params.num_heads > len(blobs):
         raise ValidationError(
-            f"unsupported checkpoint version {doc.get('version')!r} (expected {CHECKPOINT_VERSION})"
+            f"header has {params.num_heads} heads but 'params' holds only {len(blobs)} entries"
         )
-    hyper = doc["hyper"]
-    if expected_hyper is not None:
-        for key, want in expected_hyper.items():
-            got = hyper.get(key)
-            if got != want:
-                raise ValidationError(
-                    f"checkpoint {key} = {got!r} does not match configured {key} = {want!r}"
-                )
-    embed_dim = int(hyper["embed_dim"])
-    num_heads = int(hyper["num_heads"])
-    ff_dim = int(hyper["ff_dim"])
-    score_clip = float(hyper["score_clip"])
-    if embed_dim % num_heads != 0:
-        raise ValidationError(f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
 
-    blobs = doc["params"]
-    shapes = _expected_shapes(embed_dim, num_heads, ff_dim)
-    loaded: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
+    spec = param_spec(params.embed_dim, params.num_heads, params.ff_dim)
+    for name, (shape, _) in spec.items():
         if name not in blobs:
-            raise ValidationError(f"checkpoint missing parameter {name!r}")
+            raise ValidationError(f"missing parameter {name!r}")
         blob = blobs[name]
-        got_shape = tuple(blob["shape"])
-        if got_shape != shape:
+        if not isinstance(blob, dict):
+            raise ValidationError(f"field 'params.{name}' must be an object")
+        if blob.get("shape") != list(shape):
             raise ValidationError(
-                f"parameter {name!r} has shape {got_shape}, header implies {shape}"
+                f"parameter {name!r} has shape {blob.get('shape')!r}, header implies {list(shape)}"
             )
-        arr = np.asarray(blob["values"], dtype=np.float64).reshape(shape)
-        loaded[name] = tensor(arr, requires_grad=True)
-    extra = sorted(set(blobs) - set(shapes))
+        params.tensors[name] = _values_tensor(name, blob.get("values"), shape)
+    extra = sorted(set(blobs) - set(spec))
     if extra:
-        raise ValidationError(f"checkpoint has unexpected parameters: {extra}")
+        raise ValidationError(f"unexpected parameters: {extra}")
+    return params
 
-    layers = []
-    for li in range(2):
-        heads = [
-            HeadParams(
-                weight=loaded[f"encoder.layer{li}.head{hi}.weight"],
-                attn=loaded[f"encoder.layer{li}.head{hi}.attn"],
-            )
-            for hi in range(num_heads)
-        ]
-        layers.append(AttentionLayerParams(heads=heads))
-    encoder = EncoderParams(
-        input_lift=loaded["encoder.input_lift"],
-        layers=layers,
-        ff_in_weight=loaded["encoder.ff_in_weight"],
-        ff_in_bias=loaded["encoder.ff_in_bias"],
-        ff_out_weight=loaded["encoder.ff_out_weight"],
-        ff_out_bias=loaded["encoder.ff_out_bias"],
-    )
-    decoder = DecoderParams(
-        query_proj=loaded["decoder.query_proj"],
-        key_proj=loaded["decoder.key_proj"],
-        score_clip=score_clip,
-        embed_dim=embed_dim,
-    )
-    return ModelParams(encoder=encoder, decoder=decoder)
+
+def _header_number(hyper: dict, key: str):
+    kind = float if key == "score_clip" else int
+    value = hyper.get(key)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if kind(value) == value:
+                return kind(value)
+        except (OverflowError, ValueError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ValidationError(f"field 'hyper.{key}' must be {what}, got {value!r}")
+
+
+def _values_tensor(name: str, values, shape: tuple[int, ...]) -> Tensor:
+    size = math.prod(shape)
+    try:
+        arr = np.array(values) if isinstance(values, list) else None
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "fi" or arr.shape != (size,):
+        raise ValidationError(f"field 'params.{name}.values' must be a list of {size} numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"field 'params.{name}.values' holds non-finite numbers")
+    return tensor(arr.astype(np.float64, copy=False).reshape(shape), requires_grad=True)

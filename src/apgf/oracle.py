@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
@@ -93,26 +91,15 @@ def _best_for_end(graph: WeightedGraph, end: int, aggregator: str) -> EndNodeBes
     return EndNodeBest(score=best_score, path=best_path, explored_paths=explored)
 
 
-def worker_count() -> int:
-    """Worker cap from APGF_THREADS; defaults to sequential."""
-    raw = os.environ.get("APGF_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def brute_force_scores(
     graph: WeightedGraph,
     score_config: ScoreConfig = ScoreConfig(),
     node_cap: int = DEFAULT_NODE_CAP,
-    max_workers: int | None = None,
 ) -> OracleResult:
     """Best attack-path score (and one achieving path) per end node.
 
     Refuses graphs above ``node_cap``; pass a higher cap explicitly to
-    accept the factorial runtime. End nodes are independent, so they may
-    be searched on worker threads without changing the result.
+    accept the factorial runtime.
     """
     if graph.num_nodes > node_cap:
         raise CapExceededError(
@@ -121,14 +108,7 @@ def brute_force_scores(
             "node_cap (CLI: --cap) to run anyway."
         )
     started = time.perf_counter()
-    workers = max_workers if max_workers is not None else worker_count()
-    nodes = list(range(graph.num_nodes))
-    if workers > 1 and graph.num_nodes > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: _best_for_end(graph, e, score_config.aggregator), nodes))
-        per_node = dict(zip(nodes, results))
-    else:
-        per_node = {e: _best_for_end(graph, e, score_config.aggregator) for e in nodes}
+    per_node = {e: _best_for_end(graph, e, score_config.aggregator) for e in range(graph.num_nodes)}
     wall = time.perf_counter() - started
     total = sum(b.explored_paths for b in per_node.values())
     return OracleResult(per_node=per_node, explored_path_count=total, wall_clock=wall)

@@ -141,7 +141,7 @@ def decode_all(
         raise ValidationError("sample mode needs an rng")
 
     tape = tape if tape is not None else Tape()
-    emb = encode(graph, params.encoder, tape)
+    emb = encode(graph, params, tape)
     weights = graph.node_weights
 
     current = start
@@ -174,7 +174,7 @@ def decode_all(
         if len(candidates) >= 2:
             stack.append(current)
 
-        scores = decoder_scores(emb, current, candidates, params.decoder, tape)
+        scores = decoder_scores(emb, current, candidates, params, tape)
         if mode == "greedy":
             nxt = greedy_choice({c: s.item() for c, s in scores.items()})
         else:
@@ -234,16 +234,6 @@ def decode_all(
         branch_trace=trace,
         log_prob_tensors=log_prob_tensors,
     )
-
-
-def greedy_reward(
-    graph: WeightedGraph,
-    params: ModelParams,
-    start: int,
-    score_config: ScoreConfig = ScoreConfig(),
-) -> float:
-    """Reward of the deterministic greedy traversal."""
-    return decode_all(graph, params, start, mode="greedy", score_config=score_config).reward
 
 
 def trace_to_csv(result: RolloutResult) -> str:

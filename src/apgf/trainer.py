@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
 from .model import ModelParams, copy_params, init_params, save_checkpoint
 from .numcore import AdamState, Tape, Tensor, adam_step, clear_grads
@@ -141,7 +142,7 @@ def train(
         score_clip=config.score_clip,
     )
     baseline = copy_params(policy, requires_grad=False)
-    params = policy.param_dict()
+    params = policy.tensors
     adam = AdamState(learning_rate=config.learning_rate)
 
     graphs = _training_graphs(config, rng)
@@ -214,10 +215,8 @@ def train(
     total_seconds = time.perf_counter() - train_started
     if out_path is not None:
         save_checkpoint(policy, out_path / "checkpoint_final.json")
-        (out_path / "metrics.csv").write_text(metrics_to_csv(metrics), encoding="utf-8")
-        (out_path / "timings.csv").write_text(
-            timings_to_csv(metrics, total_seconds), encoding="utf-8"
-        )
+        atomic_write_text(out_path / "metrics.csv", metrics_to_csv(metrics))
+        atomic_write_text(out_path / "timings.csv", timings_to_csv(metrics, total_seconds))
     return policy, metrics
 
 

@@ -76,11 +76,10 @@ def identity_model(score_clip: float = 10.0):
     from apgf.model import init_params
 
     params = init_params(0, embed_dim=1, num_heads=1, ff_dim=1, score_clip=score_clip)
-    for name, t in params.named_parameters():
+    for name, t in params.tensors.items():
         t.values = np.zeros_like(t.values)
-    params.encoder.input_lift.values = np.array([[1.0]])
-    params.decoder.query_proj.values = np.array([[1.0]])
-    params.decoder.key_proj.values = np.array([[1.0]])
+    for name in ("encoder.input_lift", "decoder.query_proj", "decoder.key_proj"):
+        params.tensors[name].values = np.array([[1.0]])
     return params
 
 

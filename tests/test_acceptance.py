@@ -59,7 +59,7 @@ def test_criterion_1_gradient_integrity():
     tape.backward(reinforce_loss(replay.reward, baseline_reward, replay.log_prob_tensors, tape))
 
     worst = 0.0
-    for name, p in params.named_parameters():
+    for name, p in params.tensors.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.values)
         assert np.any(analytic), f"no gradient reached {name}"
         fd = central_difference(loss_value, p.values, h=1e-5)

@@ -227,6 +227,74 @@ def test_compare_missing_file(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def _drop_first_values(path):
+    doc = json.loads(path.read_text())
+    del next(iter(doc["params"].values()))["values"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.write_text('{"version": 1}'),
+        lambda p: p.write_text("not json"),
+        _drop_first_values,
+        lambda p: p.write_text("[1, 2]"),
+    ],
+    ids=["no-hyper", "not-json", "no-values", "array"],
+)
+def test_compare_malformed_checkpoint(tmp_path, compare_inputs, capsys, corrupt):
+    graph_path, ckpt_path = compare_inputs
+    corrupt(ckpt_path)
+    code = run(
+        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == EXIT_VALIDATION
+    assert str(ckpt_path) in capsys.readouterr().err
+
+
+def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache):
+    return run(
+        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
+         "--out-dir", str(tmp_path / "o"), "--oracle-cache", str(cache)]
+    )
+
+
+def test_compare_non_object_oracle_cache_is_recomputed(tmp_path, compare_inputs):
+    graph_path, ckpt_path = compare_inputs
+    fresh, broken = tmp_path / "fresh.json", tmp_path / "broken.json"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, fresh) == EXIT_OK
+    broken.write_text("[1]")
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, broken) == EXIT_OK
+    # wall_clock differs between runs; every other field is recomputed exactly
+    a, b = json.loads(fresh.read_text()), json.loads(broken.read_text())
+    del a["wall_clock"], b["wall_clock"]
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("explored_path_count", None), ("explored_path_count", "12"), ("entries", [])],
+)
+def test_compare_broken_oracle_cache_names_file_and_field(
+    tmp_path, compare_inputs, capsys, field, value
+):
+    graph_path, ckpt_path = compare_inputs
+    cache = tmp_path / "cache.json"
+    run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache)
+    doc = json.loads(cache.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(cache) in err and field in err
+
+
 def test_golden_comparison_fixture(tmp_path):
     """Byte-stable comparison output for the committed fixture pair."""
     from pathlib import Path

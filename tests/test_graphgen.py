@@ -10,7 +10,6 @@ from apgf.graphgen import (
     graph_to_json,
     load_graph,
     save_graph,
-    to_adjacency_tensor,
 )
 
 from helpers import build_graph
@@ -100,29 +99,6 @@ def test_generator_invariants(num_nodes, extra, seed):
     assert np.array_equal(g.adjacency, g.adjacency.T)
     assert not g.adjacency.diagonal().any()
     assert g == generate_random_graph(num_nodes, num_edges, seed=seed)
-
-
-def test_adjacency_tensor_two_node_graph():
-    g = build_graph(2, [(0, 1)], [0.5, 0.5])
-    t = to_adjacency_tensor([g])
-    np.testing.assert_array_equal(t, [[[0.0, 1.0], [1.0, 0.0]]])
-
-
-def test_adjacency_tensor_identical_slices():
-    g = generate_random_graph(10, 12, seed=4)
-    t = to_adjacency_tensor([g, g])
-    assert t.shape == (2, 10, 10)
-    np.testing.assert_array_equal(t[0], t[1])
-    for k in range(2):
-        np.testing.assert_array_equal(t[k], t[k].T)
-        assert not t[k].diagonal().any()
-
-
-def test_adjacency_tensor_errors():
-    with pytest.raises(ValidationError, match="empty"):
-        to_adjacency_tensor([])
-    with pytest.raises(ValidationError, match="mixed"):
-        to_adjacency_tensor([generate_random_graph(3, 2, 0), generate_random_graph(4, 3, 0)])
 
 
 def test_round_trip_tiny(tmp_path):

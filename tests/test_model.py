@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgf.errors import ValidationError
+from apgf.errors import ApgfError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import (
-    DecoderParams,
-    NodeEmbeddings,
     candidate_probs,
     copy_params,
     decoder_scores,
@@ -30,37 +30,42 @@ def small_params(seed=0, embed_dim=8, num_heads=2, ff_dim=12, score_clip=10.0):
     )
 
 
+def decoder_params(query_proj, key_proj, score_clip=10.0):
+    """A model whose decoder projections are the given square matrices."""
+    params = init_params(0, embed_dim=len(query_proj), num_heads=1, ff_dim=1, score_clip=score_clip)
+    params.tensors["decoder.query_proj"] = tensor(query_proj, requires_grad=True)
+    params.tensors["decoder.key_proj"] = tensor(key_proj, requires_grad=True)
+    return params
+
+
 def test_single_node_graph():
     g = build_graph(1, [], [0.7])
     params = small_params()
-    emb = encode(g, params.encoder)
-    assert emb.vectors.shape == (1, params.embed_dim)
+    p = {name: t.values for name, t in params.tensors.items()}
+    emb = encode(g, params)
+    assert emb.shape == (1, params.embed_dim)
     # self-attention over one node has coefficient 1, so the first layer
     # output is exactly lift + concat(projected lift)
-    h0 = g.node_weights.reshape(1, 1) @ params.encoder.input_lift.values
-    heads = np.concatenate(
-        [h0 @ head.weight.values for head in params.encoder.layers[0].heads], axis=1
-    )
+    h0 = g.node_weights.reshape(1, 1) @ p["encoder.input_lift"]
+    heads = np.concatenate([h0 @ p[f"encoder.layer0.head{i}.weight"] for i in range(2)], axis=1)
     h1 = h0 + heads
-    heads2 = np.concatenate(
-        [h1 @ head.weight.values for head in params.encoder.layers[1].heads], axis=1
-    )
+    heads2 = np.concatenate([h1 @ p[f"encoder.layer1.head{i}.weight"] for i in range(2)], axis=1)
     h2 = h1 + heads2
-    inner = h2 @ params.encoder.ff_in_weight.values + params.encoder.ff_in_bias.values
+    inner = h2 @ p["encoder.ff_in_weight"] + p["encoder.ff_in_bias"]
     inner = np.where(inner > 0, inner, 0.2 * inner)
-    expected = h2 + inner @ params.encoder.ff_out_weight.values + params.encoder.ff_out_bias.values
-    np.testing.assert_allclose(emb.vectors.values, expected, rtol=1e-12)
+    expected = h2 + inner @ p["encoder.ff_out_weight"] + p["encoder.ff_out_bias"]
+    np.testing.assert_allclose(emb.values, expected, rtol=1e-12)
 
 
 def test_zero_weight_matrices_leave_only_lifted_inputs():
     g = generate_random_graph(5, 6, seed=8)
     params = small_params()
-    for name, t in params.named_parameters():
+    for name, t in params.tensors.items():
         if name != "encoder.input_lift":
             t.values = np.zeros_like(t.values)
-    emb = encode(g, params.encoder)
-    lifted = g.node_weights.reshape(-1, 1) @ params.encoder.input_lift.values
-    np.testing.assert_array_equal(emb.vectors.values, lifted)
+    emb = encode(g, params)
+    lifted = g.node_weights.reshape(-1, 1) @ params.tensors["encoder.input_lift"].values
+    np.testing.assert_array_equal(emb.values, lifted)
 
 
 def test_permutation_equivariance():
@@ -76,31 +81,21 @@ def test_permutation_equivariance():
         start=int(perm[g.start_index]),
     )
     params = small_params(seed=9)
-    v = encode(g, params.encoder).vectors.values
-    v_perm = encode(relabeled, params.encoder).vectors.values
+    v = encode(g, params).values
+    v_perm = encode(relabeled, params).values
     np.testing.assert_allclose(v_perm[perm], v, atol=1e-10, rtol=0)
 
 
 def test_decoder_zero_projections_give_zero_scores():
-    emb = NodeEmbeddings(vectors=tensor(np.random.default_rng(0).normal(size=(4, 3))))
-    dec = DecoderParams(
-        query_proj=tensor(np.zeros((3, 3)), requires_grad=True),
-        key_proj=tensor(np.zeros((3, 3)), requires_grad=True),
-        score_clip=10.0,
-        embed_dim=3,
-    )
+    emb = tensor(np.random.default_rng(0).normal(size=(4, 3)))
+    dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
     scores = decoder_scores(emb, 0, {1, 2, 3}, dec)
     assert all(s.item() == 0.0 for s in scores.values())
 
 
 def test_decoder_one_dimensional_case():
-    emb = NodeEmbeddings(vectors=tensor([[1.0], [1.0]]))
-    dec = DecoderParams(
-        query_proj=tensor([[1.0]]),
-        key_proj=tensor([[1.0]]),
-        score_clip=10.0,
-        embed_dim=1,
-    )
+    emb = tensor([[1.0], [1.0]])
+    dec = decoder_params([[1.0]], [[1.0]])
     scores = decoder_scores(emb, 0, [1], dec)
     assert scores[1].item() == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
     assert scores[1].item() == pytest.approx(7.615941559, rel=1e-9)
@@ -108,22 +103,15 @@ def test_decoder_one_dimensional_case():
 
 def test_decoder_scores_bounded_by_clip():
     rng = np.random.default_rng(2)
-    emb = NodeEmbeddings(vectors=tensor(rng.normal(size=(6, 4)) * 50))
-    dec = DecoderParams(
-        query_proj=tensor(rng.normal(size=(4, 4)) * 50),
-        key_proj=tensor(rng.normal(size=(4, 4)) * 50),
-        score_clip=10.0,
-        embed_dim=4,
-    )
+    emb = tensor(rng.normal(size=(6, 4)) * 50)
+    dec = decoder_params(rng.normal(size=(4, 4)) * 50, rng.normal(size=(4, 4)) * 50)
     scores = decoder_scores(emb, 0, range(1, 6), dec)
     assert all(abs(s.item()) <= 10.0 for s in scores.values())
 
 
 def test_decoder_empty_candidates_rejected():
-    emb = NodeEmbeddings(vectors=tensor([[1.0]]))
-    dec = DecoderParams(
-        query_proj=tensor([[1.0]]), key_proj=tensor([[1.0]]), score_clip=10.0, embed_dim=1
-    )
+    emb = tensor([[1.0]])
+    dec = decoder_params([[1.0]], [[1.0]])
     with pytest.raises(ValidationError, match="candidate"):
         decoder_scores(emb, 0, [], dec)
 
@@ -179,7 +167,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.hyper() == params.hyper()
-    for (name_a, a), (name_b, b) in zip(params.named_parameters(), loaded.named_parameters()):
+    for (name_a, a), (name_b, b) in zip(params.tensors.items(), loaded.tensors.items()):
         assert name_a == name_b
         np.testing.assert_array_equal(a.values, b.values)
         assert b.requires_grad
@@ -189,8 +177,11 @@ def test_checkpoint_dim_mismatch_names_both_values(tmp_path):
     params = small_params(seed=1, embed_dim=8)
     path = tmp_path / "ckpt.json"
     save_checkpoint(params, path)
-    with pytest.raises(ValidationError, match=r"8.*16|16.*8"):
-        load_checkpoint(path, expected_hyper={"embed_dim": 16})
+    doc = json.loads(path.read_text())
+    doc["hyper"]["embed_dim"] = 16
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"\[1, 8\].*\[1, 16\]"):
+        load_checkpoint(path)
 
 
 def test_greedy_rollout_identical_after_round_trip(tmp_path):
@@ -208,9 +199,12 @@ def test_greedy_rollout_identical_after_round_trip(tmp_path):
 def test_copy_params_is_decoupled():
     params = small_params(seed=3)
     frozen = copy_params(params, requires_grad=False)
-    params.encoder.input_lift.values[:] = 99.0
-    assert not np.array_equal(frozen.encoder.input_lift.values, params.encoder.input_lift.values)
-    assert not frozen.encoder.input_lift.requires_grad
+    params.tensors["encoder.input_lift"].values[:] = 99.0
+    assert not np.array_equal(
+        frozen.tensors["encoder.input_lift"].values, params.tensors["encoder.input_lift"].values
+    )
+    assert not frozen.tensors["encoder.input_lift"].requires_grad
+    assert frozen.hyper() == params.hyper()
 
 
 def test_decoder_gradients_match_finite_differences():
@@ -220,16 +214,121 @@ def test_decoder_gradients_match_finite_differences():
 
     def loss_value():
         t = Tape()
-        emb = encode(g, params.encoder, t)
-        scores = decoder_scores(emb, g.start_index, candidates, params.decoder, t)
+        emb = encode(g, params, t)
+        scores = decoder_scores(emb, g.start_index, candidates, params, t)
         return t.sum(t.concat([scores[c] for c in sorted(scores)], axis=0)).item()
 
     t = Tape()
-    emb = encode(g, params.encoder, t)
-    scores = decoder_scores(emb, g.start_index, candidates, params.decoder, t)
+    emb = encode(g, params, t)
+    scores = decoder_scores(emb, g.start_index, candidates, params, t)
     t.backward(t.sum(t.concat([scores[c] for c in sorted(scores)], axis=0)))
 
-    for name, p in params.named_parameters():
+    for name, p in params.tensors.items():
         fd = central_difference(loss_value, p.values, h=1e-5)
         analytic = p.grad if p.grad is not None else np.zeros_like(p.values)
         assert max_relative_error(analytic, fd) <= 1e-4, name
+
+
+@pytest.mark.parametrize(
+    "kwargs, size, digest",
+    [
+        ({}, 724_676, "1cb3146eedbbf944901c82b8854176091928d1f6907104ed621d708dc8bf1d89"),
+        (
+            dict(embed_dim=8, num_heads=2, ff_dim=6, score_clip=3.0),
+            9_572,
+            "d49926adff678c4c8b2085d0f6f41d8ecaf701905bd3979cfc1e2bf0ed33928f",
+        ),
+    ],
+)
+def test_checkpoint_bytes_are_pinned(tmp_path, kwargs, size, digest):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(seed=0, **kwargs), path)
+    data = path.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_failed_save_leaves_existing_checkpoint_intact(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_params(seed=1), path)
+    before = path.read_bytes()
+    broken = small_params(seed=2)
+    broken.score_clip = object()  # json cannot encode it
+    with pytest.raises(TypeError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("version", 2, "version"),
+        ("hyper/num_heads", 3, "divisible"),
+        ("hyper/score_clip", "10", "hyper.score_clip"),
+        ("params/decoder.key_proj", _DELETE, "missing parameter 'decoder.key_proj'"),
+        ("params/decoder.bias", {"shape": [1], "values": [0.0]}, "unexpected parameters"),
+        ("params/encoder.ff_in_bias/shape", [12, 1], "encoder.ff_in_bias.*shape"),
+        ("params/encoder.ff_in_bias/values", [0.0], "params.encoder.ff_in_bias.values"),
+        ("params/encoder.ff_in_bias/values", None, "params.encoder.ff_in_bias.values"),
+    ],
+    ids=["version", "divisible", "header-type", "missing", "extra", "shape", "count", "values"],
+)
+def test_checkpoint_rejects_each_malformed_field(tmp_path, key, value, message):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_params(seed=1), path)
+    doc = json.loads(path.read_text())
+    *parents, last = key.split("/")
+    target = doc
+    for part in parents:
+        target = target[part]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=message) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _checkpoint_docs(draw):
+    """Arbitrary JSON, or a valid tiny checkpoint with one field replaced by it."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    params = init_params(0, embed_dim=2, num_heads=1, ff_dim=1)
+    doc = {
+        "version": 1,
+        "hyper": params.hyper(),
+        "params": {
+            name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
+            for name, t in params.tensors.items()
+        },
+    }
+    holders = [doc, doc["hyper"], doc["params"]] + list(doc["params"].values())
+    holder = draw(st.sampled_from(holders))
+    holder[draw(st.sampled_from(sorted(holder)))] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_checkpoint_docs())
+def test_load_checkpoint_fuzz_raises_only_apgf_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_checkpoint(path)
+    except ApgfError:
+        pass

@@ -69,29 +69,6 @@ def test_cap_refused_with_guidance():
     assert len(result.per_node) == 25
 
 
-def test_worker_count_env_parsing(monkeypatch):
-    from apgf.oracle import worker_count
-
-    monkeypatch.delenv("APGF_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("APGF_THREADS", "6")
-    assert worker_count() == 6
-    monkeypatch.setenv("APGF_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("APGF_THREADS", "lots")
-    assert worker_count() == 1
-
-
-def test_thread_workers_match_sequential():
-    g = generate_random_graph(9, 11, seed=8)
-    seq = brute_force_scores(g, max_workers=1)
-    par = brute_force_scores(g, max_workers=4)
-    for end in range(9):
-        assert seq.per_node[end].score == par.per_node[end].score
-        assert seq.per_node[end].path == par.per_node[end].path
-    assert seq.explored_path_count == par.explored_path_count
-
-
 # -- compare -----------------------------------------------------------------
 
 

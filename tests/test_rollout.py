@@ -13,7 +13,6 @@ from apgf.rollout import (
     ScoreConfig,
     decode_all,
     greedy_choice,
-    greedy_reward,
     path_score,
     trace_to_csv,
 )
@@ -90,7 +89,7 @@ def test_trace_with_tied_scores_falls_to_index_order():
     # tie-break reproduces the same trace
     graph = fig10_graph(weights=[0.5] * 6)
     params = identity_model()
-    params.decoder.query_proj.values = np.array([[0.0]])
+    params.tensors["decoder.query_proj"].values = np.array([[0.0]])
     result = decode_all(graph, params, start=0, mode="greedy")
     assert_matches_expected_trace(result)
 
@@ -223,8 +222,8 @@ def test_greedy_reward_matches_independent_trace_replay():
 def test_greedy_reward_deterministic():
     graph = generate_random_graph(11, 13, seed=21)
     params = init_params(22, embed_dim=8, num_heads=2, ff_dim=8)
-    a = greedy_reward(graph, params, graph.start_index)
-    b = greedy_reward(graph, params, graph.start_index)
+    a = decode_all(graph, params, graph.start_index, mode="greedy").reward
+    b = decode_all(graph, params, graph.start_index, mode="greedy").reward
     assert a == b
 
 
@@ -234,7 +233,10 @@ def test_greedy_equals_policy_after_param_copy():
     graph = generate_random_graph(9, 12, seed=2)
     policy = init_params(1, embed_dim=8, num_heads=2, ff_dim=8)
     baseline = copy_params(policy)
-    assert greedy_reward(graph, policy, 3) == greedy_reward(graph, baseline, 3)
+    assert (
+        decode_all(graph, policy, 3, mode="greedy").reward
+        == decode_all(graph, baseline, 3, mode="greedy").reward
+    )
 
 
 @settings(max_examples=50, deadline=None)

@@ -75,10 +75,9 @@ def test_positive_advantage_raises_probability_of_taken_action():
 
     loss = reinforce_loss(rolled.reward + 1.0, rolled.reward, rolled.log_prob_tensors, tape)
     tape.backward(loss)
-    param_dict = params.param_dict()
-    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values)) for k, p in param_dict.items()}
-    adam_step(param_dict, grads, AdamState(learning_rate=1e-3))
-    clear_grads(param_dict)
+    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values)) for k, p in params.tensors.items()}
+    adam_step(params.tensors, grads, AdamState(learning_rate=1e-3))
+    clear_grads(params.tensors)
 
     replay = decode_all(graph, params, 0, mode="sample", force_actions=actions)
     prob_after = [math.exp(lp) for lp in replay.step_log_probs]
@@ -107,7 +106,7 @@ def test_zero_epochs_returns_initialization(tmp_path):
         ff_dim=cfg.ff_dim,
         score_clip=cfg.score_clip,
     )
-    for (_, a), (_, b) in zip(policy.named_parameters(), fresh.named_parameters()):
+    for (_, a), (_, b) in zip(policy.tensors.items(), fresh.tensors.items()):
         np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -130,7 +129,7 @@ def test_training_is_bit_reproducible(tmp_path):
     assert (dir_a / "checkpoint_final.json").read_bytes() == (
         dir_b / "checkpoint_final.json"
     ).read_bytes()
-    for (_, a), (_, b) in zip(policy_a.named_parameters(), policy_b.named_parameters()):
+    for (_, a), (_, b) in zip(policy_a.tensors.items(), policy_b.tensors.items()):
         np.testing.assert_array_equal(a.values, b.values)
 
 
