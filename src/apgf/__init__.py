@@ -12,14 +12,13 @@ from .errors import ApgfError, CapExceededError, GraphFormatError, NumericError,
 from .graphgen import WeightedGraph, generate_random_graph, load_graph, save_graph
 from .model import (
     ModelParams,
-    candidate_probs,
     copy_params,
-    decoder_scores,
     encode,
     init_params,
     load_checkpoint,
     param_spec,
     save_checkpoint,
+    score_matrix,
 )
 from .numcore import AdamState, Tape, Tensor, adam_step, tensor
 from .oracle import ComparisonReport, OracleResult, brute_force_scores, compare
@@ -37,14 +36,13 @@ __all__ = [
     "load_graph",
     "save_graph",
     "ModelParams",
-    "candidate_probs",
     "copy_params",
-    "decoder_scores",
     "encode",
     "init_params",
     "load_checkpoint",
     "param_spec",
     "save_checkpoint",
+    "score_matrix",
     "AdamState",
     "Tape",
     "Tensor",

@@ -111,12 +111,19 @@ _SCORE_CONFIG_KEYS = {"aggregator", "reward_mode"}
 
 
 def _train_config_from_file(path: Path) -> TrainConfig:
+    """Parse and validate a train config; errors are prefixed ``config <path>:``."""
+    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return _train_config_from_doc(json.loads(text))
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config {path}: not valid JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"config {path}: {exc}") from exc
+
+
+def _train_config_from_doc(doc) -> TrainConfig:
     if not isinstance(doc, dict):
-        raise ValidationError("config file must hold a JSON object")
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
 
     problems = []
     kwargs = {}

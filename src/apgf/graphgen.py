@@ -241,5 +241,10 @@ def graph_from_json(text: str) -> WeightedGraph:
 
 
 def load_graph(path) -> WeightedGraph:
+    """Read a graph file; format errors are prefixed ``graph <path>:``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+        text = fh.read()
+    try:
+        return graph_from_json(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"graph {path}: {exc}") from exc

@@ -3,10 +3,10 @@
 The encoder lifts each node's scalar weight into an embedding, runs two
 multi-head attention layers over graph neighborhoods (self-loop
 included, residual connection per layer), then one feedforward layer
-with a second residual. The decoder scores a candidate next node j from
-the current node i as
+with a second residual. The decoder scores a move from node i to node j
+as
 
-    score(j) = clip * tanh( (Q v_i) . (K v_j) / sqrt(embed_dim) )
+    score(i, j) = clip * tanh( (Q v_i) . (K v_j) / sqrt(embed_dim) )
 
 so every score lands in [-clip, +clip]; a temperature softmax turns the
 scores of the unvisited neighbors into move probabilities.
@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -147,44 +146,20 @@ def encode(graph: WeightedGraph, params: ModelParams, tape: Tape | None = None) 
     return tape.add(h, ff)
 
 
-def decoder_scores(
-    emb: Tensor,
-    current: int,
-    candidates,
-    params: ModelParams,
-    tape: Tape | None = None,
-) -> dict[int, Tensor]:
-    """Score each candidate next node; every score lies in [-clip, +clip]."""
-    cands = sorted(int(c) for c in candidates)
-    if not cands:
-        raise ValidationError("decoder_scores needs a nonempty candidate set")
+def score_matrix(emb: Tensor, params: ModelParams, tape: Tape | None = None) -> Tensor:
+    """Decoder scores of every move as one ``[num_nodes, num_nodes]`` matrix.
+
+    Row i, column j scores moving from node i to node j; every entry lies
+    in [-clip, +clip]. The inputs are fixed for a whole rollout, so a
+    rollout computes the matrix once and reads each decision from it.
+    """
     tape = tape if tape is not None else Tape()
-    query_proj = params.tensors["decoder.query_proj"]
-    key_proj = params.tensors["decoder.key_proj"]
-    query = tape.matmul(tape.gather_rows(emb, [int(current)]), tape.transpose(query_proj))
-    keys = tape.matmul(tape.gather_rows(emb, cands), tape.transpose(key_proj))
-    raw = tape.matmul(query, tape.transpose(keys))  # [1, m]
+    p = params.tensors
+    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [n, embed_dim]
+    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [n, embed_dim]
+    raw = tape.matmul(query, tape.transpose(keys))  # [n, n]
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
-    clipped = tape.mul_scalar(tape.tanh(scaled), params.score_clip)
-    return {c: tape.select(clipped, k) for k, c in enumerate(cands)}
-
-
-def candidate_probs(
-    scores: Mapping[int, Tensor],
-    temperature: float = 1.0,
-    tape: Tape | None = None,
-) -> dict[int, Tensor]:
-    """Temperature softmax over a score map; probabilities sum to 1."""
-    if temperature <= 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    if not scores:
-        raise ValidationError("candidate_probs needs a nonempty score map")
-    tape = tape if tape is not None else Tape()
-    keys = sorted(scores)
-    vec = tape.concat([scores[k] for k in keys], axis=0)
-    vec = tape.mul_scalar(vec, 1.0 / temperature)
-    probs = tape.masked_softmax(vec, np.ones(len(keys), dtype=bool))
-    return {k: tape.select(probs, i) for i, k in enumerate(keys)}
+    return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

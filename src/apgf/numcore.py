@@ -76,6 +76,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def softmax(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a plain array; masked entries get 0.
+
+    The forward pass of ``Tape.masked_softmax``. Every row must keep at
+    least one unmasked entry.
+    """
+    x = np.where(mask, values, -np.inf)
+    x = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(x)  # exp(-inf) == 0 exactly, so masked entries vanish
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 # A record is (output, inputs, rule); rule maps the output adjoint to one
 # adjoint per input (None for inputs that need no gradient).
 _Rule = Callable[[np.ndarray], tuple]
@@ -185,10 +197,7 @@ class Tape:
             raise ValidationError(f"mask shape {m.shape} does not match values shape {a.shape}")
         if not m.any(axis=-1).all():
             raise ValidationError("masked_softmax: at least one fully-masked row")
-        x = np.where(m, a.values, -np.inf)
-        x = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(x)  # exp(-inf) == 0 exactly, so masked entries vanish
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = softmax(a.values, m)
         out = Tensor(p)
         _check_finite(out.values, "masked_softmax")
 
@@ -256,23 +265,6 @@ class Tape:
         self._record(out, (a,), rule)
         return out
 
-    def select(self, a: Tensor, index: int) -> Tensor:
-        """Pick one entry (flat index) as a shape-(1,) tensor."""
-        flat = a.values.reshape(-1)
-        i = int(index)
-        if i < 0 or i >= flat.size:
-            raise ValidationError(f"select index {i} out of range for {flat.size} entries")
-        out = Tensor(flat[[i]])
-        a_shape = a.shape
-
-        def rule(g):
-            z = np.zeros(a_shape)
-            z.reshape(-1)[i] = g[0]
-            return (z,)
-
-        self._record(out, (a,), rule)
-        return out
-
     # -- reverse pass -----------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
@@ -304,6 +296,14 @@ class Tape:
             t = holders[key]
             if t.requires_grad:
                 t.grad = adj if t.grad is None else t.grad + adj
+
+
+class ForwardTape(Tape):
+    """Runs the ops and records none of them: a forward pass that will
+    never be differentiated keeps no intermediates alive."""
+
+    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], rule: _Rule) -> None:
+        pass
 
 
 def clear_grads(params: Mapping[str, Tensor]) -> None:

@@ -17,16 +17,15 @@ selected nodes).
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .graphgen import WeightedGraph
-from .model import ModelParams, candidate_probs, decoder_scores, encode
-from .numcore import Tape, Tensor
+from .model import ModelParams, encode, score_matrix
+from .numcore import ForwardTape, Tape, Tensor, softmax
 
 AGGREGATORS = ("product", "sum")
 REWARD_MODES = ("per_node_path_scores", "literal_weight_sum")
@@ -66,9 +65,10 @@ class RolloutResult:
     per_node_score: dict[int, float]
     reward: float
     branch_trace: list[TraceRow]
-    # Present only for sampled rollouts on a live tape; lets the trainer
-    # differentiate through the step probabilities.
-    log_prob_tensors: list[Tensor] = field(default_factory=list)
+    # The [steps] log probabilities of a sampled rollout's moves, on its
+    # tape, so the trainer can differentiate through them; None when the
+    # rollout made no sampled decision (greedy, or nothing to choose).
+    log_prob_tensors: Tensor | None = None
 
 
 def path_score(weights_along_path: Sequence[float], aggregator: str = "product") -> float:
@@ -85,26 +85,20 @@ def path_score(weights_along_path: Sequence[float], aggregator: str = "product")
     raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
 
 
-def greedy_choice(score_values: Mapping[int, float]) -> int:
-    """Argmax over candidate scores; ties go to the lowest node index."""
-    best_node = None
-    best_score = None
-    for node in sorted(score_values):
-        s = float(score_values[node])
-        if best_score is None or s > best_score:
-            best_node, best_score = node, s
-    return best_node
+def greedy_choice(scores: np.ndarray, candidates: Iterable[int]) -> int:
+    """Argmax of ``scores[c]`` over the candidates; ties go to the lowest node index."""
+    cands = sorted(candidates)
+    return cands[int(np.argmax(scores[cands]))]  # argmax keeps the first maximum
 
 
-def _sample_choice(prob_values: Mapping[int, float], rng: np.random.Generator) -> int:
+def _sample_choice(probs: np.ndarray, candidates: Sequence[int], rng: np.random.Generator) -> int:
     r = float(rng.random())
     acc = 0.0
-    nodes = sorted(prob_values)
-    for node in nodes:
-        acc += float(prob_values[node])
+    for node in candidates:
+        acc += float(probs[node])
         if r < acc:
             return node
-    return nodes[-1]  # guard against accumulated rounding
+    return candidates[-1]  # guard against accumulated rounding
 
 
 def decode_all(
@@ -122,10 +116,15 @@ def decode_all(
 
     ``mode="sample"`` draws each move from the candidate probabilities
     (recording its log probability); ``mode="greedy"`` takes the
-    highest-scoring candidate with lowest-index tie-break and records no
-    log probabilities. ``force_actions`` replays a fixed move sequence
-    under sample-mode probabilities, which keeps the log-probability
-    terms differentiable for a pinned trajectory.
+    highest-scoring candidate with lowest-index tie-break, records no
+    log probabilities and leaves ``tape`` untouched. ``force_actions``
+    replays a fixed move sequence under sample-mode probabilities, which
+    keeps the log-probability terms differentiable for a pinned
+    trajectory.
+
+    The decoder's score matrix is computed once; the walk reads plain
+    rows of it, and a sampled rollout then puts the log probabilities of
+    all its moves on the tape as one batched expression.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
@@ -139,10 +138,16 @@ def decode_all(
         forced = list(int(a) for a in force_actions)
     elif mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
+    if not temperature > 0:
+        raise ValidationError(f"temperature must be positive, got {temperature}")
 
-    tape = tape if tape is not None else Tape()
-    emb = encode(graph, params, tape)
+    if mode == "greedy":
+        tape = ForwardTape()
+    elif tape is None:
+        tape = Tape()
+    scores = score_matrix(encode(graph, params, tape), params, tape)
     weights = graph.node_weights
+    inv_temperature = 1.0 / temperature
 
     current = start
     visit_order = [start]
@@ -150,8 +155,7 @@ def decode_all(
     stack: list[int] = []
     parents: dict[int, int] = {}
     node_scores = {start: path_score([weights[start]], score_config.aggregator)}
-    log_probs: list[float] = []
-    log_prob_tensors: list[Tensor] = []
+    masks: list[np.ndarray] = []  # each sampled decision's candidates
     trace: list[TraceRow] = []
     selected_weight_sum = 0.0
     step = 0
@@ -174,25 +178,24 @@ def decode_all(
         if len(candidates) >= 2:
             stack.append(current)
 
-        scores = decoder_scores(emb, current, candidates, params, tape)
         if mode == "greedy":
-            nxt = greedy_choice({c: s.item() for c, s in scores.items()})
+            nxt = greedy_choice(scores.values[current], candidates)
         else:
-            probs = candidate_probs(scores, temperature, tape)
+            mask = np.zeros(n, dtype=bool)
+            mask[candidates] = True
             if forced is not None:
                 if step >= len(forced):
                     raise ValidationError("force_actions ran out before the rollout finished")
                 nxt = forced[step]
-                if nxt not in probs:
+                if nxt not in candidates:
                     raise ValidationError(
                         f"forced action {nxt} is not a candidate at step {step} "
-                        f"(candidates: {sorted(probs)})"
+                        f"(candidates: {candidates})"
                     )
             else:
-                nxt = _sample_choice({c: p.item() for c, p in probs.items()}, rng)
-            log_t = tape.log(probs[nxt])
-            log_probs.append(log_t.item())
-            log_prob_tensors.append(log_t)
+                probs = softmax(scores.values[current] * inv_temperature, mask)
+                nxt = _sample_choice(probs, candidates, rng)
+            masks.append(mask)
 
         parents[nxt] = current
         visited.add(nxt)
@@ -220,6 +223,17 @@ def decode_all(
             f"force_actions has {len(forced)} moves but the rollout made {step}"
         )
 
+    log_probs = None
+    if masks:
+        # log p(next | selected) of every decision in one expression: the
+        # masked softmax of the gathered score rows, read at the chosen
+        # columns of the flattened [steps, n] probabilities
+        rows = tape.gather_rows(scores, [row.selected for row in trace])
+        probs_t = tape.masked_softmax(tape.mul_scalar(rows, inv_temperature), np.array(masks))
+        flat = tape.reshape(probs_t, (step * n, 1))
+        picked = tape.gather_rows(flat, [i * n + row.next for i, row in enumerate(trace)])
+        log_probs = tape.log(tape.reshape(picked, (step,)))
+
     if score_config.reward_mode == "per_node_path_scores":
         reward = float(sum(node_scores.values()))
     else:
@@ -228,21 +242,9 @@ def decode_all(
     return RolloutResult(
         visit_order=visit_order,
         dfs_parent=parents,
-        step_log_probs=log_probs,
+        step_log_probs=[] if log_probs is None else log_probs.values.tolist(),
         per_node_score=node_scores,
         reward=reward,
         branch_trace=trace,
-        log_prob_tensors=log_prob_tensors,
+        log_prob_tensors=log_probs,
     )
-
-
-def trace_to_csv(result: RolloutResult) -> str:
-    """Render the branch trace as CSV; node lists are space-joined."""
-    out = io.StringIO()
-    out.write("step,selected,neighbors,next,visited,stack\n")
-    for row in result.branch_trace:
-        neighbors = " ".join(str(x) for x in row.neighbors)
-        visited = " ".join(str(x) for x in row.visited)
-        stack = " ".join(str(x) for x in row.stack)
-        out.write(f"{row.step},{row.selected},{neighbors},{row.next},{visited},{stack}\n")
-    return out.getvalue()

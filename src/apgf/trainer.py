@@ -94,23 +94,24 @@ class EpochMetrics:
 def reinforce_loss(
     reward: float,
     baseline_reward: float,
-    log_prob_tensors: Sequence[Tensor],
+    log_probs: Tensor | None,
     tape: Tape,
 ) -> Tensor:
     """loss = -(reward - baseline_reward) * sum(log probs).
 
-    Reward and baseline enter as constants; the gradient flows only
-    through the log-probability terms.
+    ``log_probs`` holds a rollout's step log probabilities (None when it
+    made no choice). Reward and baseline enter as constants; the
+    gradient flows only through the log-probability terms.
     """
     advantage = float(reward) - float(baseline_reward)
-    if not log_prob_tensors:
+    if log_probs is None:
         if advantage != 0.0:
             warnings.warn(
                 "rollout made no choices but has nonzero advantage; loss forced to 0",
                 stacklevel=2,
             )
         return Tensor(np.zeros(1))
-    total = tape.sum(tape.concat(list(log_prob_tensors), axis=0))
+    total = tape.sum(log_probs)
     return tape.reshape(tape.mul_scalar(total, -advantage), (1,))
 
 

@@ -65,6 +65,26 @@ def permutation_best_score(graph: WeightedGraph, end: int, aggregator: str) -> f
     return best
 
 
+def reference_step_log_probs(emb, query_proj, key_proj, score_clip, branch_trace, temperature=1.0):
+    """Log probability of every move of a trajectory, one decision at a time.
+
+    Per trace row: q = e_cur Q^T, k = e_cand K^T for the candidates only,
+    scores clip * tanh(q . k / sqrt(d)), a softmax over the candidates at
+    the temperature, and the log of the chosen entry. Plain numpy on the
+    embedding values; none of the tape's ops.
+    """
+    d = emb.shape[1]
+    out = []
+    for row in branch_trace:
+        cands = list(row.neighbors)
+        q = emb[row.selected] @ query_proj.T
+        k = emb[cands] @ key_proj.T
+        logits = score_clip * np.tanh(k @ q / math.sqrt(d)) / temperature
+        z = np.exp(logits - logits.max())
+        out.append(math.log(z[cands.index(row.next)] / z.sum()))
+    return out
+
+
 def identity_model(score_clip: float = 10.0):
     """One-dimensional model whose embeddings equal the raw node weights.
 

@@ -138,6 +138,7 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
     code = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
+    assert f"config {cfg}:" in err
     assert "epochs" in err
     assert "mystery_field" in err
     # learning_rate and dataset_mode are validated after types parse
@@ -252,6 +253,31 @@ def test_compare_malformed_checkpoint(tmp_path, compare_inputs, capsys, corrupt)
     )
     assert code == EXIT_VALIDATION
     assert str(ckpt_path) in capsys.readouterr().err
+
+
+def _graph_with_zero_nodes(tmp_path, compare_inputs):
+    graph_path, ckpt_path = compare_inputs
+    doc = json.loads(graph_path.read_text())
+    doc["num_nodes"] = 0
+    graph_path.write_text(json.dumps(doc))
+    argv = ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path)]
+    return argv + ["--out-dir", str(tmp_path / "o")], graph_path, "num_nodes"
+
+
+def _config_not_json(tmp_path, compare_inputs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("nope")
+    return ["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], cfg, "JSON"
+
+
+@pytest.mark.parametrize(
+    "make_input", [_graph_with_zero_nodes, _config_not_json], ids=["graph", "config"]
+)
+def test_bad_graph_or_config_names_the_file(tmp_path, compare_inputs, capsys, make_input):
+    argv, path, field = make_input(tmp_path, compare_inputs)
+    assert run(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
 
 
 def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache):

@@ -10,18 +10,23 @@ from hypothesis import strategies as st
 from apgf.errors import ApgfError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import (
-    candidate_probs,
     copy_params,
-    decoder_scores,
     encode,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    score_matrix,
 )
-from apgf.numcore import Tape, tensor
+from apgf.numcore import Tape, softmax, tensor
 from apgf.rollout import decode_all
 
-from helpers import build_graph, central_difference, max_relative_error
+from helpers import (
+    build_graph,
+    central_difference,
+    identity_model,
+    max_relative_error,
+    star_graph,
+)
 
 
 def small_params(seed=0, embed_dim=8, num_heads=2, ff_dim=12, score_clip=10.0):
@@ -89,52 +94,70 @@ def test_permutation_equivariance():
 def test_decoder_zero_projections_give_zero_scores():
     emb = tensor(np.random.default_rng(0).normal(size=(4, 3)))
     dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
-    scores = decoder_scores(emb, 0, {1, 2, 3}, dec)
-    assert all(s.item() == 0.0 for s in scores.values())
+    scores = score_matrix(emb, dec)
+    assert scores.shape == (4, 4)
+    assert not np.any(scores.values)
 
 
 def test_decoder_one_dimensional_case():
     emb = tensor([[1.0], [1.0]])
     dec = decoder_params([[1.0]], [[1.0]])
-    scores = decoder_scores(emb, 0, [1], dec)
-    assert scores[1].item() == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
-    assert scores[1].item() == pytest.approx(7.615941559, rel=1e-9)
+    scores = score_matrix(emb, dec).values
+    assert scores[0, 1] == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
+    assert scores[0, 1] == pytest.approx(7.615941559, rel=1e-9)
+    np.testing.assert_array_equal(scores, np.full((2, 2), scores[0, 1]))
 
 
 def test_decoder_scores_bounded_by_clip():
     rng = np.random.default_rng(2)
     emb = tensor(rng.normal(size=(6, 4)) * 50)
     dec = decoder_params(rng.normal(size=(4, 4)) * 50, rng.normal(size=(4, 4)) * 50)
-    scores = decoder_scores(emb, 0, range(1, 6), dec)
-    assert all(abs(s.item()) <= 10.0 for s in scores.values())
+    scores = score_matrix(emb, dec).values
+    assert np.all(np.abs(scores) <= 10.0)
+    assert np.max(np.abs(scores)) > 9.0  # saturated, so the bound is exercised
 
 
-def test_decoder_empty_candidates_rejected():
-    emb = tensor([[1.0]])
-    dec = decoder_params([[1.0]], [[1.0]])
-    with pytest.raises(ValidationError, match="candidate"):
-        decoder_scores(emb, 0, [], dec)
+def two_leaf_star_rollout(leaf_weights, actions, temperature=1.0):
+    """Step probabilities of a forced rollout on a center-0 star with two
+    leaves under the identity model, whose score for a move from the
+    center (weight 1) to a leaf is clip * tanh(leaf weight)."""
+    graph = star_graph([1.0, *leaf_weights], center=0)
+    result = decode_all(
+        graph, identity_model(), 0, mode="sample", temperature=temperature, force_actions=actions
+    )
+    return [math.exp(lp) for lp in result.step_log_probs]
 
 
 def test_candidate_probs_examples():
-    t = Tape()
-    single = candidate_probs({3: tensor([1.7])}, temperature=1.0, tape=t)
-    assert single[3].item() == pytest.approx(1.0, abs=0)
+    # the second move has one candidate left: probability exactly 1
+    assert two_leaf_star_rollout([0.3, 0.6], [1, 2])[1] == 1.0
 
-    pair = candidate_probs({1: tensor([0.4]), 2: tensor([0.4])}, temperature=1.0)
-    assert pair[1].item() == pytest.approx(0.5, abs=1e-15)
-    assert pair[2].item() == pytest.approx(0.5, abs=1e-15)
+    pair = two_leaf_star_rollout([0.4, 0.4], [1, 2])
+    assert pair[0] == pytest.approx(0.5, abs=1e-15)
+    assert two_leaf_star_rollout([0.4, 0.4], [2, 1])[0] == pytest.approx(0.5, abs=1e-15)
 
-    skewed = candidate_probs({1: tensor([2.0]), 2: tensor([0.0])}, temperature=1.0)
+    # scores 10 tanh(1) and 0 at temperature 5 tanh(1) are logits 2 and 0
+    temperature = 5.0 * math.tanh(1.0)
+    skewed = two_leaf_star_rollout([1.0, 0.0], [1, 2], temperature)
     e2 = math.exp(2.0)
-    assert skewed[1].item() == pytest.approx(e2 / (e2 + 1.0), rel=1e-12)
-    assert skewed[1].item() == pytest.approx(0.8808, abs=5e-5)
-    assert skewed[2].item() == pytest.approx(0.1192, abs=5e-5)
+    assert skewed[0] == pytest.approx(e2 / (e2 + 1.0), rel=1e-12)
+    assert skewed[0] == pytest.approx(0.8808, abs=5e-5)
+    assert two_leaf_star_rollout([1.0, 0.0], [2, 1], temperature)[0] == pytest.approx(
+        0.1192, abs=5e-5
+    )
 
 
 def test_candidate_probs_temperature_must_be_positive():
-    with pytest.raises(ValidationError, match="temperature"):
-        candidate_probs({0: tensor([1.0])}, temperature=0.0)
+    graph = star_graph([1.0, 0.3, 0.6], center=0)
+    for temperature in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="temperature"):
+            decode_all(
+                graph, identity_model(), 0, temperature=temperature, rng=np.random.default_rng(0)
+            )
+        with pytest.raises(ValidationError, match="temperature"):
+            decode_all(graph, identity_model(), 0, temperature=temperature, force_actions=[1, 2])
+        with pytest.raises(ValidationError, match="temperature"):
+            decode_all(graph, identity_model(), 0, mode="greedy", temperature=temperature)
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,16 +172,11 @@ def test_candidate_probs_temperature_must_be_positive():
     shift=st.floats(min_value=-50, max_value=50),
 )
 def test_argmax_invariant_under_constant_shift(scores, shift):
-    base = {i: tensor([s]) for i, s in enumerate(scores)}
-    shifted = {i: tensor([s + shift]) for i, s in enumerate(scores)}
-    p0 = {k: v.item() for k, v in candidate_probs(base).items()}
-    p1 = {k: v.item() for k, v in candidate_probs(shifted).items()}
-
-    def argmax(d):
-        best = max(d.values())
-        return min(k for k, v in d.items() if v == best)
-
-    assert argmax(p0) == argmax(p1)
+    # the softmax that turns a row of decoder scores into move probabilities
+    mask = np.ones(len(scores), dtype=bool)
+    p0 = softmax(np.array(scores), mask)
+    p1 = softmax(np.array(scores) + shift, mask)
+    assert np.argmax(p0) == np.argmax(p1)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -210,18 +228,17 @@ def test_copy_params_is_decoupled():
 def test_decoder_gradients_match_finite_differences():
     g = generate_random_graph(6, 7, seed=14)
     params = small_params(seed=15, embed_dim=4, num_heads=2, ff_dim=6)
-    candidates = list(g.neighbors[g.start_index])
+    # a fixed random weighting keeps every entry's gradient distinct
+    weighting = tensor(np.random.default_rng(16).normal(size=(6, 6)))
+
+    def weighted_sum(t):
+        return t.sum(t.mul(score_matrix(encode(g, params, t), params, t), weighting))
 
     def loss_value():
-        t = Tape()
-        emb = encode(g, params, t)
-        scores = decoder_scores(emb, g.start_index, candidates, params, t)
-        return t.sum(t.concat([scores[c] for c in sorted(scores)], axis=0)).item()
+        return weighted_sum(Tape()).item()
 
     t = Tape()
-    emb = encode(g, params, t)
-    scores = decoder_scores(emb, g.start_index, candidates, params, t)
-    t.backward(t.sum(t.concat([scores[c] for c in sorted(scores)], axis=0)))
+    t.backward(weighted_sum(t))
 
     for name, p in params.tensors.items():
         fd = central_difference(loss_value, p.values, h=1e-5)

@@ -101,7 +101,6 @@ OP_CASES = {
     "transpose": (lambda t, a: t.transpose(a), [(3, 5)]),
     "reshape": (lambda t, a: t.reshape(a, (2, 6)), [(3, 4)]),
     "gather_rows": (lambda t, a: t.gather_rows(a, [2, 0, 2]), [(4, 3)]),
-    "select": (lambda t, a: t.select(a, 5), [(3, 4)]),
     "masked_softmax": (
         lambda t, a: t.masked_softmax(
             a, np.array([[True, True, False, True], [True, False, True, True]])

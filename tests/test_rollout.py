@@ -7,17 +7,23 @@ from hypothesis import strategies as st
 
 from apgf.errors import ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import init_params
+from apgf.model import encode, init_params
+from apgf.numcore import Tape
 from apgf.rollout import (
     RolloutResult,
     ScoreConfig,
     decode_all,
     greedy_choice,
     path_score,
-    trace_to_csv,
 )
 
-from helpers import build_graph, fig10_graph, identity_model, path_graph
+from helpers import (
+    build_graph,
+    fig10_graph,
+    identity_model,
+    path_graph,
+    reference_step_log_probs,
+)
 
 
 # -- path_score ----------------------------------------------------------
@@ -92,15 +98,6 @@ def test_trace_with_tied_scores_falls_to_index_order():
     params.tensors["decoder.query_proj"].values = np.array([[0.0]])
     result = decode_all(graph, params, start=0, mode="greedy")
     assert_matches_expected_trace(result)
-
-
-def test_trace_csv_shape():
-    graph = fig10_graph()
-    result = decode_all(graph, identity_model(), start=0, mode="greedy")
-    lines = trace_to_csv(result).strip().split("\n")
-    assert lines[0] == "step,selected,neighbors,next,visited,stack"
-    assert lines[1] == "1,0,1 2,1,0 1,0"
-    assert len(lines) == 6
 
 
 # -- degenerate graphs ----------------------------------------------------
@@ -216,6 +213,56 @@ def test_greedy_reward_matches_independent_trace_replay():
     assert result.reward == replayed
 
 
+# -- the batched log-probability expression ---------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_step_log_probs_match_per_step_reference(seed):
+    graph = generate_random_graph(20, 25, seed=1000 + seed)
+    params = init_params(seed, embed_dim=8, num_heads=2, ff_dim=8)
+    temperature = 0.5 + seed / 10
+    sampled = decode_all(
+        graph, params, graph.start_index, temperature=temperature, rng=np.random.default_rng(seed)
+    )
+    actions = [row.next for row in sampled.branch_trace]
+    forced = decode_all(
+        graph, params, graph.start_index, temperature=temperature, force_actions=actions
+    )
+    expected = reference_step_log_probs(
+        encode(graph, params).values,
+        params.tensors["decoder.query_proj"].values,
+        params.tensors["decoder.key_proj"].values,
+        params.score_clip,
+        sampled.branch_trace,
+        temperature,
+    )
+    for result in (sampled, forced):
+        assert len(result.step_log_probs) == len(expected) == 19
+        np.testing.assert_allclose(result.step_log_probs, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(result.log_prob_tensors.values, result.step_log_probs)
+
+
+def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
+    params = init_params(4, embed_dim=8, num_heads=2, ff_dim=8)
+    beyond_encode = []
+    for n, e in ((20, 25), (60, 75)):
+        graph = generate_random_graph(n, e, seed=n)
+        encoder_tape, tape = Tape(), Tape()
+        encode(graph, params, encoder_tape)
+        decode_all(graph, params, graph.start_index, rng=np.random.default_rng(n), tape=tape)
+        beyond_encode.append(len(tape) - len(encoder_tape))
+    assert beyond_encode[0] == beyond_encode[1]
+
+
+def test_greedy_rollout_records_nothing():
+    graph = generate_random_graph(12, 15, seed=6)
+    params = init_params(7, embed_dim=8, num_heads=2, ff_dim=8)
+    tape = Tape()
+    result = decode_all(graph, params, graph.start_index, mode="greedy", tape=tape)
+    assert len(tape) == 0
+    assert result.log_prob_tensors is None and result.step_log_probs == []
+
+
 # -- greedy mode ------------------------------------------------------------
 
 
@@ -254,11 +301,19 @@ def test_greedy_equals_policy_after_param_copy():
 )
 def test_greedy_choice_invariant_under_monotone_transform(scores, scale, shift):
     transformed = {k: np.tanh(v) * scale + shift for k, v in scores.items()}
-    assert greedy_choice(scores) == greedy_choice(transformed)
+    assert choose(scores) == choose(transformed)
+
+
+def choose(scores: dict) -> int:
+    """greedy_choice on a score row whose non-candidate entries beat every candidate."""
+    row = np.full(max(scores) + 1, np.inf)
+    row[list(scores)] = list(scores.values())
+    return greedy_choice(row, scores)
 
 
 def test_greedy_choice_tie_breaks_to_lowest_index():
-    assert greedy_choice({7: 1.0, 3: 1.0, 5: 1.0}) == 3
+    assert choose({7: 1.0, 3: 1.0, 5: 1.0}) == 3
+    assert greedy_choice(np.array([0.0, 2.0, 1.0, 2.0]), [3, 2, 1]) == 1
 
 
 # -- forced replay -----------------------------------------------------------

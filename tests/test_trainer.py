@@ -40,9 +40,9 @@ def tiny_config(**overrides):
 
 def test_loss_zero_when_reward_equals_baseline():
     t = Tape()
-    probs = t.masked_softmax(tensor([0.3, 0.1], requires_grad=True), np.ones(2, bool))
-    log_prob = t.log(t.select(probs, 0))
-    loss = reinforce_loss(2.5, 2.5, [log_prob], t)
+    probs = t.masked_softmax(tensor([[0.3, 0.1]], requires_grad=True), np.ones((1, 2), bool))
+    log_prob = t.log(t.gather_rows(t.transpose(probs), [0]))
+    loss = reinforce_loss(2.5, 2.5, log_prob, t)
     assert loss.item() == 0.0
 
 
@@ -51,14 +51,14 @@ def test_loss_matches_hand_value():
     t = Tape()
     raw = tensor([math.exp(-2.0)], requires_grad=True)
     log_prob = t.log(raw)
-    loss = reinforce_loss(1.0, 0.0, [log_prob], t)
+    loss = reinforce_loss(1.0, 0.0, log_prob, t)
     assert loss.item() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_empty_log_probs_with_advantage_warns_and_zeroes():
     t = Tape()
     with pytest.warns(UserWarning, match="no choices"):
-        loss = reinforce_loss(3.0, 1.0, [], t)
+        loss = reinforce_loss(3.0, 1.0, None, t)
     assert loss.item() == 0.0
 
 
