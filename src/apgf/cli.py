@@ -20,10 +20,10 @@ from . import __version__
 from .charts import grouped_bar_chart, line_chart
 from .errors import CapExceededError, NumericError, ValidationError
 from .files import atomic_write_text
-from .graphgen import generate_random_graph, graph_to_json, load_graph
+from .graphgen import WeightedGraph, generate_random_graph, graph_to_json, load_graph
 from .model import load_checkpoint
 from .oracle import DEFAULT_NODE_CAP, EndNodeBest, OracleResult, brute_force_scores, compare
-from .rollout import ScoreConfig, decode_all
+from .rollout import ScoreConfig, decode_all, path_score
 from .trainer import TrainConfig, train
 
 EXIT_OK = 0
@@ -94,20 +94,13 @@ def cmd_gen(args) -> int:
 
 # -- train -------------------------------------------------------------
 
-_INT_FIELDS = {
-    "epochs",
-    "graphs_per_epoch",
-    "num_nodes",
-    "num_edges",
-    "baseline_sync_period",
-    "seed",
-    "embed_dim",
-    "num_heads",
-    "ff_dim",
+# TrainConfig field annotation (a string, as trainer.py postpones annotations)
+# -> (accepted JSON types, noun, converter)
+_FIELD_KINDS = {
+    "int": (int, "an integer", int),
+    "float": ((int, float), "a number", float),
+    "str": (str, "a string", str),
 }
-_FLOAT_FIELDS = {"learning_rate", "temperature", "score_clip"}
-_STR_FIELDS = {"dataset_mode"}
-_SCORE_CONFIG_KEYS = {"aggregator", "reward_mode"}
 
 
 def _train_config_from_file(path: Path) -> TrainConfig:
@@ -127,40 +120,27 @@ def _train_config_from_doc(doc) -> TrainConfig:
 
     problems = []
     kwargs = {}
-    known = _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS | {"score_config"}
-    for key in sorted(set(doc) - known):
-        problems.append(f"unknown config field {key!r}")
-    for key in sorted(_INT_FIELDS & doc.keys()):
-        v = doc[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            problems.append(f"{key} must be an integer, got {v!r}")
-        else:
-            kwargs[key] = v
-    for key in sorted(_FLOAT_FIELDS & doc.keys()):
-        v = doc[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            problems.append(f"{key} must be a number, got {v!r}")
-        else:
-            kwargs[key] = float(v)
-    for key in sorted(_STR_FIELDS & doc.keys()):
-        v = doc[key]
-        if not isinstance(v, str):
-            problems.append(f"{key} must be a string, got {v!r}")
-        else:
-            kwargs[key] = v
-    if "score_config" in doc:
-        sc = doc["score_config"]
-        if not isinstance(sc, dict):
-            problems.append(f"score_config must be an object, got {sc!r}")
-        else:
-            for key in sorted(set(sc) - _SCORE_CONFIG_KEYS):
-                problems.append(f"unknown score_config field {key!r}")
+    field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    for key in sorted(doc):
+        value = doc[key]
+        if key not in field_types:
+            problems.append(f"unknown config field {key!r}")
+        elif key == "score_config" and not isinstance(value, dict):
+            problems.append(f"score_config must be an object, got {value!r}")
+        elif key == "score_config":
+            known = {f.name for f in dataclasses.fields(ScoreConfig)}
+            for sub in sorted(set(value) - known):
+                problems.append(f"unknown score_config field {sub!r}")
             try:
-                kwargs["score_config"] = ScoreConfig(
-                    **{k: sc[k] for k in _SCORE_CONFIG_KEYS & sc.keys()}
-                )
+                kwargs[key] = ScoreConfig(**{k: value[k] for k in known & value.keys()})
             except ValidationError as exc:
                 problems.append(str(exc))
+        else:
+            kinds, noun, convert = _FIELD_KINDS[field_types[key]]
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                problems.append(f"{key} must be {noun}, got {value!r}")
+            else:
+                kwargs[key] = convert(value)
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -226,11 +206,15 @@ def _oracle_digest(graph_json: str, aggregator: str) -> str:
     return hashlib.sha256((graph_json + "\n" + aggregator).encode("utf-8")).hexdigest()
 
 
-def _load_oracle_cache(path: Path, digest: str) -> OracleResult | None:
+def _load_oracle_cache(
+    path: Path, digest: str, graph: WeightedGraph, aggregator: str
+) -> OracleResult | None:
     """The cached result for ``digest``, or None on a miss.
 
-    An unreadable file or one for another graph is a miss; a file for
-    this graph with a missing or ill-typed field is a ValidationError.
+    An unreadable file or one for another graph is a miss. A file for
+    this graph must have one entry per node whose path runs from the
+    start to that node along graph edges and whose score is exactly that
+    path's score; anything else is a ValidationError.
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -239,22 +223,37 @@ def _load_oracle_cache(path: Path, digest: str) -> OracleResult | None:
     if not isinstance(doc, dict) or doc.get("version") != 1 or doc.get("digest") != digest:
         return None
 
+    def bad(where):
+        return ValidationError(f"oracle cache {path}: bad or missing field '{where}'")
+
     def field(obj, key, kinds, where=""):
         value = obj.get(key) if isinstance(obj, dict) else None
         if not isinstance(value, kinds) or isinstance(value, bool):
-            raise ValidationError(f"oracle cache {path}: bad or missing field '{where}{key}'")
+            raise bad(where + key)
         return value
 
+    entries = field(doc, "entries", dict)
+    nodes = [str(v) for v in range(graph.num_nodes)]
+    odd = sorted(set(entries).symmetric_difference(nodes))
+    if odd:
+        raise bad(f"entries.{odd[0]}")
     per_node = {}
-    for node, entry in field(doc, "entries", dict).items():
-        where = f"entries.{node}."
+    for end, key in enumerate(nodes):
+        entry, where = entries[key], f"entries.{key}."
         route = field(entry, "path", list, where)
-        if not node.isdigit() or not all(type(x) is int for x in route):
-            raise ValidationError(f"oracle cache {path}: bad or missing field 'entries.{node}'")
-        per_node[int(node)] = EndNodeBest(
-            score=field(entry, "score", float, where),
-            path=route,
-            explored_paths=field(entry, "explored_paths", int, where),
+        score = field(entry, "score", float, where)
+        if not (
+            all(type(v) is int and 0 <= v < graph.num_nodes for v in route)
+            and route[:1] == [graph.start_index]
+            and route[-1] == end
+            and len(set(route)) == len(route)
+            and all(graph.adjacency[u, v] for u, v in zip(route, route[1:]))
+        ):
+            raise bad(where + "path")
+        if score != path_score([graph.node_weights[v] for v in route], aggregator):
+            raise bad(where + "score")
+        per_node[end] = EndNodeBest(
+            score=score, path=route, explored_paths=field(entry, "explored_paths", int, where)
         )
     return OracleResult(
         per_node=per_node,
@@ -288,7 +287,7 @@ def cmd_compare(args) -> int:
     cache_path = Path(args.oracle_cache) if args.oracle_cache else None
     oracle_result = None
     if cache_path is not None and cache_path.exists():
-        oracle_result = _load_oracle_cache(cache_path, digest)
+        oracle_result = _load_oracle_cache(cache_path, digest, graph, score_config.aggregator)
     if oracle_result is None:
         oracle_result = brute_force_scores(graph, score_config, node_cap=args.cap)
         if cache_path is not None:

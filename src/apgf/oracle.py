@@ -1,9 +1,10 @@
 """Exhaustive simple-path search: the ground truth the model is judged against.
 
-For every end node, all simple paths from the start are enumerated by
-recursive DFS and the best attack-path score is kept. Complexity is
-factorial in the node count, which is exactly why the learned model
-exists; a hard cap keeps accidental large runs from burning hours.
+One recursive DFS from the start enumerates every simple path once; each
+path is a candidate for the node it ends at, which keeps the best-scoring
+one (the first found on ties) and counts it. Complexity is factorial in
+the node count, which is exactly why the learned model exists; a hard cap
+keeps accidental large runs from burning hours.
 Memoization is deliberately absent: the best simple path does not
 decompose over subpaths once the visited set matters.
 """
@@ -58,39 +59,6 @@ class ComparisonReport:
         return out.getvalue()
 
 
-def _best_for_end(graph: WeightedGraph, end: int, aggregator: str) -> EndNodeBest:
-    weights = graph.node_weights
-    start = graph.start_index
-    product = aggregator == "product"
-
-    best_score = -math.inf
-    best_path: list[int] | None = None
-    explored = 0
-    path = [start]
-    on_path = {start}
-
-    def extend(node: int, score: float) -> None:
-        nonlocal best_score, best_path, explored
-        if node == end:
-            explored += 1
-            if score > best_score:
-                best_score = score
-                best_path = list(path)
-            return
-        for nb in graph.neighbors[node]:
-            if nb in on_path:
-                continue
-            path.append(nb)
-            on_path.add(nb)
-            extend(nb, score * weights[nb] if product else score + weights[nb])
-            path.pop()
-            on_path.remove(nb)
-
-    extend(start, float(weights[start]))
-    assert best_path is not None  # connectivity guarantees at least one path
-    return EndNodeBest(score=best_score, path=best_path, explored_paths=explored)
-
-
 def brute_force_scores(
     graph: WeightedGraph,
     score_config: ScoreConfig = ScoreConfig(),
@@ -108,10 +76,38 @@ def brute_force_scores(
             "node_cap (CLI: --cap) to run anyway."
         )
     started = time.perf_counter()
-    per_node = {e: _best_for_end(graph, e, score_config.aggregator) for e in range(graph.num_nodes)}
+    n = graph.num_nodes
+    weights = graph.node_weights.tolist()
+    start = graph.start_index
+    product = score_config.aggregator == "product"
+    best_score = [-math.inf] * n
+    best_path: list[list[int]] = [[] for _ in range(n)]
+    explored = [0] * n
+    path = [start]
+    on_path = [False] * n
+    on_path[start] = True
+
+    def extend(node: int, score: float) -> None:
+        explored[node] += 1
+        if score > best_score[node]:
+            best_score[node] = score
+            best_path[node] = list(path)
+        for nb in graph.neighbors[node]:
+            if on_path[nb]:
+                continue
+            path.append(nb)
+            on_path[nb] = True
+            extend(nb, score * weights[nb] if product else score + weights[nb])
+            path.pop()
+            on_path[nb] = False
+
+    extend(start, weights[start])
     wall = time.perf_counter() - started
-    total = sum(b.explored_paths for b in per_node.values())
-    return OracleResult(per_node=per_node, explored_path_count=total, wall_clock=wall)
+    per_node = {
+        e: EndNodeBest(score=best_score[e], path=best_path[e], explored_paths=explored[e])
+        for e in range(n)
+    }
+    return OracleResult(per_node=per_node, explored_path_count=sum(explored), wall_clock=wall)
 
 
 def compare(oracle: OracleResult, rollout: RolloutResult) -> ComparisonReport:

@@ -11,8 +11,7 @@ it contributes neither reward nor log-probability terms.
 
 Each visited node v is scored by aggregating the node weights along its
 DFS-tree path from the start (its parent chain); the rollout reward sums
-those per-node scores (or, in literal mode, just the weights of the
-selected nodes).
+those per-node scores.
 """
 
 from __future__ import annotations
@@ -28,21 +27,15 @@ from .model import ModelParams, encode, score_matrix
 from .numcore import ForwardTape, Tape, Tensor, softmax
 
 AGGREGATORS = ("product", "sum")
-REWARD_MODES = ("per_node_path_scores", "literal_weight_sum")
 
 
 @dataclass(frozen=True)
 class ScoreConfig:
     aggregator: str = "product"
-    reward_mode: str = "per_node_path_scores"
 
     def __post_init__(self):
         if self.aggregator not in AGGREGATORS:
             raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
-        if self.reward_mode not in REWARD_MODES:
-            raise ValidationError(
-                f"reward_mode must be one of {REWARD_MODES}, got {self.reward_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -154,10 +147,9 @@ def decode_all(
     visited = {start}
     stack: list[int] = []
     parents: dict[int, int] = {}
-    node_scores = {start: path_score([weights[start]], score_config.aggregator)}
+    node_scores = {start: float(weights[start])}
     masks: list[np.ndarray] = []  # each sampled decision's candidates
     trace: list[TraceRow] = []
-    selected_weight_sum = 0.0
     step = 0
 
     while len(visit_order) < n:
@@ -204,7 +196,6 @@ def decode_all(
             node_scores[nxt] = node_scores[current] * float(weights[nxt])
         else:
             node_scores[nxt] = node_scores[current] + float(weights[nxt])
-        selected_weight_sum += float(weights[nxt])
         step += 1
         trace.append(
             TraceRow(
@@ -234,17 +225,12 @@ def decode_all(
         picked = tape.gather_rows(flat, [i * n + row.next for i, row in enumerate(trace)])
         log_probs = tape.log(tape.reshape(picked, (step,)))
 
-    if score_config.reward_mode == "per_node_path_scores":
-        reward = float(sum(node_scores.values()))
-    else:
-        reward = selected_weight_sum
-
     return RolloutResult(
         visit_order=visit_order,
         dfs_parent=parents,
         step_log_probs=[] if log_probs is None else log_probs.values.tolist(),
         per_node_score=node_scores,
-        reward=reward,
+        reward=float(sum(node_scores.values())),
         branch_trace=trace,
         log_prob_tensors=log_probs,
     )

@@ -38,31 +38,35 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> floa
     return float(np.max(np.abs(a - b) / denom))
 
 
-def permutation_best_score(graph: WeightedGraph, end: int, aggregator: str) -> float:
-    """Max attack-path score start->end by brute permutation enumeration.
+def simple_paths(graph: WeightedGraph, end: int):
+    """Every simple start->end path, by brute permutation enumeration.
 
     Every ordering of every subset of intermediate nodes is generated and
     filtered for path validity. Exponential, fine for n <= 8.
     """
     start = graph.start_index
-    weights = graph.node_weights
+    if end == start:
+        yield (start,)
+        return
     adjacency = graph.adjacency
+    others = [v for v in range(graph.num_nodes) if v != start and v != end]
+    for k in range(len(others) + 1):
+        for middle in itertools.permutations(others, k):
+            path = (start, *middle, end)
+            if all(adjacency[path[i], path[i + 1]] for i in range(len(path) - 1)):
+                yield path
+
+
+def permutation_best_score(graph: WeightedGraph, end: int, aggregator: str) -> float:
+    """Max attack-path score start->end over ``simple_paths``."""
+    weights = graph.node_weights
 
     def aggregate(path):
         if aggregator == "product":
             return math.prod(float(weights[v]) for v in path)
         return sum(float(weights[v]) for v in path)
 
-    if end == start:
-        return aggregate([start])
-    others = [v for v in range(graph.num_nodes) if v != start and v != end]
-    best = -math.inf
-    for k in range(len(others) + 1):
-        for middle in itertools.permutations(others, k):
-            path = (start, *middle, end)
-            if all(adjacency[path[i], path[i + 1]] for i in range(len(path) - 1)):
-                best = max(best, aggregate(path))
-    return best
+    return max(aggregate(path) for path in simple_paths(graph, end))
 
 
 def reference_step_log_probs(emb, query_proj, key_proj, score_clip, branch_trace, temperature=1.0):

@@ -148,6 +148,11 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "learning_rate" in err
     assert "dataset_mode" in err
+    # reward_mode was removed from score_config; a config that sets it is refused
+    cfg.write_text(json.dumps({"score_config": {"reward_mode": "per_node_path_scores"}}))
+    code = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert "unknown score_config field 'reward_mode'" in capsys.readouterr().err
 
 
 # -- compare ---------------------------------------------------------------
@@ -301,7 +306,16 @@ def test_compare_non_object_oracle_cache_is_recomputed(tmp_path, compare_inputs)
 
 @pytest.mark.parametrize(
     "field, value",
-    [("explored_path_count", None), ("explored_path_count", "12"), ("entries", [])],
+    [
+        ("explored_path_count", None),
+        ("explored_path_count", "12"),
+        ("entries", []),
+        # a cache whose digest matches must still agree with the graph
+        ("entries", {}),
+        ("entries.5", None),
+        ("entries.0.path", [99, 98]),
+        ("entries.0.score", 5.0),
+    ],
 )
 def test_compare_broken_oracle_cache_names_file_and_field(
     tmp_path, compare_inputs, capsys, field, value
@@ -310,10 +324,14 @@ def test_compare_broken_oracle_cache_names_file_and_field(
     cache = tmp_path / "cache.json"
     run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache)
     doc = json.loads(cache.read_text())
+    *parents, key = field.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
     if value is None:
-        del doc[field]
+        del target[key]
     else:
-        doc[field] = value
+        target[key] = value
     cache.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_VALIDATION

@@ -7,7 +7,13 @@ from apgf.model import init_params
 from apgf.oracle import brute_force_scores, compare
 from apgf.rollout import ScoreConfig, decode_all
 
-from helpers import build_graph, fig10_graph, permutation_best_score, star_graph
+from helpers import (
+    build_graph,
+    fig10_graph,
+    permutation_best_score,
+    simple_paths,
+    star_graph,
+)
 
 
 def test_all_ones_product_scores():
@@ -15,6 +21,12 @@ def test_all_ones_product_scores():
     result = brute_force_scores(g)
     for node in range(5):
         assert result.per_node[node].score == 1.0
+    # every node but the start is reached both ways round the cycle; the
+    # first path found (neighbors in index order) keeps the tie
+    assert result.per_node[4].path == [2, 1, 0, 4]
+    assert result.per_node[3].path == [2, 1, 0, 4, 3]
+    assert [result.per_node[v].explored_paths for v in range(5)] == [2, 2, 1, 2, 2]
+    assert result.explored_path_count == 9
 
 
 def test_star_graph_unique_paths():
@@ -37,6 +49,16 @@ def test_matches_permutation_enumeration_on_7_node_graph(aggregator):
     for end in range(7):
         expected = permutation_best_score(g, end, aggregator)
         assert result.per_node[end].score == pytest.approx(expected, rel=1e-12), end
+
+
+@pytest.mark.parametrize("aggregator", ["product", "sum"])
+@pytest.mark.parametrize("seed", range(4))
+def test_explored_paths_count_every_simple_path(aggregator, seed):
+    g = generate_random_graph(7, 7 + seed, seed=seed)
+    result = brute_force_scores(g, ScoreConfig(aggregator=aggregator))
+    expected = [sum(1 for _ in simple_paths(g, end)) for end in range(7)]
+    assert [result.per_node[v].explored_paths for v in range(7)] == expected
+    assert result.explored_path_count == sum(expected)
 
 
 def test_best_paths_are_simple_and_anchored():
