@@ -214,7 +214,8 @@ def _load_oracle_cache(
     An unreadable file or one for another graph is a miss. A file for
     this graph must have one entry per node whose path runs from the
     start to that node along graph edges and whose score is exactly that
-    path's score; anything else is a ValidationError.
+    path's score, and whose path count is the sum of the entries' counts;
+    anything else is a ValidationError.
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -255,10 +256,11 @@ def _load_oracle_cache(
         per_node[end] = EndNodeBest(
             score=score, path=route, explored_paths=field(entry, "explored_paths", int, where)
         )
+    explored = field(doc, "explored_path_count", int)
+    if explored != sum(best.explored_paths for best in per_node.values()):
+        raise bad("explored_path_count")
     return OracleResult(
-        per_node=per_node,
-        explored_path_count=field(doc, "explored_path_count", int),
-        wall_clock=field(doc, "wall_clock", float),
+        per_node=per_node, explored_path_count=explored, wall_clock=field(doc, "wall_clock", float)
     )
 
 

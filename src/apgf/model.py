@@ -9,7 +9,9 @@ as
     score(i, j) = clip * tanh( (Q v_i) . (K v_j) / sqrt(embed_dim) )
 
 so every score lands in [-clip, +clip]; a temperature softmax turns the
-scores of the unvisited neighbors into move probabilities.
+scores of the unvisited neighbors into move probabilities. Both run on
+a batch of equal-size graphs at once, with the batch as the leading
+axis; a single graph is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -104,8 +107,11 @@ def copy_params(params: ModelParams, requires_grad: bool = False) -> ModelParams
     return replace(params, tensors=tensors)
 
 
-def encode(graph: WeightedGraph, params: ModelParams, tape: Tape | None = None) -> Tensor:
-    """Embed every node of the graph: one ``[num_nodes, embed_dim]`` row per node.
+def encode(
+    graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
+) -> Tensor:
+    """Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
+    tensor, entry b for ``graphs[b]``; a single graph is a batch of one.
 
     Per attention layer and head: score each neighborhood edge (self-loop
     included) with a LeakyReLU of the learned attention form, normalize
@@ -113,13 +119,20 @@ def encode(graph: WeightedGraph, params: ModelParams, tape: Tape | None = None) 
     features, concatenate heads, and add the residual. One feedforward
     layer with its own residual follows the second attention layer.
     """
+    if not graphs:
+        raise ValidationError("encode needs at least one graph")
+    n = graphs[0].num_nodes
+    for g in graphs:
+        if g.num_nodes != n:
+            raise ValidationError(
+                f"encode needs graphs of one size, got {n} and {g.num_nodes} nodes"
+            )
     tape = tape if tape is not None else Tape()
     p = params.tensors
-    n = graph.num_nodes
-    mask = graph.adjacency | np.eye(n, dtype=bool)
+    mask = np.stack([g.adjacency for g in graphs]) | np.eye(n, dtype=bool)
 
-    weights_col = tensor(graph.node_weights.reshape(n, 1))
-    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [n, embed_dim]
+    weights_col = tensor(np.stack([g.node_weights.reshape(n, 1) for g in graphs]))
+    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [B, n, embed_dim]
 
     for li in range(NUM_LAYERS):
         head_outputs = []
@@ -127,17 +140,17 @@ def encode(graph: WeightedGraph, params: ModelParams, tape: Tape | None = None) 
             weight = p[f"encoder.layer{li}.head{hi}.weight"]
             attn = p[f"encoder.layer{li}.head{hi}.attn"]
             head_dim = weight.shape[1]
-            projected = tape.matmul(h, weight)  # [n, head_dim]
+            projected = tape.matmul(h, weight)  # [B, n, head_dim]
             attn_src = tape.gather_rows(attn, range(head_dim))
             attn_dst = tape.gather_rows(attn, range(head_dim, 2 * head_dim))
-            score_src = tape.matmul(projected, attn_src)  # [n, 1]
-            score_dst = tape.matmul(projected, attn_dst)  # [n, 1]
+            score_src = tape.matmul(projected, attn_src)  # [B, n, 1]
+            score_dst = tape.matmul(projected, attn_dst)  # [B, n, 1]
             # pairwise scores: row i, column j = src score of i + dst score of j
             pair = tape.add(score_src, tape.transpose(score_dst))
             pair = tape.leaky_relu(pair, LEAKY_SLOPE)
             coeff = tape.masked_softmax(pair, mask)
             head_outputs.append(tape.matmul(coeff, projected))
-        h = tape.add(h, tape.concat(head_outputs, axis=1))
+        h = tape.add(h, tape.concat(head_outputs, axis=-1))
 
     inner = tape.leaky_relu(
         tape.add(tape.matmul(h, p["encoder.ff_in_weight"]), p["encoder.ff_in_bias"]), LEAKY_SLOPE
@@ -147,17 +160,18 @@ def encode(graph: WeightedGraph, params: ModelParams, tape: Tape | None = None) 
 
 
 def score_matrix(emb: Tensor, params: ModelParams, tape: Tape | None = None) -> Tensor:
-    """Decoder scores of every move as one ``[num_nodes, num_nodes]`` matrix.
+    """Decoder scores of every move as one ``[B, num_nodes, num_nodes]`` tensor.
 
-    Row i, column j scores moving from node i to node j; every entry lies
-    in [-clip, +clip]. The inputs are fixed for a whole rollout, so a
-    rollout computes the matrix once and reads each decision from it.
+    Entry b, row i, column j scores moving from node i to node j in graph
+    b; every entry lies in [-clip, +clip]. The inputs are fixed for a
+    whole rollout, so a rollout computes the matrix once and reads each
+    decision from it.
     """
     tape = tape if tape is not None else Tape()
     p = params.tensors
-    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [n, embed_dim]
-    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [n, embed_dim]
-    raw = tape.matmul(query, tape.transpose(keys))  # [n, n]
+    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [B, n, embed_dim]
+    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [B, n, embed_dim]
+    raw = tape.matmul(query, tape.transpose(keys))  # [B, n, n]
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
     return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
 

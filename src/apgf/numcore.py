@@ -76,6 +76,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _swap_last(arr: np.ndarray) -> np.ndarray:
+    return np.swapaxes(arr, -1, -2)
+
+
 def softmax(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of a plain array; masked entries get 0.
 
@@ -119,12 +123,26 @@ class Tape:
     # -- primitive forward ops -------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
+        """``[n, k] @ [k, m]``, or per batch entry ``[B, n, k] @ [k, m]``
+        (one shared right operand) and ``[B, n, k] @ [B, k, m]``."""
         av, bv = a.values, b.values
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        if (
+            av.ndim not in (2, 3)
+            or bv.ndim not in (2, av.ndim)
+            or av.shape[-1] != bv.shape[-2]
+            or (bv.ndim == 3 and av.shape[0] != bv.shape[0])
+        ):
             raise ValidationError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
         out = Tensor(av @ bv)
         _check_finite(out.values, "matmul")
-        self._record(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+        def rule(g):
+            if bv.ndim == av.ndim:
+                return g @ _swap_last(bv), _swap_last(av) @ g
+            # a shared right operand's gradient sums over the batch
+            return g @ bv.T, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+        self._record(out, (a, b), rule)
         return out
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
@@ -232,10 +250,11 @@ class Tape:
         return out
 
     def transpose(self, a: Tensor) -> Tensor:
-        if a.values.ndim != 2:
-            raise ValidationError(f"transpose needs a 2-d tensor, got shape {a.shape}")
-        out = Tensor(a.values.T.copy())
-        self._record(out, (a,), lambda g: (g.T,))
+        """Swap the last two axes of a 2-d or 3-d tensor."""
+        if a.values.ndim not in (2, 3):
+            raise ValidationError(f"transpose needs a 2-d or 3-d tensor, got shape {a.shape}")
+        out = Tensor(_swap_last(a.values).copy())
+        self._record(out, (a,), lambda g: (_swap_last(g),))
         return out
 
     def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -12,6 +12,10 @@ it contributes neither reward nor log-probability terms.
 Each visited node v is scored by aggregating the node weights along its
 DFS-tree path from the start (its parent chain); the rollout reward sums
 those per-node scores.
+
+``walk`` runs the traversal on plain rows of a graph's decoder scores
+and ``move_log_probs`` turns the moves of any number of walks into one
+differentiable expression; ``decode_all`` is both for a single graph.
 """
 
 from __future__ import annotations
@@ -115,9 +119,40 @@ def decode_all(
     keeps the log-probability terms differentiable for a pinned
     trajectory.
 
-    The decoder's score matrix is computed once; the walk reads plain
-    rows of it, and a sampled rollout then puts the log probabilities of
-    all its moves on the tape as one batched expression.
+    The decoder's score matrix is computed once; ``walk`` reads plain
+    rows of it, and ``move_log_probs`` then puts the log probabilities of
+    all sampled moves on the tape as one batched expression.
+    """
+    if mode == "greedy":
+        tape = ForwardTape()
+    elif tape is None:
+        tape = Tape()
+    scores = score_matrix(encode([graph], params, tape), params, tape)
+    result = walk(
+        graph, scores.values[0], start, mode, temperature, rng, score_config, force_actions
+    )
+    if mode == "sample":
+        result.log_prob_tensors = move_log_probs(scores, [result], temperature, tape)
+        if result.log_prob_tensors is not None:
+            result.step_log_probs = result.log_prob_tensors.values.tolist()
+    return result
+
+
+def walk(
+    graph: WeightedGraph,
+    scores: np.ndarray,
+    start: int,
+    mode: str = "sample",
+    temperature: float = 1.0,
+    rng: np.random.Generator | None = None,
+    score_config: ScoreConfig = ScoreConfig(),
+    force_actions: Iterable[int] | None = None,
+) -> RolloutResult:
+    """The DFS traversal over the graph's ``[n, n]`` decoder scores.
+
+    Takes the same choices as ``decode_all`` and returns its result
+    without log probabilities; every move of a sampled walk is one row
+    of its ``branch_trace`` for ``move_log_probs``.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
@@ -134,21 +169,14 @@ def decode_all(
     if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
 
-    if mode == "greedy":
-        tape = ForwardTape()
-    elif tape is None:
-        tape = Tape()
-    scores = score_matrix(encode(graph, params, tape), params, tape)
     weights = graph.node_weights
     inv_temperature = 1.0 / temperature
-
     current = start
     visit_order = [start]
     visited = {start}
     stack: list[int] = []
     parents: dict[int, int] = {}
     node_scores = {start: float(weights[start])}
-    masks: list[np.ndarray] = []  # each sampled decision's candidates
     trace: list[TraceRow] = []
     step = 0
 
@@ -171,23 +199,21 @@ def decode_all(
             stack.append(current)
 
         if mode == "greedy":
-            nxt = greedy_choice(scores.values[current], candidates)
+            nxt = greedy_choice(scores[current], candidates)
+        elif forced is not None:
+            if step >= len(forced):
+                raise ValidationError("force_actions ran out before the rollout finished")
+            nxt = forced[step]
+            if nxt not in candidates:
+                raise ValidationError(
+                    f"forced action {nxt} is not a candidate at step {step} "
+                    f"(candidates: {candidates})"
+                )
         else:
             mask = np.zeros(n, dtype=bool)
             mask[candidates] = True
-            if forced is not None:
-                if step >= len(forced):
-                    raise ValidationError("force_actions ran out before the rollout finished")
-                nxt = forced[step]
-                if nxt not in candidates:
-                    raise ValidationError(
-                        f"forced action {nxt} is not a candidate at step {step} "
-                        f"(candidates: {candidates})"
-                    )
-            else:
-                probs = softmax(scores.values[current] * inv_temperature, mask)
-                nxt = _sample_choice(probs, candidates, rng)
-            masks.append(mask)
+            probs = softmax(scores[current] * inv_temperature, mask)
+            nxt = _sample_choice(probs, candidates, rng)
 
         parents[nxt] = current
         visited.add(nxt)
@@ -214,23 +240,37 @@ def decode_all(
             f"force_actions has {len(forced)} moves but the rollout made {step}"
         )
 
-    log_probs = None
-    if masks:
-        # log p(next | selected) of every decision in one expression: the
-        # masked softmax of the gathered score rows, read at the chosen
-        # columns of the flattened [steps, n] probabilities
-        rows = tape.gather_rows(scores, [row.selected for row in trace])
-        probs_t = tape.masked_softmax(tape.mul_scalar(rows, inv_temperature), np.array(masks))
-        flat = tape.reshape(probs_t, (step * n, 1))
-        picked = tape.gather_rows(flat, [i * n + row.next for i, row in enumerate(trace)])
-        log_probs = tape.log(tape.reshape(picked, (step,)))
-
     return RolloutResult(
         visit_order=visit_order,
         dfs_parent=parents,
-        step_log_probs=[] if log_probs is None else log_probs.values.tolist(),
+        step_log_probs=[],
         per_node_score=node_scores,
         reward=float(sum(node_scores.values())),
         branch_trace=trace,
-        log_prob_tensors=log_probs,
     )
+
+
+def move_log_probs(
+    scores: Tensor, walks: Sequence[RolloutResult], temperature: float, tape: Tape
+) -> Tensor | None:
+    """log p(next | selected) of every move of every walk, as one tensor.
+
+    ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores; the
+    result holds its moves in trace order, after those of the walks
+    before it (None when no walk made a move). All moves share one
+    expression: the masked softmax of the gathered score rows, read at
+    the chosen columns of the flattened ``[moves, n]`` probabilities.
+    """
+    batch, n, _ = scores.shape
+    moves = [(b * n, row) for b, w in enumerate(walks) for row in w.branch_trace]
+    if not moves:
+        return None
+    mask = np.zeros((len(moves), n), dtype=bool)
+    for i, (_, row) in enumerate(moves):
+        mask[i, list(row.neighbors)] = True
+    flat_scores = tape.reshape(scores, (batch * n, n))
+    rows = tape.gather_rows(flat_scores, [offset + row.selected for offset, row in moves])
+    probs = tape.masked_softmax(tape.mul_scalar(rows, 1.0 / temperature), mask)
+    flat = tape.reshape(probs, (len(moves) * n, 1))
+    picked = tape.gather_rows(flat, [i * n + row.next for i, (_, row) in enumerate(moves)])
+    return tape.log(tape.reshape(picked, (len(moves),)))

@@ -10,6 +10,14 @@ averaged over the epoch's graphs, with one Adam step on the average.
 The baseline network is never touched by gradients; every
 ``baseline_sync_period`` epochs it is overwritten with a copy of the
 policy. Runs are bit-reproducible from the config seed.
+
+An epoch is one batched computation: the policy encodes all of the
+epoch's graphs (they share one size) in one taped pass, every rollout
+walks its graph's rows of the resulting scores, and one loss expression
+and one backward pass cover all rollouts. The baseline's scores of the
+training graphs change only when the baseline is synced or the graphs
+are resampled, so they are computed once, untaped, and reused until
+then; in ``fixed`` mode that is once per sync period.
 """
 
 from __future__ import annotations
@@ -26,10 +34,10 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
-from .model import ModelParams, copy_params, init_params, save_checkpoint
-from .numcore import AdamState, Tape, Tensor, adam_step, clear_grads
+from .model import ModelParams, copy_params, encode, init_params, save_checkpoint, score_matrix
+from .numcore import AdamState, ForwardTape, Tape, Tensor, adam_step, clear_grads, tensor
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare
-from .rollout import ScoreConfig, decode_all
+from .rollout import ScoreConfig, decode_all, move_log_probs, walk
 
 DATASET_MODES = ("fixed", "resampled")
 
@@ -97,22 +105,41 @@ def reinforce_loss(
     log_probs: Tensor | None,
     tape: Tape,
 ) -> Tensor:
-    """loss = -(reward - baseline_reward) * sum(log probs).
+    """loss = -(reward - baseline_reward) * sum(log probs) of one rollout.
 
-    ``log_probs`` holds a rollout's step log probabilities (None when it
-    made no choice). Reward and baseline enter as constants; the
+    ``log_probs`` holds the rollout's step log probabilities (None when
+    it made no choice). Reward and baseline enter as constants; the
     gradient flows only through the log-probability terms.
     """
-    advantage = float(reward) - float(baseline_reward)
+    steps = 0 if log_probs is None else log_probs.values.size
+    return mean_reinforce_loss([reward], [baseline_reward], log_probs, [steps], tape)
+
+
+def mean_reinforce_loss(
+    rewards: Sequence[float],
+    baseline_rewards: Sequence[float],
+    log_probs: Tensor | None,
+    steps: Sequence[int],
+    tape: Tape,
+) -> Tensor:
+    """The mean of ``reinforce_loss`` over a batch of rollouts.
+
+    ``log_probs`` holds the step log probabilities of all rollouts in
+    order, ``steps[i]`` of them for rollout i (None when none made a
+    choice). The mean is one weighted sum: each step log probability
+    weighs ``-(reward - baseline_reward) / batch`` of its rollout.
+    """
+    scale = 1.0 / len(rewards)
+    advantages = [float(r) - float(b) for r, b in zip(rewards, baseline_rewards)]
+    if any(a != 0.0 and k == 0 for a, k in zip(advantages, steps)):
+        warnings.warn(
+            "rollout made no choices but has nonzero advantage; loss forced to 0",
+            stacklevel=2,
+        )
     if log_probs is None:
-        if advantage != 0.0:
-            warnings.warn(
-                "rollout made no choices but has nonzero advantage; loss forced to 0",
-                stacklevel=2,
-            )
         return Tensor(np.zeros(1))
-    total = tape.sum(log_probs)
-    return tape.reshape(tape.mul_scalar(total, -advantage), (1,))
+    coef = tensor(np.repeat([scale * -a for a in advantages], steps))
+    return tape.reshape(tape.sum(tape.mul(log_probs, coef)), (1,))
 
 
 def _training_graphs(config: TrainConfig, rng: np.random.Generator) -> list[WeightedGraph]:
@@ -152,40 +179,39 @@ def train(
         out_path.mkdir(parents=True, exist_ok=True)
 
     metrics: list[EpochMetrics] = []
-    n = config.graphs_per_epoch
+    baseline_scores = None  # the baseline's [B, n, n] scores until the next sync or resample
     train_started = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         epoch_started = time.perf_counter()
         if config.dataset_mode == "resampled":
             graphs = _training_graphs(config, rng)
+            baseline_scores = None
 
         tape = Tape()
-        losses = []
-        rewards = []
-        baseline_rewards = []
         try:
-            for graph in graphs:
+            if baseline_scores is None:
+                frozen = ForwardTape()
+                baseline_scores = score_matrix(encode(graphs, baseline, frozen), baseline, frozen)
+            scores = score_matrix(encode(graphs, policy, tape), policy, tape)
+            sampled, rewards, baseline_rewards = [], [], []
+            for graph, rows, baseline_rows in zip(graphs, scores.values, baseline_scores.values):
                 start = int(rng.integers(graph.num_nodes))
-                sampled = decode_all(
-                    graph,
-                    policy,
-                    start,
-                    mode="sample",
-                    temperature=config.temperature,
-                    rng=rng,
-                    score_config=config.score_config,
-                    tape=tape,
+                rolled = walk(
+                    graph, rows, start, "sample", config.temperature, rng, config.score_config
                 )
-                reference = decode_all(
-                    graph, baseline, start, mode="greedy", score_config=config.score_config
+                reference = walk(
+                    graph, baseline_rows, start, "greedy", score_config=config.score_config
                 )
-                losses.append(
-                    reinforce_loss(sampled.reward, reference.reward, sampled.log_prob_tensors, tape)
-                )
-                rewards.append(sampled.reward)
+                sampled.append(rolled)
+                rewards.append(rolled.reward)
                 baseline_rewards.append(reference.reward)
-
-            mean_loss_t = tape.mean(tape.concat(losses, axis=0))
+            mean_loss_t = mean_reinforce_loss(
+                rewards,
+                baseline_rewards,
+                move_log_probs(scores, sampled, config.temperature, tape),
+                [len(r.branch_trace) for r in sampled],
+                tape,
+            )
             tape.backward(mean_loss_t)
             grads = {
                 name: (p.grad if p.grad is not None else np.zeros_like(p.values))
@@ -199,6 +225,7 @@ def train(
         synced = epoch % config.baseline_sync_period == 0
         if synced:
             baseline = copy_params(policy, requires_grad=False)
+            baseline_scores = None
             if out_path is not None:
                 save_checkpoint(policy, out_path / f"checkpoint_epoch_{epoch:04d}.json")
 

@@ -315,6 +315,8 @@ def test_compare_non_object_oracle_cache_is_recomputed(tmp_path, compare_inputs)
         ("entries.5", None),
         ("entries.0.path", [99, 98]),
         ("entries.0.score", 5.0),
+        # the path count must be the sum of the entries' counts
+        pytest.param("explored_path_count", 12, id="explored_path_count-not-the-sum"),
     ],
 )
 def test_compare_broken_oracle_cache_names_file_and_field(

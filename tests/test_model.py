@@ -47,8 +47,8 @@ def test_single_node_graph():
     g = build_graph(1, [], [0.7])
     params = small_params()
     p = {name: t.values for name, t in params.tensors.items()}
-    emb = encode(g, params)
-    assert emb.shape == (1, params.embed_dim)
+    emb = encode([g], params)
+    assert emb.shape == (1, 1, params.embed_dim)
     # self-attention over one node has coefficient 1, so the first layer
     # output is exactly lift + concat(projected lift)
     h0 = g.node_weights.reshape(1, 1) @ p["encoder.input_lift"]
@@ -59,7 +59,7 @@ def test_single_node_graph():
     inner = h2 @ p["encoder.ff_in_weight"] + p["encoder.ff_in_bias"]
     inner = np.where(inner > 0, inner, 0.2 * inner)
     expected = h2 + inner @ p["encoder.ff_out_weight"] + p["encoder.ff_out_bias"]
-    np.testing.assert_allclose(emb.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(emb.values[0], expected, rtol=1e-12)
 
 
 def test_zero_weight_matrices_leave_only_lifted_inputs():
@@ -68,9 +68,9 @@ def test_zero_weight_matrices_leave_only_lifted_inputs():
     for name, t in params.tensors.items():
         if name != "encoder.input_lift":
             t.values = np.zeros_like(t.values)
-    emb = encode(g, params)
+    emb = encode([g], params)
     lifted = g.node_weights.reshape(-1, 1) @ params.tensors["encoder.input_lift"].values
-    np.testing.assert_array_equal(emb.values, lifted)
+    np.testing.assert_array_equal(emb.values[0], lifted)
 
 
 def test_permutation_equivariance():
@@ -86,23 +86,42 @@ def test_permutation_equivariance():
         start=int(perm[g.start_index]),
     )
     params = small_params(seed=9)
-    v = encode(g, params).values
-    v_perm = encode(relabeled, params).values
+    v = encode([g], params).values[0]
+    v_perm = encode([relabeled], params).values[0]
     np.testing.assert_allclose(v_perm[perm], v, atol=1e-10, rtol=0)
 
 
+def test_batched_scores_equal_single_graph_scores_bit_for_bit():
+    graphs = [generate_random_graph(20, 25, seed=300 + s) for s in range(16)]
+    params = init_params(17)
+    batched = score_matrix(encode(graphs, params), params).values
+    assert batched.shape == (16, 20, 20)
+    for b, g in enumerate(graphs):
+        single = score_matrix(encode([g], params), params).values
+        assert single.shape == (1, 20, 20)
+        np.testing.assert_array_equal(batched[b], single[0])
+
+
+def test_encode_rejects_mixed_sizes():
+    graphs = [generate_random_graph(6, 7, seed=1), generate_random_graph(9, 10, seed=2)]
+    with pytest.raises(ValidationError, match="6 and 9"):
+        encode(graphs, small_params())
+    with pytest.raises(ValidationError, match="at least one graph"):
+        encode([], small_params())
+
+
 def test_decoder_zero_projections_give_zero_scores():
-    emb = tensor(np.random.default_rng(0).normal(size=(4, 3)))
+    emb = tensor(np.random.default_rng(0).normal(size=(1, 4, 3)))
     dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
     scores = score_matrix(emb, dec)
-    assert scores.shape == (4, 4)
+    assert scores.shape == (1, 4, 4)
     assert not np.any(scores.values)
 
 
 def test_decoder_one_dimensional_case():
-    emb = tensor([[1.0], [1.0]])
+    emb = tensor([[[1.0], [1.0]]])
     dec = decoder_params([[1.0]], [[1.0]])
-    scores = score_matrix(emb, dec).values
+    scores = score_matrix(emb, dec).values[0]
     assert scores[0, 1] == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
     assert scores[0, 1] == pytest.approx(7.615941559, rel=1e-9)
     np.testing.assert_array_equal(scores, np.full((2, 2), scores[0, 1]))
@@ -110,7 +129,7 @@ def test_decoder_one_dimensional_case():
 
 def test_decoder_scores_bounded_by_clip():
     rng = np.random.default_rng(2)
-    emb = tensor(rng.normal(size=(6, 4)) * 50)
+    emb = tensor(rng.normal(size=(1, 6, 4)) * 50)
     dec = decoder_params(rng.normal(size=(4, 4)) * 50, rng.normal(size=(4, 4)) * 50)
     scores = score_matrix(emb, dec).values
     assert np.all(np.abs(scores) <= 10.0)
@@ -229,10 +248,10 @@ def test_decoder_gradients_match_finite_differences():
     g = generate_random_graph(6, 7, seed=14)
     params = small_params(seed=15, embed_dim=4, num_heads=2, ff_dim=6)
     # a fixed random weighting keeps every entry's gradient distinct
-    weighting = tensor(np.random.default_rng(16).normal(size=(6, 6)))
+    weighting = tensor(np.random.default_rng(16).normal(size=(1, 6, 6)))
 
     def weighted_sum(t):
-        return t.sum(t.mul(score_matrix(encode(g, params, t), params, t), weighting))
+        return t.sum(t.mul(score_matrix(encode([g], params, t), params, t), weighting))
 
     def loss_value():
         return weighted_sum(Tape()).item()

@@ -107,6 +107,24 @@ OP_CASES = {
         ),
         [(2, 4)],
     ),
+    # batched forms: a leading batch axis of 2
+    "matmul_batch_shared": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (4, 2)]),
+    "matmul_batch": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
+    "transpose_batch": (lambda t, a: t.transpose(a), [(2, 3, 5)]),
+    "masked_softmax_batch": (
+        lambda t, a: t.masked_softmax(
+            a,
+            np.array(
+                [
+                    [[True, False, True], [False, True, False]],
+                    [[True, True, True], [False, True, True]],
+                ]
+            ),
+        ),
+        [(2, 2, 3)],
+    ),
+    "concat_axis2": (lambda t, a, b: t.concat([a, b], axis=2), [(2, 3, 2), (2, 3, 4)]),
+    "add_batch_broadcast": (lambda t, a, b: t.add(a, b), [(2, 3, 4), (1, 4)]),
 }
 
 
@@ -179,6 +197,28 @@ def test_shape_mismatch_rejected():
         t.matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
     with pytest.raises(ValidationError):
         t.add(tensor(np.ones((2, 3))), tensor(np.ones((4, 5))))
+
+
+def test_batched_matmul_shape_mismatch_rejected():
+    t = Tape()
+    for a, b in [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)), ((3, 4), (2, 4, 2))]:
+        with pytest.raises(ValidationError, match="matmul shape mismatch"):
+            t.matmul(tensor(np.ones(a)), tensor(np.ones(b)))
+    with pytest.raises(ValidationError, match="transpose"):
+        t.transpose(tensor(np.ones((2, 2, 2, 2))))
+
+
+def test_batched_matmul_equals_per_entry_matmul():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 5, 6))
+    shared = rng.normal(size=(6, 3))
+    per_entry = rng.normal(size=(4, 6, 3))
+    t = Tape()
+    with_shared = t.matmul(tensor(a), tensor(shared)).values
+    with_per_entry = t.matmul(tensor(a), tensor(per_entry)).values
+    for i in range(4):
+        np.testing.assert_array_equal(with_shared[i], a[i] @ shared)
+        np.testing.assert_array_equal(with_per_entry[i], a[i] @ per_entry[i])
 
 
 def test_fully_masked_row_rejected():

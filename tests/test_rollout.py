@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from apgf.errors import ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import encode, init_params
+from apgf.model import encode, init_params, score_matrix
 from apgf.numcore import Tape
 from apgf.rollout import (
     RolloutResult,
     ScoreConfig,
     decode_all,
     greedy_choice,
+    move_log_probs,
     path_score,
+    walk,
 )
 
 from helpers import (
@@ -214,7 +216,7 @@ def test_step_log_probs_match_per_step_reference(seed):
         graph, params, graph.start_index, temperature=temperature, force_actions=actions
     )
     expected = reference_step_log_probs(
-        encode(graph, params).values,
+        encode([graph], params).values[0],
         params.tensors["decoder.query_proj"].values,
         params.tensors["decoder.key_proj"].values,
         params.score_clip,
@@ -233,7 +235,7 @@ def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
     for n, e in ((20, 25), (60, 75)):
         graph = generate_random_graph(n, e, seed=n)
         encoder_tape, tape = Tape(), Tape()
-        encode(graph, params, encoder_tape)
+        encode([graph], params, encoder_tape)
         decode_all(graph, params, graph.start_index, rng=np.random.default_rng(n), tape=tape)
         beyond_encode.append(len(tape) - len(encoder_tape))
     assert beyond_encode[0] == beyond_encode[1]
@@ -246,6 +248,32 @@ def test_greedy_rollout_records_nothing():
     result = decode_all(graph, params, graph.start_index, mode="greedy", tape=tape)
     assert len(tape) == 0
     assert result.log_prob_tensors is None and result.step_log_probs == []
+
+
+def test_batched_walks_match_single_graph_rollouts():
+    # one score tensor and one log-prob expression for a batch give every
+    # graph exactly what its own decode_all gives
+    graphs = [generate_random_graph(10, 13, seed=400 + s) for s in range(5)]
+    params = init_params(8, embed_dim=8, num_heads=2, ff_dim=8)
+    tape = Tape()
+    scores = score_matrix(encode(graphs, params, tape), params, tape)
+    rng = np.random.default_rng(9)
+    walks = [
+        walk(g, rows, g.start_index, temperature=0.7, rng=rng)
+        for g, rows in zip(graphs, scores.values)
+    ]
+    log_probs = move_log_probs(scores, walks, 0.7, tape).values
+    rng = np.random.default_rng(9)
+    offset = 0
+    for g, w in zip(graphs, walks):
+        single = decode_all(g, params, g.start_index, temperature=0.7, rng=rng)
+        assert single.visit_order == w.visit_order and single.reward == w.reward
+        np.testing.assert_array_equal(log_probs[offset : offset + 9], single.step_log_probs)
+        offset += 9
+    assert offset == log_probs.size
+    for g, rows in zip(graphs, scores.values):
+        greedy = walk(g, rows, g.start_index, mode="greedy")
+        assert greedy.visit_order == decode_all(g, params, g.start_index, mode="greedy").visit_order
 
 
 # -- greedy mode ------------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import copy_params, init_params
-from apgf.numcore import AdamState, Tape, adam_step, clear_grads, tensor
+from apgf.numcore import AdamState, ForwardTape, Tape, adam_step, clear_grads, tensor
 from apgf.rollout import decode_all
 from apgf.trainer import (
     TrainConfig,
     evaluate,
+    mean_reinforce_loss,
     metrics_to_csv,
     reinforce_loss,
     train,
@@ -85,6 +86,31 @@ def test_positive_advantage_raises_probability_of_taken_action():
     assert prob_after[0] > prob_before[0]
     # step 2 was forced (one candidate): probability stays exactly 1
     assert prob_before[1] == prob_after[1] == 1.0
+
+
+def test_mean_loss_is_the_mean_of_rollout_losses():
+    rng = np.random.default_rng(5)
+    steps = [3, 0, 2]
+    rewards, baselines = [1.5, 0.5, 2.0], [1.0, 0.5, 2.75]
+    raw = rng.uniform(0.1, 0.9, size=sum(steps))
+
+    batched_tape = Tape()
+    batched_raw = tensor(raw, requires_grad=True)
+    batched = mean_reinforce_loss(
+        rewards, baselines, batched_tape.log(batched_raw), steps, batched_tape
+    )
+    batched_tape.backward(batched)
+
+    per_rollout, grads = [], []
+    for i, k in enumerate(steps):
+        part = tensor(raw[sum(steps[:i]) : sum(steps[:i]) + k], requires_grad=True)
+        t = Tape()
+        loss = reinforce_loss(rewards[i], baselines[i], t.log(part) if k else None, t)
+        t.backward(loss)
+        per_rollout.append(loss.item())
+        grads.append(part.grad if k else np.zeros(0))
+    assert batched.item() == pytest.approx(np.mean(per_rollout), rel=1e-14)
+    np.testing.assert_allclose(batched_raw.grad, np.concatenate(grads) / 3, rtol=1e-14)
 
 
 # -- train loop ----------------------------------------------------------------
@@ -169,9 +195,29 @@ def test_numeric_failure_names_the_epoch(monkeypatch):
     def boom(*args, **kwargs):
         raise NumericError("synthetic blowup")
 
-    monkeypatch.setattr(trainer_mod, "decode_all", boom)
+    monkeypatch.setattr(trainer_mod, "walk", boom)
     with pytest.raises(NumericError, match="epoch 1: synthetic blowup"):
         train(tiny_config(epochs=1))
+
+
+@pytest.mark.parametrize("dataset_mode, baseline_passes", [("fixed", 2), ("resampled", 10)])
+def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
+    monkeypatch, dataset_mode, baseline_passes
+):
+    import apgf.trainer as trainer_mod
+
+    passes = []
+    real_encode = trainer_mod.encode
+
+    def spy(graphs, params, tape=None):
+        passes.append(("baseline" if isinstance(tape, ForwardTape) else "policy", len(graphs)))
+        return real_encode(graphs, params, tape)
+
+    monkeypatch.setattr(trainer_mod, "encode", spy)
+    train(tiny_config(epochs=10, baseline_sync_period=5, dataset_mode=dataset_mode))
+    assert passes.count(("policy", 3)) == 10
+    assert passes.count(("baseline", 3)) == baseline_passes
+    assert len(passes) == 10 + baseline_passes
 
 
 def test_config_validation_names_fields():
