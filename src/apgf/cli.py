@@ -20,7 +20,7 @@ from . import __version__
 from .charts import grouped_bar_chart, line_chart
 from .errors import CapExceededError, NumericError, ValidationError
 from .files import atomic_write_text
-from .graphgen import WeightedGraph, generate_random_graph, graph_to_json, load_graph
+from .graphgen import WeightedGraph, generate_random_graph, graph_to_json, load_graph, save_graph
 from .model import load_checkpoint
 from .oracle import DEFAULT_NODE_CAP, EndNodeBest, OracleResult, brute_force_scores, compare
 from .rollout import ScoreConfig, decode_all, path_score
@@ -63,19 +63,12 @@ def _write_manifest(
 
 def cmd_gen(args) -> int:
     started = _utc_now()
-    graph = generate_random_graph(
-        args.nodes, args.edges, args.seed, tree_mode="star" if args.star else "random_attach"
-    )
+    tree_mode = "star" if args.star else "random_attach"
+    graph = generate_random_graph(args.nodes, args.edges, args.seed, tree_mode=tree_mode)
     out = Path(args.out)
-    if not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out, graph_to_json(graph))
-    config = {
-        "nodes": args.nodes,
-        "edges": args.edges,
-        "seed": args.seed,
-        "tree_mode": "star" if args.star else "random_attach",
-    }
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_graph(graph, out)
+    config = {"nodes": args.nodes, "edges": args.edges, "seed": args.seed, "tree_mode": tree_mode}
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
         "gen",

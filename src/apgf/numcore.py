@@ -80,13 +80,13 @@ def _swap_last(arr: np.ndarray) -> np.ndarray:
     return np.swapaxes(arr, -1, -2)
 
 
-def softmax(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def softmax(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis of a plain array; masked entries get 0.
 
     The forward pass of ``Tape.masked_softmax``. Every row must keep at
-    least one unmasked entry.
+    least one unmasked entry; without a mask every entry counts.
     """
-    x = np.where(mask, values, -np.inf)
+    x = values if mask is None else np.where(mask, values, -np.inf)
     x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)  # exp(-inf) == 0 exactly, so masked entries vanish
     return e / e.sum(axis=-1, keepdims=True)
@@ -240,13 +240,6 @@ class Tape:
         _check_finite(out.values, "sum")
         shape = a.shape
         self._record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-        return out
-
-    def mean(self, a: Tensor) -> Tensor:
-        out = Tensor(a.values.mean())
-        _check_finite(out.values, "mean")
-        shape, size = a.shape, a.values.size
-        self._record(out, (a,), lambda g: (np.broadcast_to(g / size, shape).copy(),))
         return out
 
     def transpose(self, a: Tensor) -> Tensor:

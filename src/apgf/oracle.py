@@ -79,7 +79,8 @@ def brute_force_scores(
     n = graph.num_nodes
     weights = graph.node_weights.tolist()
     start = graph.start_index
-    product = score_config.aggregator == "product"
+    neighbors = graph.neighbors
+    fold = score_config.fold  # looked up once, not once per explored path
     best_score = [-math.inf] * n
     best_path: list[list[int]] = [[] for _ in range(n)]
     explored = [0] * n
@@ -92,12 +93,12 @@ def brute_force_scores(
         if score > best_score[node]:
             best_score[node] = score
             best_path[node] = list(path)
-        for nb in graph.neighbors[node]:
+        for nb in neighbors[node]:
             if on_path[nb]:
                 continue
             path.append(nb)
             on_path[nb] = True
-            extend(nb, score * weights[nb] if product else score + weights[nb])
+            extend(nb, fold(score, weights[nb]))
             path.pop()
             on_path[nb] = False
 

@@ -9,19 +9,25 @@ neighbors is popped and the walk resumes from it (branch points with
 nothing left are discarded). Backtracking makes no policy decision, so
 it contributes neither reward nor log-probability terms.
 
-Each visited node v is scored by aggregating the node weights along its
-DFS-tree path from the start (its parent chain); the rollout reward sums
-those per-node scores.
+Each move is one ``TraceRow`` of the rollout's ``branch_trace``; its
+``selected`` node is the DFS-tree parent of its ``next``. Each visited
+node v is scored by folding the node weights along its DFS-tree path
+from the start with the aggregator's step, left to right; the rollout
+reward sums those per-node scores. The oracle and ``path_score`` fold
+with the same step, so all three agree bit for bit.
 
-``walk`` runs the traversal on plain rows of a graph's decoder scores
-and ``move_log_probs`` turns the moves of any number of walks into one
+``walk`` runs the traversal on plain rows of a graph's decoder scores,
+reading only the current node's candidate entries at each move, and
+``move_log_probs`` turns the moves of any number of walks into one
 differentiable expression; ``decode_all`` is both for a single graph.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +36,8 @@ from .graphgen import WeightedGraph
 from .model import ModelParams, encode, score_matrix
 from .numcore import ForwardTape, Tape, Tensor, softmax
 
-AGGREGATORS = ("product", "sum")
+_FOLDS = {"product": operator.mul, "sum": operator.add}
+AGGREGATORS = tuple(_FOLDS)
 
 
 @dataclass(frozen=True)
@@ -41,12 +48,16 @@ class ScoreConfig:
         if self.aggregator not in AGGREGATORS:
             raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
 
+    @property
+    def fold(self) -> Callable[[float, float], float]:
+        """The step that extends a path's score by the next node's weight."""
+        return _FOLDS[self.aggregator]
+
 
 @dataclass(frozen=True)
 class TraceRow:
     """One selection step: the state right after the move."""
 
-    step: int
     selected: int  # node the choice was made from
     neighbors: tuple[int, ...]  # unvisited neighbors it chose among
     next: int
@@ -57,8 +68,6 @@ class TraceRow:
 @dataclass
 class RolloutResult:
     visit_order: list[int]
-    dfs_parent: dict[int, int]
-    step_log_probs: list[float]
     per_node_score: dict[int, float]
     reward: float
     branch_trace: list[TraceRow]
@@ -69,33 +78,10 @@ class RolloutResult:
 
 
 def path_score(weights_along_path: Sequence[float], aggregator: str = "product") -> float:
-    """Aggregate the node weights of one path into its score."""
+    """Aggregate the node weights of one path into its score, left to right."""
     if len(weights_along_path) == 0:
         raise ValidationError("path_score needs a nonempty path")
-    if aggregator == "product":
-        out = 1.0
-        for w in weights_along_path:
-            out *= float(w)
-        return out
-    if aggregator == "sum":
-        return float(sum(float(w) for w in weights_along_path))
-    raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
-
-
-def greedy_choice(scores: np.ndarray, candidates: Iterable[int]) -> int:
-    """Argmax of ``scores[c]`` over the candidates; ties go to the lowest node index."""
-    cands = sorted(candidates)
-    return cands[int(np.argmax(scores[cands]))]  # argmax keeps the first maximum
-
-
-def _sample_choice(probs: np.ndarray, candidates: Sequence[int], rng: np.random.Generator) -> int:
-    r = float(rng.random())
-    acc = 0.0
-    for node in candidates:
-        acc += float(probs[node])
-        if r < acc:
-            return node
-    return candidates[-1]  # guard against accumulated rounding
+    return reduce(ScoreConfig(aggregator).fold, map(float, weights_along_path))
 
 
 def decode_all(
@@ -133,8 +119,6 @@ def decode_all(
     )
     if mode == "sample":
         result.log_prob_tensors = move_log_probs(scores, [result], temperature, tape)
-        if result.log_prob_tensors is not None:
-            result.step_log_probs = result.log_prob_tensors.values.tolist()
     return result
 
 
@@ -152,7 +136,10 @@ def walk(
 
     Takes the same choices as ``decode_all`` and returns its result
     without log probabilities; every move of a sampled walk is one row
-    of its ``branch_trace`` for ``move_log_probs``.
+    of its ``branch_trace`` for ``move_log_probs``. A move reads only its
+    candidates' scores: greedy takes the highest (the lowest index on
+    ties); sampling draws one uniform and takes the first candidate whose
+    running softmax probability exceeds it.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
@@ -169,18 +156,18 @@ def walk(
     if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
 
-    weights = graph.node_weights
+    weights = graph.node_weights.tolist()
+    fold = score_config.fold
     inv_temperature = 1.0 / temperature
     current = start
     visit_order = [start]
     visited = {start}
     stack: list[int] = []
-    parents: dict[int, int] = {}
-    node_scores = {start: float(weights[start])}
+    node_scores = {start: weights[start]}
     trace: list[TraceRow] = []
-    step = 0
 
     while len(visit_order) < n:
+        # neighbors are sorted, so the candidates are in ascending order
         candidates = [j for j in graph.neighbors[current] if j not in visited]
         if not candidates:
             while stack:
@@ -198,9 +185,8 @@ def walk(
         if len(candidates) >= 2:
             stack.append(current)
 
-        if mode == "greedy":
-            nxt = greedy_choice(scores[current], candidates)
-        elif forced is not None:
+        if forced is not None:
+            step = len(trace)
             if step >= len(forced):
                 raise ValidationError("force_actions ran out before the rollout finished")
             nxt = forced[step]
@@ -209,23 +195,25 @@ def walk(
                     f"forced action {nxt} is not a candidate at step {step} "
                     f"(candidates: {candidates})"
                 )
+        elif mode == "greedy":
+            # argmax keeps the first maximum, so the lowest index wins ties
+            nxt = candidates[int(scores[current][candidates].argmax())]
         else:
-            mask = np.zeros(n, dtype=bool)
-            mask[candidates] = True
-            probs = softmax(scores[current] * inv_temperature, mask)
-            nxt = _sample_choice(probs, candidates, rng)
+            probs = softmax(scores[current][candidates] * inv_temperature).tolist()
+            draw = float(rng.random())
+            nxt = candidates[-1]  # guard against accumulated rounding
+            acc = 0.0
+            for node, p in zip(candidates, probs):
+                acc += p
+                if draw < acc:
+                    nxt = node
+                    break
 
-        parents[nxt] = current
         visited.add(nxt)
         visit_order.append(nxt)
-        if score_config.aggregator == "product":
-            node_scores[nxt] = node_scores[current] * float(weights[nxt])
-        else:
-            node_scores[nxt] = node_scores[current] + float(weights[nxt])
-        step += 1
+        node_scores[nxt] = fold(node_scores[current], weights[nxt])
         trace.append(
             TraceRow(
-                step=step,
                 selected=current,
                 neighbors=tuple(candidates),
                 next=nxt,
@@ -235,15 +223,13 @@ def walk(
         )
         current = nxt
 
-    if forced is not None and step != len(forced):
+    if forced is not None and len(trace) != len(forced):
         raise ValidationError(
-            f"force_actions has {len(forced)} moves but the rollout made {step}"
+            f"force_actions has {len(forced)} moves but the rollout made {len(trace)}"
         )
 
     return RolloutResult(
         visit_order=visit_order,
-        dfs_parent=parents,
-        step_log_probs=[],
         per_node_score=node_scores,
         reward=float(sum(node_scores.values())),
         branch_trace=trace,

@@ -9,8 +9,10 @@ against, so keep them dumb.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -58,13 +60,16 @@ def simple_paths(graph: WeightedGraph, end: int):
 
 
 def permutation_best_score(graph: WeightedGraph, end: int, aggregator: str) -> float:
-    """Max attack-path score start->end over ``simple_paths``."""
+    """Max attack-path score start->end over ``simple_paths``.
+
+    Scores fold left to right, one weight at a time, as a path is walked
+    (Python >= 3.12's compensated ``sum()`` would round differently).
+    """
     weights = graph.node_weights
+    step = operator.mul if aggregator == "product" else operator.add
 
     def aggregate(path):
-        if aggregator == "product":
-            return math.prod(float(weights[v]) for v in path)
-        return sum(float(weights[v]) for v in path)
+        return functools.reduce(step, (float(weights[v]) for v in path))
 
     return max(aggregate(path) for path in simple_paths(graph, end))
 

@@ -192,20 +192,23 @@ def test_compare_outputs_and_mean_ratio(tmp_path, compare_inputs, capsys):
     assert svg_data["model"] == [float(r[2]) for r in csv_rows]
 
 
-def test_compare_oracle_cache_reuse(tmp_path, compare_inputs):
+@pytest.mark.parametrize("aggregator", ["product", "sum"])
+def test_compare_oracle_cache_reuse(tmp_path, compare_inputs, aggregator):
     graph_path, ckpt_path = compare_inputs
     cache = tmp_path / "oracle_cache.json"
     d1, d2 = tmp_path / "c1", tmp_path / "c2"
-    run(
+    code = run(
         ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
-         "--out-dir", str(d1), "--oracle-cache", str(cache)]
+         "--out-dir", str(d1), "--oracle-cache", str(cache), "--aggregator", aggregator]
     )
+    assert code == EXIT_OK
     assert cache.exists()
     cache_bytes = cache.read_bytes()
-    run(
+    code = run(
         ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
-         "--out-dir", str(d2), "--oracle-cache", str(cache)]
+         "--out-dir", str(d2), "--oracle-cache", str(cache), "--aggregator", aggregator]
     )
+    assert code == EXIT_OK
     assert (d1 / "comparison.csv").read_bytes() == (d2 / "comparison.csv").read_bytes()
     assert (d1 / "comparison.svg").read_bytes() == (d2 / "comparison.svg").read_bytes()
     assert cache.read_bytes() == cache_bytes

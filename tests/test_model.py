@@ -144,7 +144,7 @@ def two_leaf_star_rollout(leaf_weights, actions, temperature=1.0):
     result = decode_all(
         graph, identity_model(), 0, mode="sample", temperature=temperature, force_actions=actions
     )
-    return [math.exp(lp) for lp in result.step_log_probs]
+    return [math.exp(lp) for lp in result.log_prob_tensors.values]
 
 
 def test_candidate_probs_examples():

@@ -13,7 +13,6 @@ from apgf.rollout import (
     RolloutResult,
     ScoreConfig,
     decode_all,
-    greedy_choice,
     move_log_probs,
     path_score,
     walk,
@@ -35,6 +34,12 @@ def test_path_score_examples():
     assert path_score([1.0, 1.0, 1.0], "product") == 1.0
     assert path_score([0.5, 0.5], "product") == 0.25
     assert path_score([0.5, 0.5], "sum") == 1.0
+
+
+def test_path_score_sums_left_to_right():
+    # the walk and the oracle add one weight at a time; Python >= 3.12's
+    # compensated sum() would give 1.0 here
+    assert path_score([0.1] * 10, "sum") == 0.9999999999999999
 
 
 def test_path_score_matches_exact_rational_product():
@@ -109,7 +114,7 @@ def test_single_node_graph():
         graph, identity_model(), start=0, mode="sample", rng=np.random.default_rng(0)
     )
     assert result.visit_order == [0]
-    assert result.step_log_probs == []
+    assert result.log_prob_tensors is None
     assert result.reward == path_score([0.6], "product")
 
 
@@ -118,7 +123,7 @@ def test_path_graph_has_no_choices():
     params = init_params(3, embed_dim=4, num_heads=2, ff_dim=4)
     result = decode_all(graph, params, start=0, mode="sample", rng=np.random.default_rng(1))
     assert result.visit_order == [0, 1, 2]
-    assert result.step_log_probs == [0.0, 0.0]
+    assert result.log_prob_tensors.values.tolist() == [0.0, 0.0]
     assert result.branch_trace[0].stack == ()
 
 
@@ -136,22 +141,24 @@ def test_rollout_invariants(seed):
     assert sorted(result.visit_order) == list(range(12))
     assert result.visit_order[0] == graph.start_index
 
-    # dfs_parent edges form a spanning tree rooted at start
-    assert set(result.dfs_parent) == set(range(12)) - {graph.start_index}
+    # DFS-tree edges (each move's selected -> next) form a spanning tree rooted at start
+    dfs_parent = {row.next: row.selected for row in result.branch_trace}
+    assert set(dfs_parent) == set(range(12)) - {graph.start_index}
     position = {v: i for i, v in enumerate(result.visit_order)}
-    for child, parent in result.dfs_parent.items():
+    for child, parent in dfs_parent.items():
         assert graph.adjacency[child, parent]
         assert position[parent] < position[child]
 
     # one sampled decision per non-start node, all log probs <= 0
-    assert len(result.step_log_probs) == 11
-    assert all(lp <= 0.0 for lp in result.step_log_probs)
+    log_probs = result.log_prob_tensors.values
+    assert len(log_probs) == 11
+    assert all(lp <= 0.0 for lp in log_probs)
 
     # per-node scores recompute from the parent chains
     for v in range(12):
         chain = [v]
         while chain[-1] != graph.start_index:
-            chain.append(result.dfs_parent[chain[-1]])
+            chain.append(dfs_parent[chain[-1]])
         weights = [graph.node_weights[u] for u in reversed(chain)]
         assert result.per_node_score[v] == pytest.approx(path_score(weights, "product"), rel=1e-12)
 
@@ -224,9 +231,9 @@ def test_step_log_probs_match_per_step_reference(seed):
         temperature,
     )
     for result in (sampled, forced):
-        assert len(result.step_log_probs) == len(expected) == 19
-        np.testing.assert_allclose(result.step_log_probs, expected, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(result.log_prob_tensors.values, result.step_log_probs)
+        log_probs = result.log_prob_tensors.values
+        assert len(log_probs) == len(expected) == 19
+        np.testing.assert_allclose(log_probs, expected, rtol=0, atol=1e-12)
 
 
 def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
@@ -247,7 +254,7 @@ def test_greedy_rollout_records_nothing():
     tape = Tape()
     result = decode_all(graph, params, graph.start_index, mode="greedy", tape=tape)
     assert len(tape) == 0
-    assert result.log_prob_tensors is None and result.step_log_probs == []
+    assert result.log_prob_tensors is None
 
 
 def test_batched_walks_match_single_graph_rollouts():
@@ -268,7 +275,9 @@ def test_batched_walks_match_single_graph_rollouts():
     for g, w in zip(graphs, walks):
         single = decode_all(g, params, g.start_index, temperature=0.7, rng=rng)
         assert single.visit_order == w.visit_order and single.reward == w.reward
-        np.testing.assert_array_equal(log_probs[offset : offset + 9], single.step_log_probs)
+        np.testing.assert_array_equal(
+            log_probs[offset : offset + 9], single.log_prob_tensors.values
+        )
         offset += 9
     assert offset == log_probs.size
     for g, rows in zip(graphs, scores.values):
@@ -318,15 +327,22 @@ def test_greedy_choice_invariant_under_monotone_transform(scores, scale, shift):
 
 
 def choose(scores: dict) -> int:
-    """greedy_choice on a score row whose non-candidate entries beat every candidate."""
-    row = np.full(max(scores) + 1, np.inf)
-    row[list(scores)] = list(scores.values())
-    return greedy_choice(row, scores)
+    """The first greedy move from a start whose neighbors are exactly the
+    keys of ``scores``, on a score row whose non-candidate entries beat
+    every candidate."""
+    start = max(scores) + 1
+    keys = sorted(scores)
+    edges = [(start, k) for k in keys]
+    edges += [(keys[0], v) for v in range(start) if v not in scores]  # hang the rest off a key
+    graph = build_graph(start + 1, edges, [0.5] * (start + 1), start=start)
+    rows = np.full((start + 1, start + 1), np.inf)
+    rows[start, keys] = [scores[k] for k in keys]
+    return walk(graph, rows, start, mode="greedy").branch_trace[0].next
 
 
 def test_greedy_choice_tie_breaks_to_lowest_index():
     assert choose({7: 1.0, 3: 1.0, 5: 1.0}) == 3
-    assert greedy_choice(np.array([0.0, 2.0, 1.0, 2.0]), [3, 2, 1]) == 1
+    assert choose({3: 2.0, 2: 1.0, 1: 2.0}) == 1
 
 
 # -- forced replay -----------------------------------------------------------
@@ -340,7 +356,9 @@ def test_force_actions_replays_exactly():
     actions = [row.next for row in sampled.branch_trace]
     replayed = decode_all(graph, params, 0, mode="sample", force_actions=actions)
     assert replayed.visit_order == sampled.visit_order
-    assert replayed.step_log_probs == sampled.step_log_probs
+    np.testing.assert_array_equal(
+        replayed.log_prob_tensors.values, sampled.log_prob_tensors.values
+    )
     assert replayed.reward == sampled.reward
 
 

@@ -72,7 +72,7 @@ def test_positive_advantage_raises_probability_of_taken_action():
     tape = Tape()
     rolled = decode_all(graph, params, 0, mode="sample", rng=np.random.default_rng(0), tape=tape)
     actions = [row.next for row in rolled.branch_trace]
-    prob_before = [math.exp(lp) for lp in rolled.step_log_probs]
+    prob_before = [math.exp(lp) for lp in rolled.log_prob_tensors.values]
 
     loss = reinforce_loss(rolled.reward + 1.0, rolled.reward, rolled.log_prob_tensors, tape)
     tape.backward(loss)
@@ -81,7 +81,7 @@ def test_positive_advantage_raises_probability_of_taken_action():
     clear_grads(params.tensors)
 
     replay = decode_all(graph, params, 0, mode="sample", force_actions=actions)
-    prob_after = [math.exp(lp) for lp in replay.step_log_probs]
+    prob_after = [math.exp(lp) for lp in replay.log_prob_tensors.values]
     # step 1 chose between two leaves: its probability must strictly rise
     assert prob_after[0] > prob_before[0]
     # step 2 was forced (one candidate): probability stays exactly 1
@@ -185,8 +185,8 @@ def test_no_branch_graphs_with_synced_baseline_give_zero_loss():
         reference = decode_all(g, baseline, 0, mode="greedy")
         assert sampled.reward == reference.reward
         losses.append(reinforce_loss(sampled.reward, reference.reward, sampled.log_prob_tensors, tape))
-    mean_loss = tape.mean(tape.concat(losses, axis=0))
-    assert mean_loss.item() == 0.0
+    total_loss = tape.sum(tape.concat(losses, axis=0))
+    assert total_loss.item() == 0.0
 
 
 def test_numeric_failure_names_the_epoch(monkeypatch):
