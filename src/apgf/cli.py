@@ -23,7 +23,7 @@ from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph, graph_to_json, load_graph, save_graph
 from .model import load_checkpoint
 from .oracle import DEFAULT_NODE_CAP, EndNodeBest, OracleResult, brute_force_scores, compare
-from .rollout import ScoreConfig, decode_all, path_score
+from .rollout import AGGREGATORS, ScoreConfig, decode_all, path_score
 from .trainer import TrainConfig, train
 
 EXIT_OK = 0
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NODE_CAP,
         help=f"brute-force node cap (default {DEFAULT_NODE_CAP})",
     )
-    cmp_.add_argument("--aggregator", choices=("product", "sum"), default="product")
+    cmp_.add_argument("--aggregator", choices=AGGREGATORS, default="product")
     cmp_.set_defaults(func=cmd_compare)
     return parser
 

@@ -16,10 +16,12 @@ from the start with the aggregator's step, left to right; the rollout
 reward sums those per-node scores. The oracle and ``path_score`` fold
 with the same step, so all three agree bit for bit.
 
-``walk`` runs the traversal on plain rows of a graph's decoder scores,
-reading only the current node's candidate entries at each move, and
-``move_log_probs`` turns the moves of any number of walks into one
-differentiable expression; ``decode_all`` is both for a single graph.
+A rollout is plain, untaped data. ``walk`` runs the traversal on plain
+rows of a graph's decoder scores, reading only the current node's
+candidate entries at each move; ``decode_all`` encodes one graph, scores
+it and walks it without recording anything. ``move_log_probs`` is the
+one differentiable route from recorded walks back to the scores: it
+turns the moves of any number of walks into one expression on a tape.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,10 +73,6 @@ class RolloutResult:
     per_node_score: dict[int, float]
     reward: float
     branch_trace: list[TraceRow]
-    # The [steps] log probabilities of a sampled rollout's moves, on its
-    # tape, so the trainer can differentiate through them; None when the
-    # rollout made no sampled decision (greedy, or nothing to choose).
-    log_prob_tensors: Tensor | None = None
 
 
 def path_score(weights_along_path: Sequence[float], aggregator: str = "product") -> float:
@@ -92,34 +90,17 @@ def decode_all(
     temperature: float = 1.0,
     rng: np.random.Generator | None = None,
     score_config: ScoreConfig = ScoreConfig(),
-    tape: Tape | None = None,
-    force_actions: Iterable[int] | None = None,
 ) -> RolloutResult:
-    """Run one full traversal and score it.
+    """Run one full traversal of ``graph`` under ``params`` and score it.
 
-    ``mode="sample"`` draws each move from the candidate probabilities
-    (recording its log probability); ``mode="greedy"`` takes the
-    highest-scoring candidate with lowest-index tie-break, records no
-    log probabilities and leaves ``tape`` untouched. ``force_actions``
-    replays a fixed move sequence under sample-mode probabilities, which
-    keeps the log-probability terms differentiable for a pinned
-    trajectory.
-
-    The decoder's score matrix is computed once; ``walk`` reads plain
-    rows of it, and ``move_log_probs`` then puts the log probabilities of
-    all sampled moves on the tape as one batched expression.
+    Encodes the graph, computes its decoder score matrix once and
+    ``walk``s its rows, all on a ``ForwardTape``, so nothing is recorded
+    in either mode. To differentiate the result, pass it to
+    ``move_log_probs`` with taped scores.
     """
-    if mode == "greedy":
-        tape = ForwardTape()
-    elif tape is None:
-        tape = Tape()
+    tape = ForwardTape()
     scores = score_matrix(encode([graph], params, tape), params, tape)
-    result = walk(
-        graph, scores.values[0], start, mode, temperature, rng, score_config, force_actions
-    )
-    if mode == "sample":
-        result.log_prob_tensors = move_log_probs(scores, [result], temperature, tape)
-    return result
+    return walk(graph, scores.values[0], start, mode, temperature, rng, score_config)
 
 
 def walk(
@@ -130,31 +111,24 @@ def walk(
     temperature: float = 1.0,
     rng: np.random.Generator | None = None,
     score_config: ScoreConfig = ScoreConfig(),
-    force_actions: Iterable[int] | None = None,
 ) -> RolloutResult:
     """The DFS traversal over the graph's ``[n, n]`` decoder scores.
 
-    Takes the same choices as ``decode_all`` and returns its result
-    without log probabilities; every move of a sampled walk is one row
-    of its ``branch_trace`` for ``move_log_probs``. A move reads only its
-    candidates' scores: greedy takes the highest (the lowest index on
-    ties); sampling draws one uniform and takes the first candidate whose
-    running softmax probability exceeds it.
+    Every move is one row of the result's ``branch_trace``, which is all
+    ``move_log_probs`` needs to differentiate it. A move reads only its
+    candidates' scores: ``mode="greedy"`` takes the highest (the lowest
+    index on ties); ``mode="sample"`` draws one uniform from ``rng`` and
+    takes the first candidate whose running softmax probability at
+    ``temperature`` exceeds it.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
         raise ValidationError(f"start {start} out of range for {n} nodes")
     if mode not in ("sample", "greedy"):
         raise ValidationError(f"mode must be 'sample' or 'greedy', got {mode!r}")
-    forced = None
-    if force_actions is not None:
-        if mode != "sample":
-            raise ValidationError("force_actions requires mode='sample'")
-        forced = list(int(a) for a in force_actions)
-    elif mode == "sample" and rng is None:
+    if mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
 
     weights = graph.node_weights.tolist()
     fold = score_config.fold
@@ -185,17 +159,7 @@ def walk(
         if len(candidates) >= 2:
             stack.append(current)
 
-        if forced is not None:
-            step = len(trace)
-            if step >= len(forced):
-                raise ValidationError("force_actions ran out before the rollout finished")
-            nxt = forced[step]
-            if nxt not in candidates:
-                raise ValidationError(
-                    f"forced action {nxt} is not a candidate at step {step} "
-                    f"(candidates: {candidates})"
-                )
-        elif mode == "greedy":
+        if mode == "greedy":
             # argmax keeps the first maximum, so the lowest index wins ties
             nxt = candidates[int(scores[current][candidates].argmax())]
         else:
@@ -223,17 +187,17 @@ def walk(
         )
         current = nxt
 
-    if forced is not None and len(trace) != len(forced):
-        raise ValidationError(
-            f"force_actions has {len(forced)} moves but the rollout made {len(trace)}"
-        )
-
     return RolloutResult(
         visit_order=visit_order,
         per_node_score=node_scores,
         reward=float(sum(node_scores.values())),
         branch_trace=trace,
     )
+
+
+def _check_temperature(temperature: float) -> None:
+    if not temperature > 0:
+        raise ValidationError(f"temperature must be positive, got {temperature}")
 
 
 def move_log_probs(
@@ -247,6 +211,7 @@ def move_log_probs(
     expression: the masked softmax of the gathered score rows, read at
     the chosen columns of the flattened ``[moves, n]`` probabilities.
     """
+    _check_temperature(temperature)
     batch, n, _ = scores.shape
     moves = [(b * n, row) for b, w in enumerate(walks) for row in w.branch_trace]
     if not moves:

@@ -2,11 +2,13 @@
 
 Each epoch samples one rollout per training graph from a random start
 node, evaluates the same graph and start greedily with the frozen
-baseline network, and minimizes
+baseline network, and minimizes ``reinforce_loss``
 
     loss = -(reward - baseline_reward) * sum(step log probs)
 
 averaged over the epoch's graphs, with one Adam step on the average.
+Rollouts are plain data; the loss differentiates them through
+``move_log_probs`` on the policy's taped scores.
 The baseline network is never touched by gradients; every
 ``baseline_sync_period`` epochs it is overwritten with a copy of the
 policy. Runs are bit-reproducible from the config seed.
@@ -23,6 +25,7 @@ then; in ``fixed`` mode that is once per sync period.
 from __future__ import annotations
 
 import io
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +40,7 @@ from .graphgen import WeightedGraph, generate_random_graph
 from .model import ModelParams, copy_params, encode, init_params, save_checkpoint, score_matrix
 from .numcore import AdamState, ForwardTape, Tape, Tensor, adam_step, clear_grads, tensor
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare
-from .rollout import ScoreConfig, decode_all, move_log_probs, walk
+from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
 
 DATASET_MODES = ("fixed", "resampled")
 
@@ -61,30 +64,31 @@ class TrainConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.epochs < 0:
-            problems.append(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("graphs_per_epoch", "num_nodes", "embed_dim", "num_heads", "ff_dim"):
             value = getattr(self, name)
             if value <= 0:
                 problems.append(f"{name} must be positive, got {value}")
-        if self.num_edges < self.num_nodes - 1:
+        max_edges = self.num_nodes * (self.num_nodes - 1) // 2
+        if not self.num_nodes - 1 <= self.num_edges <= max_edges:
             problems.append(
-                f"num_edges must be >= num_nodes - 1, got {self.num_edges} for {self.num_nodes} nodes"
+                f"num_edges must be between num_nodes - 1 and {max_edges}, "
+                f"got {self.num_edges} for {self.num_nodes} nodes"
             )
-        if self.learning_rate <= 0:
-            problems.append(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "temperature", "score_clip"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also false for NaN
+                problems.append(f"{name} must be positive and finite, got {value}")
         if self.baseline_sync_period < 1:
             problems.append(f"baseline_sync_period must be >= 1, got {self.baseline_sync_period}")
-        if self.temperature <= 0:
-            problems.append(f"temperature must be positive, got {self.temperature}")
         if self.dataset_mode not in DATASET_MODES:
             problems.append(f"dataset_mode must be one of {DATASET_MODES}, got {self.dataset_mode!r}")
-        if self.embed_dim % self.num_heads != 0:
+        if self.num_heads > 0 and self.embed_dim % self.num_heads != 0:
             problems.append(
                 f"embed_dim {self.embed_dim} must be divisible by num_heads {self.num_heads}"
             )
-        if self.score_clip <= 0:
-            problems.append(f"score_clip must be positive, got {self.score_clip}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -100,42 +104,29 @@ class EpochMetrics:
 
 
 def reinforce_loss(
-    reward: float,
-    baseline_reward: float,
-    log_probs: Tensor | None,
-    tape: Tape,
-) -> Tensor:
-    """loss = -(reward - baseline_reward) * sum(log probs) of one rollout.
-
-    ``log_probs`` holds the rollout's step log probabilities (None when
-    it made no choice). Reward and baseline enter as constants; the
-    gradient flows only through the log-probability terms.
-    """
-    steps = 0 if log_probs is None else log_probs.values.size
-    return mean_reinforce_loss([reward], [baseline_reward], log_probs, [steps], tape)
-
-
-def mean_reinforce_loss(
-    rewards: Sequence[float],
+    scores: Tensor,
+    walks: Sequence[RolloutResult],
     baseline_rewards: Sequence[float],
-    log_probs: Tensor | None,
-    steps: Sequence[int],
+    temperature: float,
     tape: Tape,
 ) -> Tensor:
-    """The mean of ``reinforce_loss`` over a batch of rollouts.
+    """The mean over ``walks`` of -(reward - baseline_reward) * sum(log probs).
 
-    ``log_probs`` holds the step log probabilities of all rollouts in
-    order, ``steps[i]`` of them for rollout i (None when none made a
-    choice). The mean is one weighted sum: each step log probability
-    weighs ``-(reward - baseline_reward) / batch`` of its rollout.
+    ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores at
+    ``temperature``; its reward is read from the walk and its step log
+    probabilities come from ``move_log_probs`` on ``tape``. Rewards enter
+    as constants, so the gradient flows only through the log-probability
+    terms: each weighs ``-(reward - baseline_reward) / B`` of its walk.
     """
-    scale = 1.0 / len(rewards)
-    advantages = [float(r) - float(b) for r, b in zip(rewards, baseline_rewards)]
+    scale = 1.0 / len(walks)
+    advantages = [w.reward - float(b) for w, b in zip(walks, baseline_rewards)]
+    steps = [len(w.branch_trace) for w in walks]
     if any(a != 0.0 and k == 0 for a, k in zip(advantages, steps)):
         warnings.warn(
             "rollout made no choices but has nonzero advantage; loss forced to 0",
             stacklevel=2,
         )
+    log_probs = move_log_probs(scores, walks, temperature, tape)
     if log_probs is None:
         return Tensor(np.zeros(1))
     coef = tensor(np.repeat([scale * -a for a in advantages], steps))
@@ -193,7 +184,7 @@ def train(
                 frozen = ForwardTape()
                 baseline_scores = score_matrix(encode(graphs, baseline, frozen), baseline, frozen)
             scores = score_matrix(encode(graphs, policy, tape), policy, tape)
-            sampled, rewards, baseline_rewards = [], [], []
+            sampled, baseline_rewards = [], []
             for graph, rows, baseline_rows in zip(graphs, scores.values, baseline_scores.values):
                 start = int(rng.integers(graph.num_nodes))
                 rolled = walk(
@@ -203,14 +194,9 @@ def train(
                     graph, baseline_rows, start, "greedy", score_config=config.score_config
                 )
                 sampled.append(rolled)
-                rewards.append(rolled.reward)
                 baseline_rewards.append(reference.reward)
-            mean_loss_t = mean_reinforce_loss(
-                rewards,
-                baseline_rewards,
-                move_log_probs(scores, sampled, config.temperature, tape),
-                [len(r.branch_trace) for r in sampled],
-                tape,
+            mean_loss_t = reinforce_loss(
+                scores, sampled, baseline_rewards, config.temperature, tape
             )
             tape.backward(mean_loss_t)
             grads = {
@@ -233,7 +219,7 @@ def train(
             EpochMetrics(
                 epoch=epoch,
                 mean_loss=mean_loss_t.item(),
-                mean_reward=float(np.mean(rewards)),
+                mean_reward=float(np.mean([r.reward for r in sampled])),
                 baseline_mean_reward=float(np.mean(baseline_rewards)),
                 wall_clock_seconds=time.perf_counter() - epoch_started,
                 synced_baseline=synced,

@@ -17,6 +17,9 @@ import operator
 import numpy as np
 
 from apgf.graphgen import WeightedGraph
+from apgf.model import encode, score_matrix
+from apgf.numcore import ForwardTape
+from apgf.rollout import RolloutResult, TraceRow, move_log_probs
 
 
 def central_difference(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -137,3 +140,32 @@ def star_graph(weights, center=0) -> WeightedGraph:
     n = len(weights)
     edges = [(center, i) for i in range(n) if i != center]
     return build_graph(n, edges, weights, start=center)
+
+
+def two_leaf_star_walk(weights, first: int) -> RolloutResult:
+    """The rollout from the center 0 of a star with leaves 1 and 2 and
+    node ``weights`` that visits leaf ``first`` first, written out move
+    by move with product path scores."""
+    other = 3 - first
+    center = float(weights[0])
+    per_node = {0: center, first: center * weights[first], other: center * weights[other]}
+    return RolloutResult(
+        visit_order=[0, first, other],
+        per_node_score=per_node,
+        reward=sum(per_node.values()),
+        branch_trace=[
+            TraceRow(selected=0, neighbors=(1, 2), next=first, visited=(0, first), stack=(0,)),
+            TraceRow(
+                selected=0, neighbors=(other,), next=other, visited=(0, first, other), stack=()
+            ),
+        ],
+    )
+
+
+def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temperature=1.0):
+    """The library's ``move_log_probs`` of a recorded walk of ``graph``
+    under ``params``, untaped: an array, or None when it made no move."""
+    tape = ForwardTape()
+    scores = score_matrix(encode([graph], params, tape), params, tape)
+    log_probs = move_log_probs(scores, [walk], temperature, tape)
+    return None if log_probs is None else log_probs.values

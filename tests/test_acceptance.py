@@ -11,7 +11,7 @@ import pytest
 
 from apgf.charts import grouped_bar_chart
 from apgf.graphgen import generate_random_graph
-from apgf.model import copy_params, init_params
+from apgf.model import copy_params, encode, init_params, score_matrix
 from apgf.numcore import Tape
 from apgf.oracle import brute_force_scores
 from apgf.rollout import ScoreConfig, decode_all
@@ -38,25 +38,19 @@ def test_criterion_1_gradient_integrity():
 
     # pin one sampled trajectory whose reward differs from the baseline's
     # greedy reward, so the loss actually has gradients to check
-    sampled = decode_all(
-        graph, params, graph.start_index, mode="sample", rng=np.random.default_rng(0), tape=Tape()
-    )
-    actions = [row.next for row in sampled.branch_trace]
+    sampled = decode_all(graph, params, graph.start_index, rng=np.random.default_rng(0))
     baseline_reward = decode_all(graph, baseline, graph.start_index, mode="greedy").reward
     assert sampled.reward != baseline_reward
 
+    def loss(t: Tape):
+        scores = score_matrix(encode([graph], params, t), params, t)
+        return reinforce_loss(scores, [sampled], [baseline_reward], 1.0, t)
+
     def loss_value() -> float:
-        t = Tape()
-        replay = decode_all(
-            graph, params, graph.start_index, mode="sample", force_actions=actions, tape=t
-        )
-        return reinforce_loss(replay.reward, baseline_reward, replay.log_prob_tensors, t).item()
+        return loss(Tape()).item()
 
     tape = Tape()
-    replay = decode_all(
-        graph, params, graph.start_index, mode="sample", force_actions=actions, tape=tape
-    )
-    tape.backward(reinforce_loss(replay.reward, baseline_reward, replay.log_prob_tensors, tape))
+    tape.backward(loss(tape))
 
     worst = 0.0
     for name, p in params.tensors.items():

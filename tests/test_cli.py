@@ -153,6 +153,25 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
     code = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     assert "unknown score_config field 'reward_mode'" in capsys.readouterr().err
+    # JSON's NaN and Infinity parse as numbers but are refused by name, as
+    # are more edges than a simple graph holds, zero heads and a negative seed
+    bad_fields = [
+        ({name: value}, name)
+        for name in ("learning_rate", "temperature", "score_clip")
+        for value in (float("nan"), float("inf"))
+    ]
+    bad_fields += [
+        ({"num_nodes": 3, "num_edges": 10}, "num_edges"),
+        ({"num_heads": 0}, "num_heads"),
+        ({"seed": -1}, "seed"),
+    ]
+    for doc, field in bad_fields:
+        cfg.write_text(json.dumps(doc))
+        code = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config {cfg}:" in err
+        assert field in err
 
 
 # -- compare ---------------------------------------------------------------

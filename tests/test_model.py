@@ -25,7 +25,9 @@ from helpers import (
     central_difference,
     identity_model,
     max_relative_error,
+    recorded_log_probs,
     star_graph,
+    two_leaf_star_walk,
 )
 
 
@@ -137,14 +139,14 @@ def test_decoder_scores_bounded_by_clip():
 
 
 def two_leaf_star_rollout(leaf_weights, actions, temperature=1.0):
-    """Step probabilities of a forced rollout on a center-0 star with two
-    leaves under the identity model, whose score for a move from the
-    center (weight 1) to a leaf is clip * tanh(leaf weight)."""
-    graph = star_graph([1.0, *leaf_weights], center=0)
-    result = decode_all(
-        graph, identity_model(), 0, mode="sample", temperature=temperature, force_actions=actions
-    )
-    return [math.exp(lp) for lp in result.log_prob_tensors.values]
+    """Step probabilities of the rollout taking ``actions`` on a center-0
+    star with two leaves under the identity model, whose score for a move
+    from the center (weight 1) to a leaf is clip * tanh(leaf weight)."""
+    weights = [1.0, *leaf_weights]
+    rollout = two_leaf_star_walk(weights, actions[0])
+    assert [row.next for row in rollout.branch_trace] == actions
+    log_probs = recorded_log_probs(star_graph(weights), identity_model(), rollout, temperature)
+    return [math.exp(lp) for lp in log_probs]
 
 
 def test_candidate_probs_examples():
@@ -173,8 +175,6 @@ def test_candidate_probs_temperature_must_be_positive():
             decode_all(
                 graph, identity_model(), 0, temperature=temperature, rng=np.random.default_rng(0)
             )
-        with pytest.raises(ValidationError, match="temperature"):
-            decode_all(graph, identity_model(), 0, temperature=temperature, force_actions=[1, 2])
         with pytest.raises(ValidationError, match="temperature"):
             decode_all(graph, identity_model(), 0, mode="greedy", temperature=temperature)
 

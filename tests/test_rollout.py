@@ -23,6 +23,7 @@ from helpers import (
     fig10_graph,
     identity_model,
     path_graph,
+    recorded_log_probs,
     reference_step_log_probs,
 )
 
@@ -114,7 +115,7 @@ def test_single_node_graph():
         graph, identity_model(), start=0, mode="sample", rng=np.random.default_rng(0)
     )
     assert result.visit_order == [0]
-    assert result.log_prob_tensors is None
+    assert recorded_log_probs(graph, identity_model(), result) is None
     assert result.reward == path_score([0.6], "product")
 
 
@@ -123,7 +124,7 @@ def test_path_graph_has_no_choices():
     params = init_params(3, embed_dim=4, num_heads=2, ff_dim=4)
     result = decode_all(graph, params, start=0, mode="sample", rng=np.random.default_rng(1))
     assert result.visit_order == [0, 1, 2]
-    assert result.log_prob_tensors.values.tolist() == [0.0, 0.0]
+    assert recorded_log_probs(graph, params, result).tolist() == [0.0, 0.0]
     assert result.branch_trace[0].stack == ()
 
 
@@ -150,7 +151,7 @@ def test_rollout_invariants(seed):
         assert position[parent] < position[child]
 
     # one sampled decision per non-start node, all log probs <= 0
-    log_probs = result.log_prob_tensors.values
+    log_probs = recorded_log_probs(graph, params, result)
     assert len(log_probs) == 11
     assert all(lp <= 0.0 for lp in log_probs)
 
@@ -218,10 +219,6 @@ def test_step_log_probs_match_per_step_reference(seed):
     sampled = decode_all(
         graph, params, graph.start_index, temperature=temperature, rng=np.random.default_rng(seed)
     )
-    actions = [row.next for row in sampled.branch_trace]
-    forced = decode_all(
-        graph, params, graph.start_index, temperature=temperature, force_actions=actions
-    )
     expected = reference_step_log_probs(
         encode([graph], params).values[0],
         params.tensors["decoder.query_proj"].values,
@@ -230,10 +227,17 @@ def test_step_log_probs_match_per_step_reference(seed):
         sampled.branch_trace,
         temperature,
     )
-    for result in (sampled, forced):
-        log_probs = result.log_prob_tensors.values
-        assert len(log_probs) == len(expected) == 19
-        np.testing.assert_allclose(log_probs, expected, rtol=0, atol=1e-12)
+    log_probs = recorded_log_probs(graph, params, sampled, temperature)
+    assert len(log_probs) == len(expected) == 19
+    np.testing.assert_allclose(log_probs, expected, rtol=0, atol=1e-12)
+
+
+def test_move_log_probs_temperature_must_be_positive():
+    graph = fig10_graph()
+    result = decode_all(graph, identity_model(), 0, mode="greedy")
+    for temperature in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="temperature"):
+            recorded_log_probs(graph, identity_model(), result, temperature)
 
 
 def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
@@ -243,23 +247,16 @@ def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
         graph = generate_random_graph(n, e, seed=n)
         encoder_tape, tape = Tape(), Tape()
         encode([graph], params, encoder_tape)
-        decode_all(graph, params, graph.start_index, rng=np.random.default_rng(n), tape=tape)
+        scores = score_matrix(encode([graph], params, tape), params, tape)
+        result = walk(graph, scores.values[0], graph.start_index, rng=np.random.default_rng(n))
+        move_log_probs(scores, [result], 1.0, tape)
         beyond_encode.append(len(tape) - len(encoder_tape))
     assert beyond_encode[0] == beyond_encode[1]
 
 
-def test_greedy_rollout_records_nothing():
-    graph = generate_random_graph(12, 15, seed=6)
-    params = init_params(7, embed_dim=8, num_heads=2, ff_dim=8)
-    tape = Tape()
-    result = decode_all(graph, params, graph.start_index, mode="greedy", tape=tape)
-    assert len(tape) == 0
-    assert result.log_prob_tensors is None
-
-
 def test_batched_walks_match_single_graph_rollouts():
     # one score tensor and one log-prob expression for a batch give every
-    # graph exactly what its own decode_all gives
+    # graph exactly what its own decode_all and log probabilities give
     graphs = [generate_random_graph(10, 13, seed=400 + s) for s in range(5)]
     params = init_params(8, embed_dim=8, num_heads=2, ff_dim=8)
     tape = Tape()
@@ -276,7 +273,7 @@ def test_batched_walks_match_single_graph_rollouts():
         single = decode_all(g, params, g.start_index, temperature=0.7, rng=rng)
         assert single.visit_order == w.visit_order and single.reward == w.reward
         np.testing.assert_array_equal(
-            log_probs[offset : offset + 9], single.log_prob_tensors.values
+            log_probs[offset : offset + 9], recorded_log_probs(g, params, single, 0.7)
         )
         offset += 9
     assert offset == log_probs.size
@@ -345,32 +342,7 @@ def test_greedy_choice_tie_breaks_to_lowest_index():
     assert choose({3: 2.0, 2: 1.0, 1: 2.0}) == 1
 
 
-# -- forced replay -----------------------------------------------------------
-
-
-def test_force_actions_replays_exactly():
-    graph = fig10_graph()
-    params = init_params(77, embed_dim=4, num_heads=2, ff_dim=4)
-    rng = np.random.default_rng(3)
-    sampled = decode_all(graph, params, 0, mode="sample", rng=rng)
-    actions = [row.next for row in sampled.branch_trace]
-    replayed = decode_all(graph, params, 0, mode="sample", force_actions=actions)
-    assert replayed.visit_order == sampled.visit_order
-    np.testing.assert_array_equal(
-        replayed.log_prob_tensors.values, sampled.log_prob_tensors.values
-    )
-    assert replayed.reward == sampled.reward
-
-
-def test_force_actions_validation():
-    graph = fig10_graph()
-    params = identity_model()
-    with pytest.raises(ValidationError, match="not a candidate"):
-        decode_all(graph, params, 0, mode="sample", force_actions=[5])
-    with pytest.raises(ValidationError, match="ran out"):
-        decode_all(graph, params, 0, mode="sample", force_actions=[1])
-    with pytest.raises(ValidationError, match="sample"):
-        decode_all(graph, params, 0, mode="greedy", force_actions=[1, 2, 3, 5, 4])
+# -- argument checks ----------------------------------------------------------
 
 
 def test_bad_arguments():

@@ -5,19 +5,12 @@ import pytest
 
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import copy_params, init_params
+from apgf.model import copy_params, encode, init_params, score_matrix
 from apgf.numcore import AdamState, ForwardTape, Tape, adam_step, clear_grads, tensor
-from apgf.rollout import decode_all
-from apgf.trainer import (
-    TrainConfig,
-    evaluate,
-    mean_reinforce_loss,
-    metrics_to_csv,
-    reinforce_loss,
-    train,
-)
+from apgf.rollout import decode_all, walk
+from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
 
-from helpers import build_graph, path_graph, star_graph
+from helpers import build_graph, path_graph, recorded_log_probs, star_graph, two_leaf_star_walk
 
 
 def tiny_config(**overrides):
@@ -39,27 +32,33 @@ def tiny_config(**overrides):
 # -- reinforce_loss ----------------------------------------------------------
 
 
+STAR_WEIGHTS = [1.0, 0.5, 0.25]  # dyadic, so the star rollout's reward 1.75 is exact
+
+
 def test_loss_zero_when_reward_equals_baseline():
     t = Tape()
-    probs = t.masked_softmax(tensor([[0.3, 0.1]], requires_grad=True), np.ones((1, 2), bool))
-    log_prob = t.log(t.gather_rows(t.transpose(probs), [0]))
-    loss = reinforce_loss(2.5, 2.5, log_prob, t)
+    scores = tensor([[[0.0, 0.3, 0.1]] * 3], requires_grad=True)
+    rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
+    loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
     assert loss.item() == 0.0
 
 
 def test_loss_matches_hand_value():
-    # advantage 1, sum of log probs -2 -> loss 2
+    # advantage 1, sum of log probs -2 -> loss 2: the first move takes
+    # leaf 1 with probability 1 / (1 + e^gap) = e^-2, the second is forced
     t = Tape()
-    raw = tensor([math.exp(-2.0)], requires_grad=True)
-    log_prob = t.log(raw)
-    loss = reinforce_loss(1.0, 0.0, log_prob, t)
+    gap = math.log(math.exp(2.0) - 1.0)
+    scores = tensor([[[0.0, 0.0, gap]] * 3], requires_grad=True)
+    rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
+    loss = reinforce_loss(scores, [rollout], [rollout.reward - 1.0], 1.0, t)
     assert loss.item() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_empty_log_probs_with_advantage_warns_and_zeroes():
     t = Tape()
+    rollout = walk(build_graph(1, [], [0.6]), np.zeros((1, 1)), 0, mode="greedy")
     with pytest.warns(UserWarning, match="no choices"):
-        loss = reinforce_loss(3.0, 1.0, None, t)
+        loss = reinforce_loss(tensor(np.zeros((1, 1, 1))), [rollout], [rollout.reward - 2.0], 1.0, t)
     assert loss.item() == 0.0
 
 
@@ -69,19 +68,17 @@ def test_positive_advantage_raises_probability_of_taken_action():
     graph = star_graph([0.5, 0.3, 0.8], center=0)
     params = init_params(13, embed_dim=4, num_heads=2, ff_dim=4)
 
-    tape = Tape()
-    rolled = decode_all(graph, params, 0, mode="sample", rng=np.random.default_rng(0), tape=tape)
-    actions = [row.next for row in rolled.branch_trace]
-    prob_before = [math.exp(lp) for lp in rolled.log_prob_tensors.values]
+    rolled = decode_all(graph, params, 0, mode="sample", rng=np.random.default_rng(0))
+    prob_before = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
 
-    loss = reinforce_loss(rolled.reward + 1.0, rolled.reward, rolled.log_prob_tensors, tape)
-    tape.backward(loss)
+    tape = Tape()
+    scores = score_matrix(encode([graph], params, tape), params, tape)
+    tape.backward(reinforce_loss(scores, [rolled], [rolled.reward - 1.0], 1.0, tape))
     grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values)) for k, p in params.tensors.items()}
     adam_step(params.tensors, grads, AdamState(learning_rate=1e-3))
     clear_grads(params.tensors)
 
-    replay = decode_all(graph, params, 0, mode="sample", force_actions=actions)
-    prob_after = [math.exp(lp) for lp in replay.log_prob_tensors.values]
+    prob_after = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
     # step 1 chose between two leaves: its probability must strictly rise
     assert prob_after[0] > prob_before[0]
     # step 2 was forced (one candidate): probability stays exactly 1
@@ -90,27 +87,26 @@ def test_positive_advantage_raises_probability_of_taken_action():
 
 def test_mean_loss_is_the_mean_of_rollout_losses():
     rng = np.random.default_rng(5)
-    steps = [3, 0, 2]
-    rewards, baselines = [1.5, 0.5, 2.0], [1.0, 0.5, 2.75]
-    raw = rng.uniform(0.1, 0.9, size=sum(steps))
+    graphs = [generate_random_graph(6, 8, seed=s) for s in range(3)]
+    raw = rng.normal(size=(3, 6, 6))
+    walks = [walk(g, raw[b], g.start_index, temperature=0.8, rng=rng) for b, g in enumerate(graphs)]
+    baselines = [walks[0].reward - 0.5, walks[1].reward, walks[2].reward + 0.75]
 
     batched_tape = Tape()
-    batched_raw = tensor(raw, requires_grad=True)
-    batched = mean_reinforce_loss(
-        rewards, baselines, batched_tape.log(batched_raw), steps, batched_tape
-    )
+    batched_scores = tensor(raw, requires_grad=True)
+    batched = reinforce_loss(batched_scores, walks, baselines, 0.8, batched_tape)
     batched_tape.backward(batched)
 
     per_rollout, grads = [], []
-    for i, k in enumerate(steps):
-        part = tensor(raw[sum(steps[:i]) : sum(steps[:i]) + k], requires_grad=True)
+    for b in range(3):
+        scores = tensor(raw[b : b + 1], requires_grad=True)
         t = Tape()
-        loss = reinforce_loss(rewards[i], baselines[i], t.log(part) if k else None, t)
+        loss = reinforce_loss(scores, [walks[b]], [baselines[b]], 0.8, t)
         t.backward(loss)
         per_rollout.append(loss.item())
-        grads.append(part.grad if k else np.zeros(0))
+        grads.append(scores.grad)
     assert batched.item() == pytest.approx(np.mean(per_rollout), rel=1e-14)
-    np.testing.assert_allclose(batched_raw.grad, np.concatenate(grads) / 3, rtol=1e-14)
+    np.testing.assert_allclose(batched_scores.grad, np.concatenate(grads) / 3, rtol=1e-14)
 
 
 # -- train loop ----------------------------------------------------------------
@@ -179,13 +175,12 @@ def test_no_branch_graphs_with_synced_baseline_give_zero_loss():
     baseline = copy_params(policy)
     tape = Tape()
     rng = np.random.default_rng(0)
-    losses = []
-    for g in graphs:
-        sampled = decode_all(g, policy, 0, mode="sample", temperature=1e-6, rng=rng, tape=tape)
-        reference = decode_all(g, baseline, 0, mode="greedy")
-        assert sampled.reward == reference.reward
-        losses.append(reinforce_loss(sampled.reward, reference.reward, sampled.log_prob_tensors, tape))
-    total_loss = tape.sum(tape.concat(losses, axis=0))
+    scores = score_matrix(encode(graphs, policy, tape), policy, tape)
+    sampled = [walk(g, rows, 0, temperature=1e-6, rng=rng) for g, rows in zip(graphs, scores.values)]
+    references = [decode_all(g, baseline, 0, mode="greedy") for g in graphs]
+    for rolled, reference in zip(sampled, references):
+        assert rolled.reward == reference.reward
+    total_loss = reinforce_loss(scores, sampled, [r.reward for r in references], 1e-6, tape)
     assert total_loss.item() == 0.0
 
 
