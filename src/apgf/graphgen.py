@@ -187,6 +187,11 @@ def save_graph(graph: WeightedGraph, path) -> None:
     atomic_write_text(path, graph_to_json(graph))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans load as Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(text: str) -> WeightedGraph:
     try:
         doc = json.loads(text)
@@ -196,15 +201,15 @@ def graph_from_json(text: str) -> WeightedGraph:
         raise GraphFormatError("top level must be an object")
 
     version = doc.get("version")
-    if version != GRAPH_FILE_VERSION:
+    if version != GRAPH_FILE_VERSION or isinstance(version, bool):
         raise GraphFormatError(f"unsupported version {version!r} (expected {GRAPH_FILE_VERSION})")
 
     num_nodes = doc.get("num_nodes")
-    if not isinstance(num_nodes, int) or num_nodes <= 0:
+    if not _is_int(num_nodes) or num_nodes <= 0:
         raise GraphFormatError(f"num_nodes must be a positive integer, got {num_nodes!r}")
 
     start = doc.get("start_index")
-    if not isinstance(start, int) or not (0 <= start < num_nodes):
+    if not _is_int(start) or not (0 <= start < num_nodes):
         raise GraphFormatError(f"start_index must be in [0, {num_nodes}), got {start!r}")
 
     weights = doc.get("weights")
@@ -224,7 +229,7 @@ def graph_from_json(text: str) -> WeightedGraph:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+            or not all(_is_int(x) for x in e)
         ):
             raise GraphFormatError(f"edges[{i}] is not an integer pair: {e!r}")
         pairs.append((e[0], e[1]))

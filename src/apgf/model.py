@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph
-from .numcore import Tape, Tensor, tensor
+from .numcore import ForwardTape, Tape, Tensor, tensor
 
 CHECKPOINT_VERSION = 1
 
@@ -94,16 +94,13 @@ def init_params(
     rng = np.random.default_rng(seed)
     for name, (shape, fan_in) in param_spec(embed_dim, num_heads, ff_dim).items():
         bound = 1.0 / math.sqrt(fan_in)
-        params.tensors[name] = tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+        params.tensors[name] = tensor(rng.uniform(-bound, bound, size=shape))
     return params
 
 
-def copy_params(params: ModelParams, requires_grad: bool = False) -> ModelParams:
+def copy_params(params: ModelParams) -> ModelParams:
     """Deep copy, e.g. to freeze a baseline network."""
-    tensors = {
-        name: Tensor(t.values.copy(), requires_grad=requires_grad)
-        for name, t in params.tensors.items()
-    }
+    tensors = {name: Tensor(t.values.copy()) for name, t in params.tensors.items()}
     return replace(params, tensors=tensors)
 
 
@@ -127,7 +124,7 @@ def encode(
             raise ValidationError(
                 f"encode needs graphs of one size, got {n} and {g.num_nodes} nodes"
             )
-    tape = tape if tape is not None else Tape()
+    tape = tape if tape is not None else ForwardTape()
     p = params.tensors
     mask = np.stack([g.adjacency for g in graphs]) | np.eye(n, dtype=bool)
 
@@ -167,7 +164,7 @@ def score_matrix(emb: Tensor, params: ModelParams, tape: Tape | None = None) -> 
     whole rollout, so a rollout computes the matrix once and reads each
     decision from it.
     """
-    tape = tape if tape is not None else Tape()
+    tape = tape if tape is not None else ForwardTape()
     p = params.tensors
     query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [B, n, embed_dim]
     keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [B, n, embed_dim]
@@ -264,4 +261,4 @@ def _values_tensor(name: str, values, shape: tuple[int, ...]) -> Tensor:
         raise ValidationError(f"field 'params.{name}.values' must be a list of {size} numbers")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"field 'params.{name}.values' holds non-finite numbers")
-    return tensor(arr.astype(np.float64, copy=False).reshape(shape), requires_grad=True)
+    return tensor(arr.astype(np.float64, copy=False).reshape(shape))

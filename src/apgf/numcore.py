@@ -3,9 +3,9 @@
 Every learnable computation in the package is built from the primitives
 here. A forward op validates shapes, rejects non-finite results, and
 appends its local gradient rule to a ``Tape``; ``Tape.backward`` replays
-the records in reverse and accumulates exact chain-rule gradients into
-the ``grad`` of every tensor that requires one. ``adam_step`` consumes
-those gradients.
+the records in reverse and returns the exact chain-rule gradients of the
+tensors it is asked for, which ``adam_step`` consumes. A ``Tensor`` is
+values only: gradients are returned, never stored on it.
 
 All arithmetic is float64 and fully deterministic: the same inputs and
 op sequence produce bit-identical outputs.
@@ -13,6 +13,7 @@ op sequence produce bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -26,19 +27,16 @@ __all__ = [
     "AdamState",
     "adam_step",
     "tensor",
-    "clear_grads",
 ]
 
 
 class Tensor:
-    """A dense float64 array plus gradient bookkeeping."""
+    """A dense float64 array."""
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values",)
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -50,12 +48,12 @@ class Tensor:
         return float(self.values.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
-def tensor(values, requires_grad: bool = False) -> Tensor:
+def tensor(values) -> Tensor:
     """Wrap ``values`` as a Tensor, rejecting non-finite entries."""
-    t = Tensor(values, requires_grad=requires_grad)
+    t = Tensor(values)
     if not np.all(np.isfinite(t.values)):
         raise NumericError("tensor values must be finite")
     return t
@@ -92,8 +90,7 @@ def softmax(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# A record is (output, inputs, rule); rule maps the output adjoint to one
-# adjoint per input (None for inputs that need no gradient).
+# A record is (output, inputs, rule); rule maps the output adjoint to the inputs' adjoints.
 _Rule = Callable[[np.ndarray], tuple]
 
 
@@ -107,18 +104,13 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], _Rule]] = []
-        self._produced: set[int] = set()
         self._consumed = False
 
     def __len__(self) -> int:
         return len(self._records)
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], rule: _Rule) -> None:
-        # Ops on plain constants leave no record; nothing upstream can
-        # need their gradient.
-        if any(t.requires_grad or id(t) in self._produced for t in inputs):
-            self._records.append((out, inputs, rule))
-            self._produced.add(id(out))
+        self._records.append((out, inputs, rule))
 
     # -- primitive forward ops -------------------------------------------
 
@@ -279,10 +271,10 @@ class Tape:
 
     # -- reverse pass -----------------------------------------------------
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor that
-        requires a gradient. The loss must be a single-element tensor
-        produced on this tape; a tape backpropagates only once."""
+    def backward(self, loss: Tensor, wrt: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+        """d(loss)/d(t) for every tensor ``t`` of ``wrt``, under its name; zeros
+        where the loss does not reach. The loss must be a single-element
+        tensor produced on this tape; a tape backpropagates only once."""
         if self._consumed:
             raise ValidationError("tape already consumed by a previous backward pass")
         if loss.values.size != 1:
@@ -290,24 +282,17 @@ class Tape:
         self._consumed = True
 
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-        holders: dict[int, Tensor] = {id(loss): loss}
         for out, inputs, rule in reversed(self._records):
             g = adjoints.pop(id(out), None)
             if g is None:
                 continue
             for inp, gin in zip(inputs, rule(g)):
-                if gin is None:
-                    continue
                 key = id(inp)
-                holders[key] = inp
-                if key in adjoints:
-                    adjoints[key] = adjoints[key] + gin
-                else:
-                    adjoints[key] = gin
-        for key, adj in adjoints.items():
-            t = holders[key]
-            if t.requires_grad:
-                t.grad = adj if t.grad is None else t.grad + adj
+                adjoints[key] = adjoints[key] + gin if key in adjoints else gin
+        return {
+            name: adjoints[id(t)] if id(t) in adjoints else np.zeros_like(t.values)
+            for name, t in wrt.items()
+        }
 
 
 class ForwardTape(Tape):
@@ -318,9 +303,9 @@ class ForwardTape(Tape):
         pass
 
 
-def clear_grads(params: Mapping[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -328,9 +313,6 @@ class AdamState:
     """Per-parameter moment estimates plus the shared step counter."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -340,16 +322,16 @@ def adam_step(
     params: Mapping[str, Tensor],
     grads: Mapping[str, np.ndarray],
     state: AdamState,
-) -> tuple[Mapping[str, Tensor], AdamState]:
-    """One bias-corrected Adam update, in place.
+) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     Each parameter gets its own effective step size from its moment
-    estimates. Returns the mutated ``(params, state)`` pair.
+    estimates.
     """
-    if state.learning_rate <= 0:
-        raise ValidationError("learning_rate must be positive")
+    if not 0 < state.learning_rate < math.inf:  # also false for NaN
+        raise ValidationError(f"learning_rate must be positive and finite, got {state.learning_rate}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
     for name, p in params.items():
@@ -373,5 +355,4 @@ def adam_step(
         state.second_moment[name] = v
         m_hat = m / bias1
         v_hat = v / bias2
-        p.values = p.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params, state
+        p.values = p.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

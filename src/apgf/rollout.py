@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .graphgen import WeightedGraph
 from .model import ModelParams, encode, score_matrix
-from .numcore import ForwardTape, Tape, Tensor, softmax
+from .numcore import Tape, Tensor, softmax
 
 _FOLDS = {"product": operator.mul, "sum": operator.add}
 AGGREGATORS = tuple(_FOLDS)
@@ -94,12 +94,11 @@ def decode_all(
     """Run one full traversal of ``graph`` under ``params`` and score it.
 
     Encodes the graph, computes its decoder score matrix once and
-    ``walk``s its rows, all on a ``ForwardTape``, so nothing is recorded
-    in either mode. To differentiate the result, pass it to
-    ``move_log_probs`` with taped scores.
+    ``walk``s its rows, all untaped, so nothing is recorded in either
+    mode. To differentiate the result, pass it to ``move_log_probs``
+    with taped scores.
     """
-    tape = ForwardTape()
-    scores = score_matrix(encode([graph], params, tape), params, tape)
+    scores = score_matrix(encode([graph], params), params)
     return walk(graph, scores.values[0], start, mode, temperature, rng, score_config)
 
 
@@ -213,6 +212,8 @@ def move_log_probs(
     """
     _check_temperature(temperature)
     batch, n, _ = scores.shape
+    if len(walks) != batch:
+        raise ValidationError(f"{len(walks)} walks but {batch} score matrices")
     moves = [(b * n, row) for b, w in enumerate(walks) for row in w.branch_trace]
     if not moves:
         return None

@@ -6,9 +6,9 @@ baseline network, and minimizes ``reinforce_loss``
 
     loss = -(reward - baseline_reward) * sum(step log probs)
 
-averaged over the epoch's graphs, with one Adam step on the average.
-Rollouts are plain data; the loss differentiates them through
-``move_log_probs`` on the policy's taped scores.
+averaged over the epoch's graphs, with one Adam step on the gradients
+``Tape.backward`` returns. Rollouts are plain data; the loss
+differentiates them through ``move_log_probs`` on the policy's scores.
 The baseline network is never touched by gradients; every
 ``baseline_sync_period`` epochs it is overwritten with a copy of the
 policy. Runs are bit-reproducible from the config seed.
@@ -18,8 +18,8 @@ epoch's graphs (they share one size) in one taped pass, every rollout
 walks its graph's rows of the resulting scores, and one loss expression
 and one backward pass cover all rollouts. The baseline's scores of the
 training graphs change only when the baseline is synced or the graphs
-are resampled, so they are computed once, untaped, and reused until
-then; in ``fixed`` mode that is once per sync period.
+are resampled, so they are computed once, on a ``ForwardTape``, and
+reused until then; in ``fixed`` mode that is once per sync period.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import NumericError, ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
 from .model import ModelParams, copy_params, encode, init_params, save_checkpoint, score_matrix
-from .numcore import AdamState, ForwardTape, Tape, Tensor, adam_step, clear_grads, tensor
+from .numcore import AdamState, Tape, Tensor, adam_step, tensor
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare
 from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
 
@@ -118,6 +118,9 @@ def reinforce_loss(
     as constants, so the gradient flows only through the log-probability
     terms: each weighs ``-(reward - baseline_reward) / B`` of its walk.
     """
+    if len(baseline_rewards) != len(walks):
+        raise ValidationError(f"{len(walks)} walks but {len(baseline_rewards)} baseline rewards")
+    log_probs = move_log_probs(scores, walks, temperature, tape)
     scale = 1.0 / len(walks)
     advantages = [w.reward - float(b) for w, b in zip(walks, baseline_rewards)]
     steps = [len(w.branch_trace) for w in walks]
@@ -126,7 +129,6 @@ def reinforce_loss(
             "rollout made no choices but has nonzero advantage; loss forced to 0",
             stacklevel=2,
         )
-    log_probs = move_log_probs(scores, walks, temperature, tape)
     if log_probs is None:
         return Tensor(np.zeros(1))
     coef = tensor(np.repeat([scale * -a for a in advantages], steps))
@@ -160,7 +162,7 @@ def train(
         ff_dim=config.ff_dim,
         score_clip=config.score_clip,
     )
-    baseline = copy_params(policy, requires_grad=False)
+    baseline = copy_params(policy)
     params = policy.tensors
     adam = AdamState(learning_rate=config.learning_rate)
 
@@ -181,8 +183,7 @@ def train(
         tape = Tape()
         try:
             if baseline_scores is None:
-                frozen = ForwardTape()
-                baseline_scores = score_matrix(encode(graphs, baseline, frozen), baseline, frozen)
+                baseline_scores = score_matrix(encode(graphs, baseline), baseline)
             scores = score_matrix(encode(graphs, policy, tape), policy, tape)
             sampled, baseline_rewards = [], []
             for graph, rows, baseline_rows in zip(graphs, scores.values, baseline_scores.values):
@@ -198,19 +199,13 @@ def train(
             mean_loss_t = reinforce_loss(
                 scores, sampled, baseline_rewards, config.temperature, tape
             )
-            tape.backward(mean_loss_t)
-            grads = {
-                name: (p.grad if p.grad is not None else np.zeros_like(p.values))
-                for name, p in params.items()
-            }
-            adam_step(params, grads, adam)
-            clear_grads(params)
+            adam_step(params, tape.backward(mean_loss_t, params), adam)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
         synced = epoch % config.baseline_sync_period == 0
         if synced:
-            baseline = copy_params(policy, requires_grad=False)
+            baseline = copy_params(policy)
             baseline_scores = None
             if out_path is not None:
                 save_checkpoint(policy, out_path / f"checkpoint_epoch_{epoch:04d}.json")

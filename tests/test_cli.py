@@ -291,6 +291,17 @@ def _graph_with_zero_nodes(tmp_path, compare_inputs):
     return argv + ["--out-dir", str(tmp_path / "o")], graph_path, "num_nodes"
 
 
+def _graph_with_boolean_nodes(tmp_path, compare_inputs):
+    graph_path, ckpt_path = compare_inputs
+    graph_path.write_text(
+        json.dumps(
+            {"version": 1, "num_nodes": True, "start_index": 0, "weights": [0.5], "edges": []}
+        )
+    )
+    argv = ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path)]
+    return argv + ["--out-dir", str(tmp_path / "o")], graph_path, "num_nodes"
+
+
 def _config_not_json(tmp_path, compare_inputs):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("nope")
@@ -298,7 +309,9 @@ def _config_not_json(tmp_path, compare_inputs):
 
 
 @pytest.mark.parametrize(
-    "make_input", [_graph_with_zero_nodes, _config_not_json], ids=["graph", "config"]
+    "make_input",
+    [_graph_with_zero_nodes, _graph_with_boolean_nodes, _config_not_json],
+    ids=["graph", "graph-boolean", "config"],
 )
 def test_bad_graph_or_config_names_the_file(tmp_path, compare_inputs, capsys, make_input):
     argv, path, field = make_input(tmp_path, compare_inputs)

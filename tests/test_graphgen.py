@@ -138,6 +138,17 @@ def test_malformed_file_errors_name_the_field():
         graph_from_json('{"version": 1, "num_nodes": -3}')
     with pytest.raises(GraphFormatError, match="start_index"):
         graph_from_json('{"version": 1, "num_nodes": 2, "start_index": 5}')
+    # JSON booleans load as Python bools, which are ints
+    one_node = '"weights": [0.5], "edges": []}'
+    with pytest.raises(GraphFormatError, match="num_nodes"):
+        graph_from_json('{"version": 1, "num_nodes": true, "start_index": 0, ' + one_node)
+    with pytest.raises(GraphFormatError, match="start_index"):
+        graph_from_json(
+            '{"version": 1, "num_nodes": 2, "start_index": true, '
+            '"weights": [0.1, 0.2], "edges": [[0, 1]]}'
+        )
+    with pytest.raises(GraphFormatError, match="version"):
+        graph_from_json('{"version": true, "num_nodes": 1, "start_index": 0, ' + one_node)
     with pytest.raises(GraphFormatError, match="weights"):
         graph_from_json('{"version": 1, "num_nodes": 2, "start_index": 0, "weights": [0.1]}')
     with pytest.raises(GraphFormatError, match="edges"):

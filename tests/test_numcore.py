@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
-from apgf.numcore import AdamState, Tape, adam_step, clear_grads, tensor
+from apgf.numcore import AdamState, Tape, adam_step, tensor
 
 from helpers import central_difference, max_relative_error
 
@@ -46,16 +46,16 @@ def test_tanh_and_leaky_relu_points():
 
 def test_backward_sum_gives_ones():
     t = Tape()
-    w = tensor([1.0, 2.0, 3.0], requires_grad=True)
-    t.backward(t.sum(w))
-    np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
+    w = tensor([1.0, 2.0, 3.0])
+    grads = t.backward(t.sum(w), {"w": w})
+    np.testing.assert_array_equal(grads["w"], [1.0, 1.0, 1.0])
 
 
 def test_backward_sum_of_squares():
     t = Tape()
-    w = tensor([2.0], requires_grad=True)
-    t.backward(t.sum(t.mul(w, w)))
-    np.testing.assert_allclose(w.grad, [4.0], rtol=0)
+    w = tensor([2.0])
+    grads = t.backward(t.sum(t.mul(w, w)), {"w": w})
+    np.testing.assert_allclose(grads["w"], [4.0], rtol=0)
 
 
 def test_determinism_bit_identical():
@@ -76,7 +76,7 @@ def test_determinism_bit_identical():
 
 def loss_through(op_builder, *arrays):
     """Build sum(op(...) * R) with fixed random R; return (tape, tensors, loss)."""
-    tensors = [tensor(a, requires_grad=True) for a in arrays]
+    tensors = [tensor(a) for a in arrays]
     t = Tape()
     out = op_builder(t, *tensors)
     rng = np.random.default_rng(out.values.size)
@@ -134,8 +134,8 @@ def test_gradients_match_finite_differences(name):
     arrays = [rand_signed(rng, s) for s in shapes]
 
     t, tensors, loss = loss_through(op_builder, *arrays)
-    t.backward(loss)
-    analytic = [x.grad.copy() for x in tensors]
+    grads = t.backward(loss, {str(i): x for i, x in enumerate(tensors)})
+    analytic = [grads[str(i)] for i in range(len(tensors))]
 
     for arr, an in zip(arrays, analytic):
         fd = central_difference(lambda: loss_through(op_builder, *arrays)[2].item(), arr)
@@ -144,28 +144,23 @@ def test_gradients_match_finite_differences(name):
 
 def test_grad_accumulates_when_tensor_used_twice():
     t = Tape()
-    w = tensor([3.0], requires_grad=True)
-    t.backward(t.sum(t.add(w, w)))
-    np.testing.assert_array_equal(w.grad, [2.0])
+    w = tensor([3.0])
+    grads = t.backward(t.sum(t.add(w, w)), {"w": w})
+    np.testing.assert_array_equal(grads["w"], [2.0])
 
 
 def test_frozen_tensors_never_receive_gradients():
-    # a frozen network (requires_grad=False) can share a tape with a live
-    # one and still stay untouched by backward
+    # a frozen network can share a tape with a live one: backward hands
+    # back only the gradients asked for, with zeros where the loss does
+    # not reach
     t = Tape()
-    live = tensor([[1.0, 2.0]], requires_grad=True)
-    frozen = tensor([[3.0], [4.0]], requires_grad=False)
-    t.backward(t.sum(t.matmul(live, frozen)))
-    assert frozen.grad is None
-    assert live.grad is not None
-
-
-def test_ops_on_plain_constants_leave_no_records():
-    t = Tape()
-    a = tensor([[1.0, 2.0]])
-    b = tensor([[3.0], [4.0]])
-    t.matmul(a, b)
-    assert len(t) == 0
+    live = tensor([[1.0, 2.0]])
+    frozen = tensor([[3.0], [4.0]])
+    unused = tensor([[5.0, 6.0]])
+    grads = t.backward(t.sum(t.matmul(live, frozen)), {"live": live, "unused": unused})
+    assert list(grads) == ["live", "unused"]
+    np.testing.assert_array_equal(grads["live"], [[3.0, 4.0]])
+    np.testing.assert_array_equal(grads["unused"], np.zeros((1, 2)))
 
 
 # -- properties ----------------------------------------------------------
@@ -237,26 +232,26 @@ def test_non_finite_result_rejected():
 
 def test_non_scalar_loss_rejected():
     t = Tape()
-    w = tensor([1.0, 2.0], requires_grad=True)
+    w = tensor([1.0, 2.0])
     out = t.mul_scalar(w, 2.0)
     with pytest.raises(ValidationError, match="scalar"):
-        t.backward(out)
+        t.backward(out, {"w": w})
 
 
 def test_tape_consumed_once():
     t = Tape()
-    w = tensor([1.0], requires_grad=True)
+    w = tensor([1.0])
     loss = t.sum(w)
-    t.backward(loss)
+    t.backward(loss, {"w": w})
     with pytest.raises(ValidationError, match="consumed"):
-        t.backward(loss)
+        t.backward(loss, {"w": w})
 
 
 # -- Adam ------------------------------------------------------------------
 
 
 def make_params(*arrays):
-    return {f"p{i}": tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
+    return {f"p{i}": tensor(a) for i, a in enumerate(arrays)}
 
 
 def test_adam_zero_grads_leave_params_unchanged():
@@ -311,12 +306,7 @@ def test_adam_rejects_bad_grads():
         adam_step(params, {"p0": np.array([np.nan, 0.0])}, state)
     with pytest.raises(ValidationError, match="missing"):
         adam_step(params, {}, state)
-
-
-def test_clear_grads():
-    params = make_params(np.array([1.0]))
-    t = Tape()
-    t.backward(t.sum(params["p0"]))
-    assert params["p0"].grad is not None
-    clear_grads(params)
-    assert params["p0"].grad is None
+    for learning_rate in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            adam_step(params, {"p0": np.zeros(2)}, AdamState(learning_rate=learning_rate))
+    np.testing.assert_array_equal(params["p0"].values, [1.0, 2.0])

@@ -1,6 +1,11 @@
 import re
 from pathlib import Path
 
+import pytest
+
+import apgf
+import apgf.numcore
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -11,3 +16,10 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, f"{README}#library", "exec"), {})
     ratio = float(capsys.readouterr().out)
     assert 0.0 < ratio <= 1.0
+
+
+@pytest.mark.parametrize("module", [apgf, apgf.numcore], ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    # a name left in __all__ after its definition is gone breaks `import *`
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

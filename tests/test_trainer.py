@@ -6,7 +6,7 @@ import pytest
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import copy_params, encode, init_params, score_matrix
-from apgf.numcore import AdamState, ForwardTape, Tape, adam_step, clear_grads, tensor
+from apgf.numcore import AdamState, Tape, adam_step, tensor
 from apgf.rollout import decode_all, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
 
@@ -37,7 +37,7 @@ STAR_WEIGHTS = [1.0, 0.5, 0.25]  # dyadic, so the star rollout's reward 1.75 is 
 
 def test_loss_zero_when_reward_equals_baseline():
     t = Tape()
-    scores = tensor([[[0.0, 0.3, 0.1]] * 3], requires_grad=True)
+    scores = tensor([[[0.0, 0.3, 0.1]] * 3])
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
     loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
     assert loss.item() == 0.0
@@ -48,7 +48,7 @@ def test_loss_matches_hand_value():
     # leaf 1 with probability 1 / (1 + e^gap) = e^-2, the second is forced
     t = Tape()
     gap = math.log(math.exp(2.0) - 1.0)
-    scores = tensor([[[0.0, 0.0, gap]] * 3], requires_grad=True)
+    scores = tensor([[[0.0, 0.0, gap]] * 3])
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
     loss = reinforce_loss(scores, [rollout], [rollout.reward - 1.0], 1.0, t)
     assert loss.item() == pytest.approx(2.0, rel=1e-12)
@@ -73,10 +73,8 @@ def test_positive_advantage_raises_probability_of_taken_action():
 
     tape = Tape()
     scores = score_matrix(encode([graph], params, tape), params, tape)
-    tape.backward(reinforce_loss(scores, [rolled], [rolled.reward - 1.0], 1.0, tape))
-    grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values)) for k, p in params.tensors.items()}
-    adam_step(params.tensors, grads, AdamState(learning_rate=1e-3))
-    clear_grads(params.tensors)
+    loss = reinforce_loss(scores, [rolled], [rolled.reward - 1.0], 1.0, tape)
+    adam_step(params.tensors, tape.backward(loss, params.tensors), AdamState(learning_rate=1e-3))
 
     prob_after = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
     # step 1 chose between two leaves: its probability must strictly rise
@@ -93,20 +91,35 @@ def test_mean_loss_is_the_mean_of_rollout_losses():
     baselines = [walks[0].reward - 0.5, walks[1].reward, walks[2].reward + 0.75]
 
     batched_tape = Tape()
-    batched_scores = tensor(raw, requires_grad=True)
+    batched_scores = tensor(raw)
     batched = reinforce_loss(batched_scores, walks, baselines, 0.8, batched_tape)
-    batched_tape.backward(batched)
+    batched_grad = batched_tape.backward(batched, {"scores": batched_scores})["scores"]
 
     per_rollout, grads = [], []
     for b in range(3):
-        scores = tensor(raw[b : b + 1], requires_grad=True)
+        scores = tensor(raw[b : b + 1])
         t = Tape()
         loss = reinforce_loss(scores, [walks[b]], [baselines[b]], 0.8, t)
-        t.backward(loss)
         per_rollout.append(loss.item())
-        grads.append(scores.grad)
+        grads.append(t.backward(loss, {"scores": scores})["scores"])
     assert batched.item() == pytest.approx(np.mean(per_rollout), rel=1e-14)
-    np.testing.assert_allclose(batched_scores.grad, np.concatenate(grads) / 3, rtol=1e-14)
+    np.testing.assert_allclose(batched_grad, np.concatenate(grads) / 3, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "num_walks, num_baselines, counts",
+    [
+        (1, 2, "1 walks but 2 baseline"),
+        (2, 1, "2 walks but 1 baseline"),
+        (2, 2, "2 walks but 1 score"),
+    ],
+    ids=["extra-baseline", "missing-baseline", "extra-walk"],
+)
+def test_batch_counts_must_agree(num_walks, num_baselines, counts):
+    rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
+    scores = tensor([[[0.0, 0.3, 0.1]] * 3])
+    with pytest.raises(ValidationError, match=counts):
+        reinforce_loss(scores, [rollout] * num_walks, [0.0] * num_baselines, 1.0, Tape())
 
 
 # -- train loop ----------------------------------------------------------------
@@ -205,7 +218,8 @@ def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
     real_encode = trainer_mod.encode
 
     def spy(graphs, params, tape=None):
-        passes.append(("baseline" if isinstance(tape, ForwardTape) else "policy", len(graphs)))
+        # only the policy's pass records on a differentiable Tape
+        passes.append(("policy" if type(tape) is Tape else "baseline", len(graphs)))
         return real_encode(graphs, params, tape)
 
     monkeypatch.setattr(trainer_mod, "encode", spy)
