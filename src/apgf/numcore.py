@@ -251,13 +251,13 @@ class Tape:
         self._record(out, (a,), lambda g: (g.reshape(old),))
         return out
 
-    def gather_rows(self, a: Tensor, indices: Sequence[int]) -> Tensor:
+    def gather_rows(self, a: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
         if a.values.ndim != 2:
             raise ValidationError(f"gather_rows needs a 2-d tensor, got shape {a.shape}")
-        idx = list(int(i) for i in indices)
+        idx = np.asarray(indices, dtype=np.intp)
         n = a.shape[0]
-        if any(i < 0 or i >= n for i in idx):
-            raise ValidationError(f"gather_rows index out of range for {n} rows: {idx}")
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+            raise ValidationError(f"gather_rows needs 1-d indices in [0, {n}), got {idx}")
         out = Tensor(a.values[idx, :])
         a_shape = a.shape
 
@@ -279,6 +279,8 @@ class Tape:
             raise ValidationError("tape already consumed by a previous backward pass")
         if loss.values.size != 1:
             raise ValidationError(f"loss must be scalar, got shape {loss.shape}")
+        if not any(out is loss for out, _, _ in reversed(self._records)):
+            raise ValidationError("loss is not the output of an op recorded on this tape")
         self._consumed = True
 
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}

@@ -9,12 +9,13 @@ neighbors is popped and the walk resumes from it (branch points with
 nothing left are discarded). Backtracking makes no policy decision, so
 it contributes neither reward nor log-probability terms.
 
-Each move is one ``TraceRow`` of the rollout's ``branch_trace``; its
-``selected`` node is the DFS-tree parent of its ``next``. Each visited
-node v is scored by folding the node weights along its DFS-tree path
-from the start with the aggregator's step, left to right; the rollout
-reward sums those per-node scores. The oracle and ``path_score`` fold
-with the same step, so all three agree bit for bit.
+A rollout keeps per move only its ``selected`` node (the DFS-tree parent
+of the node visited) and its ``candidates``; ``branch_trace`` derives the
+full ``TraceRow``s on demand. Each visited node v is scored by folding
+the node weights along its DFS-tree path from the start with the
+aggregator's step, left to right; the rollout reward sums those per-node
+scores. The oracle and ``path_score`` fold with the same step, so all
+three agree bit for bit.
 
 A rollout is plain, untaped data. ``walk`` runs the traversal on plain
 rows of a graph's decoder scores, reading only the current node's
@@ -72,7 +73,23 @@ class RolloutResult:
     visit_order: list[int]
     per_node_score: dict[int, float]
     reward: float
-    branch_trace: list[TraceRow]
+    selected: list[int]  # per move, the node it is made from
+    candidates: list[tuple[int, ...]]  # per move, the unvisited neighbors it chose among
+
+    @property
+    def branch_trace(self) -> list[TraceRow]:
+        """Every move as a ``TraceRow``. A move with two or more candidates
+        pushes its node; one not made from the previous ``next`` backtracked,
+        popping the stack down to and including its node."""
+        order, stack, rows = self.visit_order, [], []
+        for k, (node, candidates) in enumerate(zip(self.selected, self.candidates)):
+            if node != order[k]:
+                del stack[stack.index(node) :]
+            if len(candidates) >= 2:
+                stack.append(node)
+            visited = tuple(order[: k + 2])
+            rows.append(TraceRow(node, candidates, order[k + 1], visited, tuple(stack)))
+        return rows
 
 
 def path_score(weights_along_path: Sequence[float], aggregator: str = "product") -> float:
@@ -113,12 +130,13 @@ def walk(
 ) -> RolloutResult:
     """The DFS traversal over the graph's ``[n, n]`` decoder scores.
 
-    Every move is one row of the result's ``branch_trace``, which is all
-    ``move_log_probs`` needs to differentiate it. A move reads only its
-    candidates' scores: ``mode="greedy"`` takes the highest (the lowest
-    index on ties); ``mode="sample"`` draws one uniform from ``rng`` and
-    takes the first candidate whose running softmax probability at
-    ``temperature`` exceeds it.
+    A move records its ``selected`` node and ``candidates``, all that
+    ``move_log_probs`` needs, and reads only its candidates' scores:
+    ``mode="greedy"`` takes the highest (the lowest index on ties);
+    ``mode="sample"`` takes the first candidate whose running softmax
+    probability at ``temperature`` exceeds the move's uniform, one of
+    n - 1 drawn from ``rng`` at once. A lone candidate is taken without a
+    softmax: its probability is exactly 1.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
@@ -132,65 +150,57 @@ def walk(
     weights = graph.node_weights.tolist()
     fold = score_config.fold
     inv_temperature = 1.0 / temperature
+    draws = rng.random(n - 1).tolist() if mode == "sample" else None
+    visited = [v == start for v in range(n)]
     current = start
     visit_order = [start]
-    visited = {start}
     stack: list[int] = []
     node_scores = {start: weights[start]}
-    trace: list[TraceRow] = []
+    selected, candidates = [], []
 
-    while len(visit_order) < n:
+    for move in range(n - 1):
         # neighbors are sorted, so the candidates are in ascending order
-        candidates = [j for j in graph.neighbors[current] if j not in visited]
-        if not candidates:
-            while stack:
-                node = stack.pop()
-                if any(j not in visited for j in graph.neighbors[node]):
-                    current = node
-                    break
-            else:
+        options = [j for j in graph.neighbors[current] if not visited[j]]
+        while not options:  # backtrack to the latest branch point with options left
+            if not stack:
                 raise ValidationError(
-                    f"rollout stuck at node {current} with {n - len(visit_order)} nodes "
+                    f"rollout stuck at node {visit_order[-1]} with {n - len(visit_order)} nodes "
                     "unvisited; graph violates the connectivity invariant"
                 )
-            continue
+            current = stack.pop()
+            options = [j for j in graph.neighbors[current] if not visited[j]]
 
-        if len(candidates) >= 2:
-            stack.append(current)
-
-        if mode == "greedy":
-            # argmax keeps the first maximum, so the lowest index wins ties
-            nxt = candidates[int(scores[current][candidates].argmax())]
+        if len(options) == 1:
+            nxt = options[0]
         else:
-            probs = softmax(scores[current][candidates] * inv_temperature).tolist()
-            draw = float(rng.random())
-            nxt = candidates[-1]  # guard against accumulated rounding
-            acc = 0.0
-            for node, p in zip(candidates, probs):
-                acc += p
-                if draw < acc:
-                    nxt = node
-                    break
+            stack.append(current)
+            option_scores = scores[current][options]
+            if mode == "greedy":
+                # argmax keeps the first maximum, so the lowest index wins ties
+                nxt = options[int(option_scores.argmax())]
+            else:
+                probs = softmax(option_scores * inv_temperature).tolist()
+                nxt = options[-1]  # guard against accumulated rounding
+                acc = 0.0
+                for j, p in zip(options, probs):
+                    acc += p
+                    if draws[move] < acc:
+                        nxt = j
+                        break
 
-        visited.add(nxt)
+        visited[nxt] = True
         visit_order.append(nxt)
         node_scores[nxt] = fold(node_scores[current], weights[nxt])
-        trace.append(
-            TraceRow(
-                selected=current,
-                neighbors=tuple(candidates),
-                next=nxt,
-                visited=tuple(visit_order),
-                stack=tuple(stack),
-            )
-        )
+        selected.append(current)
+        candidates.append(tuple(options))
         current = nxt
 
     return RolloutResult(
         visit_order=visit_order,
         per_node_score=node_scores,
         reward=float(sum(node_scores.values())),
-        branch_trace=trace,
+        selected=selected,
+        candidates=candidates,
     )
 
 
@@ -214,15 +224,18 @@ def move_log_probs(
     batch, n, _ = scores.shape
     if len(walks) != batch:
         raise ValidationError(f"{len(walks)} walks but {batch} score matrices")
-    moves = [(b * n, row) for b, w in enumerate(walks) for row in w.branch_trace]
+    steps = [len(w.selected) for w in walks]
+    moves = sum(steps)
     if not moves:
         return None
-    mask = np.zeros((len(moves), n), dtype=bool)
-    for i, (_, row) in enumerate(moves):
-        mask[i, list(row.neighbors)] = True
+    cands = [c for w in walks for c in w.candidates]
+    mask = np.zeros((moves, n), dtype=bool)
+    mask[np.repeat(np.arange(moves), [len(c) for c in cands]), [j for c in cands for j in c]] = True
+    selected = np.repeat(np.arange(batch) * n, steps) + [v for w in walks for v in w.selected]
+    chosen = np.arange(moves) * n + [v for w in walks for v in w.visit_order[1:]]
     flat_scores = tape.reshape(scores, (batch * n, n))
-    rows = tape.gather_rows(flat_scores, [offset + row.selected for offset, row in moves])
+    rows = tape.gather_rows(flat_scores, selected)
     probs = tape.masked_softmax(tape.mul_scalar(rows, 1.0 / temperature), mask)
-    flat = tape.reshape(probs, (len(moves) * n, 1))
-    picked = tape.gather_rows(flat, [i * n + row.next for i, (_, row) in enumerate(moves)])
-    return tape.log(tape.reshape(picked, (len(moves),)))
+    flat = tape.reshape(probs, (moves * n, 1))
+    picked = tape.gather_rows(flat, chosen)
+    return tape.log(tape.reshape(picked, (moves,)))

@@ -120,17 +120,19 @@ def reinforce_loss(
     """
     if len(baseline_rewards) != len(walks):
         raise ValidationError(f"{len(walks)} walks but {len(baseline_rewards)} baseline rewards")
+    if not walks:
+        raise ValidationError("reinforce_loss needs at least one walk, got an empty batch")
     log_probs = move_log_probs(scores, walks, temperature, tape)
     scale = 1.0 / len(walks)
     advantages = [w.reward - float(b) for w, b in zip(walks, baseline_rewards)]
-    steps = [len(w.branch_trace) for w in walks]
+    steps = [len(w.selected) for w in walks]
     if any(a != 0.0 and k == 0 for a, k in zip(advantages, steps)):
         warnings.warn(
             "rollout made no choices but has nonzero advantage; loss forced to 0",
             stacklevel=2,
         )
-    if log_probs is None:
-        return Tensor(np.zeros(1))
+    if log_probs is None:  # still a record of the tape, so it can be differentiated
+        return tape.reshape(Tensor(np.zeros(1)), (1,))
     coef = tensor(np.repeat([scale * -a for a in advantages], steps))
     return tape.reshape(tape.sum(tape.mul(log_probs, coef)), (1,))
 

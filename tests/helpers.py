@@ -19,7 +19,7 @@ import numpy as np
 from apgf.graphgen import WeightedGraph
 from apgf.model import encode, score_matrix
 from apgf.numcore import ForwardTape
-from apgf.rollout import RolloutResult, TraceRow, move_log_probs
+from apgf.rollout import RolloutResult, move_log_probs
 
 
 def central_difference(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -153,13 +153,38 @@ def two_leaf_star_walk(weights, first: int) -> RolloutResult:
         visit_order=[0, first, other],
         per_node_score=per_node,
         reward=sum(per_node.values()),
-        branch_trace=[
-            TraceRow(selected=0, neighbors=(1, 2), next=first, visited=(0, first), stack=(0,)),
-            TraceRow(
-                selected=0, neighbors=(other,), next=other, visited=(0, first, other), stack=()
-            ),
-        ],
+        selected=[0, 0],
+        candidates=[(1, 2), (other,)],
     )
+
+
+def reference_dfs(graph: WeightedGraph, start: int, choices, aggregator: str):
+    """Replay a DFS from ``start`` that moves to ``choices`` in turn,
+    keeping the visited set and branch stack eagerly after every move.
+
+    Returns the rows ``(selected, neighbors, next, visited, stack)`` and
+    the per-node path scores, folded inline one weight at a time. Each
+    choice must be a candidate of the move it is made at.
+    """
+    step = operator.mul if aggregator == "product" else operator.add
+    weights = graph.node_weights
+    visited = [start]
+    stack = []
+    current = start
+    scores = {start: float(weights[start])}
+    rows = []
+    for nxt in choices:
+        while not [j for j in graph.neighbors[current] if j not in visited]:
+            current = stack.pop()
+        neighbors = tuple(j for j in graph.neighbors[current] if j not in visited)
+        assert nxt in neighbors
+        if len(neighbors) >= 2:
+            stack.append(current)
+        visited.append(nxt)
+        scores[nxt] = step(scores[current], float(weights[nxt]))
+        rows.append((current, neighbors, nxt, tuple(visited), tuple(stack)))
+        current = nxt
+    return rows, scores
 
 
 def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temperature=1.0):

@@ -238,6 +238,24 @@ def test_non_scalar_loss_rejected():
         t.backward(out, {"w": w})
 
 
+def test_loss_must_be_recorded_on_the_tape():
+    w = tensor([1.0, 2.0])
+    other = Tape()
+    loss = other.sum(w)
+    t = Tape()
+    t.sum(w)
+    for stray in (loss, tensor([3.0])):
+        with pytest.raises(ValidationError, match="not the output of an op recorded on this tape"):
+            t.backward(stray, {"w": w})
+    assert other.backward(loss, {"w": w})["w"].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_gather_rows_rejects_out_of_range_index(index):
+    with pytest.raises(ValidationError, match="gather_rows"):
+        Tape().gather_rows(tensor(np.zeros((4, 3))), [0, index])
+
+
 def test_tape_consumed_once():
     t = Tape()
     w = tensor([1.0])

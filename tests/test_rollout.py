@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apgf.rollout
 from apgf.errors import ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import encode, init_params, score_matrix
@@ -24,7 +25,9 @@ from helpers import (
     identity_model,
     path_graph,
     recorded_log_probs,
+    reference_dfs,
     reference_step_log_probs,
+    star_graph,
 )
 
 
@@ -172,6 +175,52 @@ def test_rollout_invariants(seed):
         assert row.neighbors == expected
         assert row.next in expected
         visited.add(row.next)
+
+
+@pytest.mark.parametrize("aggregator", ["product", "sum"])
+@pytest.mark.parametrize("mode", ["sample", "greedy"])
+def test_branch_trace_matches_eager_reference_dfs(mode, aggregator):
+    config = ScoreConfig(aggregator=aggregator)
+    for seed in range(20):
+        graph = generate_random_graph(20, 25 + seed, seed=700 + seed)
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(20, 20))
+        start = int(rng.integers(20))
+        result = walk(graph, rows, start, mode, 0.8, rng, config)
+        expected, per_node = reference_dfs(graph, start, result.visit_order[1:], aggregator)
+        trace = [(r.selected, r.neighbors, r.next, r.visited, r.stack) for r in result.branch_trace]
+        assert trace == expected
+        assert result.per_node_score == per_node
+        assert result.reward == float(sum(per_node.values()))
+
+
+@pytest.mark.parametrize("n, e", [(1, 0), (2, 1), (20, 25)])
+def test_sampled_walk_draws_one_uniform_per_move(n, e):
+    graph = generate_random_graph(n, e, seed=n)
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    walk(graph, np.zeros((n, n)), graph.start_index, rng=rng)
+    twin.random(n - 1)
+    assert rng.random() == twin.random()
+
+
+def test_forced_moves_skip_the_softmax(monkeypatch):
+    calls, softmax = [], apgf.rollout.softmax
+
+    def spy(values):
+        calls.append(len(values))
+        return softmax(values)
+
+    monkeypatch.setattr(apgf.rollout, "softmax", spy)
+    graph = path_graph([0.9, 0.5, 0.7, 0.2, 0.4])
+    for mode in ("sample", "greedy"):
+        result = walk(graph, np.zeros((5, 5)), 0, mode, rng=np.random.default_rng(0))
+        assert result.visit_order == [0, 1, 2, 3, 4]
+    assert calls == []
+    # the spy does see the branching moves: the centre of a four-leaf star
+    # chooses among 4, 3 and 2 leaves, and its last move is forced
+    star = star_graph([0.5, 0.1, 0.2, 0.3, 0.4])
+    walk(star, np.zeros((5, 5)), 0, rng=np.random.default_rng(0))
+    assert calls == [4, 3, 2]
 
 
 def test_sum_aggregator_reward():

@@ -62,6 +62,19 @@ def test_empty_log_probs_with_advantage_warns_and_zeroes():
     assert loss.item() == 0.0
 
 
+def test_no_move_loss_is_recorded_on_the_tape():
+    t = Tape()
+    scores = tensor(np.zeros((1, 1, 1)))
+    rollout = walk(build_graph(1, [], [0.6]), scores.values[0], 0, mode="greedy")
+    loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
+    assert t.backward(loss, {"scores": scores})["scores"].tolist() == [[[0.0]]]
+
+
+def test_empty_batch_is_rejected():
+    with pytest.raises(ValidationError, match="empty batch"):
+        reinforce_loss(tensor(np.zeros((0, 3, 3))), [], [], 1.0, Tape())
+
+
 def test_positive_advantage_raises_probability_of_taken_action():
     # two-candidate fixture: a star whose center has exactly two leaves;
     # distinct leaf weights keep their embeddings distinguishable
@@ -178,6 +191,13 @@ def test_checkpoints_written_at_sync_epochs(tmp_path):
         "checkpoint_final.json",
     ]
     assert (tmp_path / "timings.csv").exists()
+
+
+def test_single_node_training_writes_zero_loss(tmp_path):
+    # no epoch makes a move, so every loss is the recorded zero
+    train(tiny_config(epochs=2, num_nodes=1, num_edges=0), out_dir=tmp_path)
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0.0", "0.0"]
 
 
 def test_no_branch_graphs_with_synced_baseline_give_zero_loss():
