@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable path, or a directory given as a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -3,15 +3,18 @@
 The encoder lifts each node's scalar weight into an embedding, runs two
 multi-head attention layers over graph neighborhoods (self-loop
 included, residual connection per layer), then one feedforward layer
-with a second residual. The decoder scores a move from node i to node j
-as
+with a second residual. It works on an edge list, as sparse GAT does:
+the batch is one disjoint union of its graphs, attention is scored and
+normalized per edge, and a layer's heads run fused, so its cost grows
+with the number of edges. The decoder scores a move from node i to
+node j as
 
     score(i, j) = clip * tanh( (Q v_i) . (K v_j) / sqrt(embed_dim) )
 
 so every score lands in [-clip, +clip]; a temperature softmax turns the
-scores of the unvisited neighbors into move probabilities. Both run on
-a batch of equal-size graphs at once, with the batch as the leading
-axis; a single graph is a batch of one.
+scores of the unvisited neighbors into move probabilities. Both take a
+batch of equal-size graphs and return tensors with the batch as the
+leading axis; a single graph is a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph
-from .numcore import ForwardTape, Tape, Tensor, tensor
+from .numcore import ForwardTape, RowIndex, Segments, Tape, Tensor, tensor
 
 CHECKPOINT_VERSION = 1
 
@@ -110,11 +113,15 @@ def encode(
     """Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
     tensor, entry b for ``graphs[b]``; a single graph is a batch of one.
 
-    Per attention layer and head: score each neighborhood edge (self-loop
-    included) with a LeakyReLU of the learned attention form, normalize
-    with a masked softmax over the neighborhood, aggregate the projected
-    features, concatenate heads, and add the residual. One feedforward
-    layer with its own residual follows the second attention layer.
+    The batch runs as one disjoint union of its graphs, on an edge list:
+    every directed edge plus a self-loop per node, grouped by source node.
+    Per attention layer, all heads at once: project the nodes with the
+    heads' weights side by side, score each edge i -> j per head with a
+    LeakyReLU of the learned attention form, normalize with a softmax over
+    each node's edges, sum the neighbours' projected features weighted by
+    their head's coefficient, and add the residual. One feedforward layer
+    with its own residual follows the second attention layer. Work and
+    memory grow with the number of edges, not with num_nodes squared.
     """
     if not graphs:
         raise ValidationError("encode needs at least one graph")
@@ -126,34 +133,57 @@ def encode(
             )
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
-    mask = np.stack([g.adjacency for g in graphs]) | np.eye(n, dtype=bool)
+    dim, heads = params.embed_dim, params.num_heads
+    head_dim = dim // heads
+    total = len(graphs) * n
+    rows, cols = _union_edges(graphs)
+    segments = Segments(np.bincount(rows, minlength=total))  # the edges of each source node
+    neighbours = RowIndex(cols, total)
+    # row r of a [embed_dim, .] weight belongs to head r // head_dim, as position r % head_dim
+    within = np.arange(dim) % head_dim
+    own_head = Tensor(np.repeat(np.eye(heads), head_dim, axis=0))  # [embed_dim, heads]
 
-    weights_col = tensor(np.stack([g.node_weights.reshape(n, 1) for g in graphs]))
-    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [B, n, embed_dim]
+    weights_col = tensor(np.concatenate([g.node_weights for g in graphs]).reshape(total, 1))
+    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [total, embed_dim]
 
     for li in range(NUM_LAYERS):
-        head_outputs = []
-        for hi in range(params.num_heads):
-            weight = p[f"encoder.layer{li}.head{hi}.weight"]
-            attn = p[f"encoder.layer{li}.head{hi}.attn"]
-            head_dim = weight.shape[1]
-            projected = tape.matmul(h, weight)  # [B, n, head_dim]
-            attn_src = tape.gather_rows(attn, range(head_dim))
-            attn_dst = tape.gather_rows(attn, range(head_dim, 2 * head_dim))
-            score_src = tape.matmul(projected, attn_src)  # [B, n, 1]
-            score_dst = tape.matmul(projected, attn_dst)  # [B, n, 1]
-            # pairwise scores: row i, column j = src score of i + dst score of j
-            pair = tape.add(score_src, tape.transpose(score_dst))
-            pair = tape.leaky_relu(pair, LEAKY_SLOPE)
-            coeff = tape.masked_softmax(pair, mask)
-            head_outputs.append(tape.matmul(coeff, projected))
-        h = tape.add(h, tape.concat(head_outputs, axis=-1))
+        names = [f"encoder.layer{li}.head{hi}" for hi in range(heads)]
+        # head k owns columns k*head_dim .. (k+1)*head_dim - 1 of the projection
+        projected = tape.matmul(h, tape.concat([p[f"{name}.weight"] for name in names], axis=1))
+        attn = tape.concat([p[f"{name}.attn"] for name in names], axis=1)  # [2*head_dim, heads]
+        # block-diagonal [embed_dim, heads] forms, so one product scores every head
+        src = tape.mul(tape.gather_rows(attn, within), own_head)
+        dst = tape.mul(tape.gather_rows(attn, within + head_dim), own_head)
+        score_src, score_dst = tape.matmul(projected, src), tape.matmul(projected, dst)
+        # edge i -> j per head: the source score of i plus the target score of j
+        logits = tape.add(
+            tape.gather_rows(score_src, segments), tape.gather_rows(score_dst, neighbours)
+        )
+        coeff = tape.segment_softmax(tape.leaky_relu(logits, LEAKY_SLOPE), segments)
+        h = tape.add(h, tape.segment_sum(projected, neighbours, coeff, segments))
 
     inner = tape.leaky_relu(
         tape.add(tape.matmul(h, p["encoder.ff_in_weight"]), p["encoder.ff_in_bias"]), LEAKY_SLOPE
     )
     ff = tape.add(tape.matmul(inner, p["encoder.ff_out_weight"]), p["encoder.ff_out_bias"])
-    return tape.add(h, ff)
+    return tape.reshape(tape.add(h, ff), (len(graphs), n, dim))
+
+
+def _union_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target of every directed edge and self-loop of the graphs'
+    disjoint union, whose nodes are the graphs' nodes in batch order;
+    sorted by source, then target."""
+    sizes = [g.num_nodes for g in graphs]
+    total = sum(sizes)
+    ends = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    ends += np.repeat(np.cumsum(sizes) - sizes, [g.num_edges for g in graphs])[:, None]
+    loops = np.arange(total)
+    src = np.concatenate([ends[:, 0], ends[:, 1], loops])
+    dst = np.concatenate([ends[:, 1], ends[:, 0], loops])
+    return np.divmod(np.sort(src * total + dst), total)
 
 
 def score_matrix(emb: Tensor, params: ModelParams, tape: Tape | None = None) -> Tensor:

@@ -7,6 +7,11 @@ the records in reverse and returns the exact chain-rule gradients of the
 tensors it is asked for, which ``adam_step`` consumes. A ``Tensor`` is
 values only: gradients are returned, never stored on it.
 
+Sparse structure is plain index data: a ``RowIndex`` names the rows a
+``gather_rows`` reads (its backward scatters through the same index),
+and ``Segments`` split an edge-list tensor into per-node runs for
+``segment_softmax`` and ``segment_sum``.
+
 All arithmetic is float64 and fully deterministic: the same inputs and
 op sequence produce bit-identical outputs.
 """
@@ -24,6 +29,8 @@ from .errors import NumericError, ValidationError
 __all__ = [
     "Tensor",
     "Tape",
+    "RowIndex",
+    "Segments",
     "AdamState",
     "adam_step",
     "tensor",
@@ -92,6 +99,60 @@ def softmax(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 
 # A record is (output, inputs, rule); rule maps the output adjoint to the inputs' adjoints.
 _Rule = Callable[[np.ndarray], tuple]
+
+
+class RowIndex:
+    """Row numbers into an array of ``num_rows`` rows: the rows a gather
+    reads, or the rows a scatter adds into. The flat index of the entries
+    they cover is built once per row width and kept, so every gather and
+    scatter through one index shares it."""
+
+    __slots__ = ("rows", "num_rows", "_flat")
+
+    def __init__(self, rows: Sequence[int] | np.ndarray, num_rows: int):
+        idx = np.asarray(rows, dtype=np.intp)
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= num_rows)):
+            raise ValidationError(
+                f"gather_rows needs 1-d row indices in [0, {num_rows}), got {idx}"
+            )
+        self.rows = idx
+        self.num_rows = num_rows
+        self._flat: dict[int, np.ndarray] = {}
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Add row k of ``values`` into row ``rows[k]`` of a zero array of
+        ``num_rows`` rows, in index order: ``np.add.at``, bit for bit."""
+        width = math.prod(values.shape[1:])
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = (self.rows[:, None] * width + np.arange(width)).reshape(-1)
+            self._flat[width] = flat
+        total = np.bincount(flat, weights=values.reshape(-1), minlength=self.num_rows * width)
+        return total.reshape((self.num_rows,) + values.shape[1:])
+
+
+class Segments(RowIndex):
+    """A split of the leading axis of an ``[E, ...]`` array into consecutive,
+    non-empty segments, segment s holding the next ``counts[s]`` entries.
+    As a ``RowIndex``, entry e's row is its segment."""
+
+    __slots__ = ("counts", "starts")
+
+    def __init__(self, counts: Sequence[int] | np.ndarray):
+        c = np.asarray(counts)
+        if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "iu" or c.min() < 1:
+            raise ValidationError(
+                f"segment counts must be a non-empty 1-d array of positive integers, got {c}"
+            )
+        self.counts = c.astype(np.intp)
+        self.starts = np.cumsum(self.counts) - self.counts
+        super().__init__(np.repeat(np.arange(c.size), self.counts), c.size)
+
+    def check(self, a: Tensor, op: str) -> None:
+        if a.values.ndim == 0 or a.shape[0] != self.rows.size:
+            raise ValidationError(
+                f"{op}: segments cover {self.rows.size} entries, got shape {a.shape}"
+            )
 
 
 class Tape:
@@ -251,22 +312,73 @@ class Tape:
         self._record(out, (a,), lambda g: (g.reshape(old),))
         return out
 
-    def gather_rows(self, a: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
+    def gather_rows(self, a: Tensor, indices: Sequence[int] | np.ndarray | RowIndex) -> Tensor:
+        """Rows ``indices`` of a 2-d tensor, repeats allowed. The backward
+        scatter-adds each gathered row's adjoint in index order. One
+        ``RowIndex`` serves every gather from arrays of its row count."""
         if a.values.ndim != 2:
             raise ValidationError(f"gather_rows needs a 2-d tensor, got shape {a.shape}")
-        idx = np.asarray(indices, dtype=np.intp)
-        n = a.shape[0]
-        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
-            raise ValidationError(f"gather_rows needs 1-d indices in [0, {n}), got {idx}")
-        out = Tensor(a.values[idx, :])
-        a_shape = a.shape
+        index = indices if isinstance(indices, RowIndex) else RowIndex(indices, a.shape[0])
+        if index.num_rows != a.shape[0]:
+            raise ValidationError(
+                f"gather_rows index is for {index.num_rows} rows, got shape {a.shape}"
+            )
+        out = Tensor(a.values[index.rows])
+        self._record(out, (a,), lambda g: (index.scatter(g),))
+        return out
+
+    def segment_softmax(self, a: Tensor, segments: Segments) -> Tensor:
+        """Softmax over each segment of the leading axis, per column.
+
+        Numerically stabilized by subtracting the segment max before
+        exponentiation; a one-entry segment gets exactly 1.
+        """
+        segments.check(a, "segment_softmax")
+        peak = np.maximum.reduceat(a.values, segments.starts, axis=0)
+        e = np.exp(a.values - peak[segments.rows])
+        p = e / segments.scatter(e)[segments.rows]
+        out = Tensor(p)
+        _check_finite(out.values, "segment_softmax")
+        self._record(out, (a,), lambda g: (p * (g - segments.scatter(g * p)[segments.rows]),))
+        return out
+
+    def segment_sum(
+        self, a: Tensor, index: RowIndex, weights: Tensor, segments: Segments
+    ) -> Tensor:
+        """Per segment, the weighted sum of the rows of ``a`` ``[n, k]`` that
+        ``index`` names, one per entry: entry e reads row ``index.rows[e]``
+        and scales it block-wise by ``weights[e]`` ``[E, h]``, columns
+        j*k/h .. (j+1)*k/h - 1 by weight j. The result is
+        ``[len(segments.counts), k]``. The gathered ``[E, k]`` rows are
+        not kept: the backward gathers them again."""
+        segments.check(weights, "segment_sum")
+        av, wv = a.values, weights.values
+        blocks = wv.shape[1] if wv.ndim == 2 else 0
+        if (
+            not blocks
+            or av.ndim != 2
+            or av.shape[1] % blocks
+            or (index.num_rows, index.rows.size) != (av.shape[0], wv.shape[0])
+        ):
+            raise ValidationError(
+                f"segment_sum: values {av.shape} do not fit weights {wv.shape} "
+                f"and an index of {index.rows.size} rows into {index.num_rows}"
+            )
+        blocked = (wv.shape[0], blocks, av.shape[1] // blocks)
+        scaled = av[index.rows].reshape(blocked)
+        scaled *= wv[:, :, None]
+        out = Tensor(segments.scatter(scaled).reshape(-1, av.shape[1]))
+        _check_finite(out.values, "segment_sum")
 
         def rule(g):
-            z = np.zeros(a_shape)
-            np.add.at(z, idx, g)
-            return (z,)
+            # each entry's segment adjoint, scaled in place into the gathered
+            # rows' adjoint: an [E, k] array is costly to allocate
+            spread = g[segments.rows].reshape(blocked)
+            grad_w = np.einsum("ehk,ehk->eh", spread, av[index.rows].reshape(blocked))
+            spread *= wv[:, :, None]
+            return index.scatter(spread.reshape(-1, av.shape[1])), grad_w
 
-        self._record(out, (a,), rule)
+        self._record(out, (a, weights), rule)
         return out
 
     # -- reverse pass -----------------------------------------------------

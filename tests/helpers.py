@@ -13,12 +13,14 @@ import functools
 import itertools
 import math
 import operator
+from typing import Sequence
 
 import numpy as np
 
+from apgf.errors import ValidationError
 from apgf.graphgen import WeightedGraph
-from apgf.model import encode, score_matrix
-from apgf.numcore import ForwardTape
+from apgf.model import LEAKY_SLOPE, NUM_LAYERS, ModelParams, encode, score_matrix
+from apgf.numcore import ForwardTape, Tape, Tensor, tensor
 from apgf.rollout import RolloutResult, move_log_probs
 
 
@@ -194,3 +196,58 @@ def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temper
     scores = score_matrix(encode([graph], params, tape), params, tape)
     log_probs = move_log_probs(scores, [walk], temperature, tape)
     return None if log_probs is None else log_probs.values
+
+
+def dense_encode(
+    graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
+) -> Tensor:
+    """The encoder as it was before the edge-list form, kept verbatim as a
+    reference: dense ``[n, n]`` attention, one head at a time.
+
+    Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
+    tensor, entry b for ``graphs[b]``; a single graph is a batch of one.
+
+    Per attention layer and head: score each neighborhood edge (self-loop
+    included) with a LeakyReLU of the learned attention form, normalize
+    with a masked softmax over the neighborhood, aggregate the projected
+    features, concatenate heads, and add the residual. One feedforward
+    layer with its own residual follows the second attention layer.
+    """
+    if not graphs:
+        raise ValidationError("encode needs at least one graph")
+    n = graphs[0].num_nodes
+    for g in graphs:
+        if g.num_nodes != n:
+            raise ValidationError(
+                f"encode needs graphs of one size, got {n} and {g.num_nodes} nodes"
+            )
+    tape = tape if tape is not None else ForwardTape()
+    p = params.tensors
+    mask = np.stack([g.adjacency for g in graphs]) | np.eye(n, dtype=bool)
+
+    weights_col = tensor(np.stack([g.node_weights.reshape(n, 1) for g in graphs]))
+    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [B, n, embed_dim]
+
+    for li in range(NUM_LAYERS):
+        head_outputs = []
+        for hi in range(params.num_heads):
+            weight = p[f"encoder.layer{li}.head{hi}.weight"]
+            attn = p[f"encoder.layer{li}.head{hi}.attn"]
+            head_dim = weight.shape[1]
+            projected = tape.matmul(h, weight)  # [B, n, head_dim]
+            attn_src = tape.gather_rows(attn, range(head_dim))
+            attn_dst = tape.gather_rows(attn, range(head_dim, 2 * head_dim))
+            score_src = tape.matmul(projected, attn_src)  # [B, n, 1]
+            score_dst = tape.matmul(projected, attn_dst)  # [B, n, 1]
+            # pairwise scores: row i, column j = src score of i + dst score of j
+            pair = tape.add(score_src, tape.transpose(score_dst))
+            pair = tape.leaky_relu(pair, LEAKY_SLOPE)
+            coeff = tape.masked_softmax(pair, mask)
+            head_outputs.append(tape.matmul(coeff, projected))
+        h = tape.add(h, tape.concat(head_outputs, axis=-1))
+
+    inner = tape.leaky_relu(
+        tape.add(tape.matmul(h, p["encoder.ff_in_weight"]), p["encoder.ff_in_bias"]), LEAKY_SLOPE
+    )
+    ff = tape.add(tape.matmul(inner, p["encoder.ff_out_weight"]), p["encoder.ff_out_bias"])
+    return tape.add(h, ff)

@@ -255,6 +255,21 @@ def test_compare_missing_file(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flag", ["--graph", "--checkpoint", "--oracle-cache", "--config"])
+def test_directory_as_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, flag):
+    graph_path, ckpt_path = compare_inputs
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"--graph": graph_path, "--checkpoint": ckpt_path, flag: folder}
+    if flag == "--config":
+        argv = ["train", "--config", folder, "--out-dir", tmp_path / "run"]
+    else:
+        argv = ["compare", *[a for pair in paths.items() for a in pair], "--out-dir", tmp_path / "o"]
+    assert run([str(a) for a in argv]) == EXIT_VALIDATION
+    assert str(folder) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "folder", "graph.json"]
+
+
 def _drop_first_values(path):
     doc = json.loads(path.read_text())
     del next(iter(doc["params"].values()))["values"]

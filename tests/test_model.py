@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +18,16 @@ from apgf.model import (
     save_checkpoint,
     score_matrix,
 )
-from apgf.numcore import Tape, softmax, tensor
-from apgf.rollout import decode_all
+from apgf.numcore import ForwardTape, Tape, softmax, tensor
+from apgf.rollout import decode_all, walk
 
 from helpers import (
     build_graph,
     central_difference,
+    dense_encode,
     identity_model,
     max_relative_error,
+    path_graph,
     recorded_log_probs,
     star_graph,
     two_leaf_star_walk,
@@ -102,6 +105,77 @@ def test_batched_scores_equal_single_graph_scores_bit_for_bit():
         single = score_matrix(encode([g], params), params).values
         assert single.shape == (1, 20, 20)
         np.testing.assert_array_equal(batched[b], single[0])
+
+
+def _reference_cases():
+    rng = np.random.default_rng(21)
+    return {
+        "star": [star_graph(rng.uniform(size=30))],  # max degree n - 1
+        "path": [path_graph(rng.uniform(size=25))],
+        "one-node": [build_graph(1, [], [0.4])],
+        "star-tree": [generate_random_graph(40, 52, seed=22, tree_mode="star")],
+        "batch": [generate_random_graph(20, 25, seed=40 + s) for s in range(6)],
+    }
+
+
+MODEL_SIZES = {"small": dict(embed_dim=8, num_heads=2, ff_dim=12), "paper": {}}
+
+
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_encode_agrees_with_dense_reference(case, size):
+    graphs = _reference_cases()[case]
+    params = init_params(23, **MODEL_SIZES[size])
+    edge_list = encode(graphs, params).values
+    dense = dense_encode(graphs, params).values
+    assert edge_list.shape == dense.shape
+    assert max_relative_error(edge_list, dense) <= 1e-12
+
+
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+def test_encode_gradients_agree_with_dense_reference(size):
+    graphs = _reference_cases()["batch"]
+    params = init_params(27, **MODEL_SIZES[size])
+    weighting = tensor(np.random.default_rng(28).normal(size=(len(graphs), 20, 20)))
+
+    def gradients(encoder):
+        t = Tape()
+        scores = score_matrix(encoder(graphs, params, t), params, t)
+        return t.backward(t.sum(t.mul(scores, weighting)), params.tensors)
+
+    ours, dense = gradients(encode), gradients(dense_encode)
+    for name, g in dense.items():
+        assert np.max(np.abs(ours[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+def test_walks_choose_as_with_dense_reference(size):
+    params = init_params(24, **MODEL_SIZES[size])
+    for s in range(8):
+        n = 12 + 4 * s
+        g = generate_random_graph(n, n + s, seed=60 + s)
+        ours = score_matrix(encode([g], params), params).values[0]
+        reference = score_matrix(dense_encode([g], params), params).values[0]
+        for start in (g.start_index, (g.start_index + 1) % n):
+            a = walk(g, ours, start, "greedy")
+            b = walk(g, reference, start, "greedy")
+            assert a.visit_order == b.visit_order
+            a = walk(g, ours, start, "sample", rng=np.random.default_rng(s))
+            b = walk(g, reference, start, "sample", rng=np.random.default_rng(s))
+            assert a.visit_order == b.visit_order
+
+
+def test_forward_encode_memory_grows_with_edges_not_nodes_squared():
+    # one dense [3000, 3000] float64 array alone would take 72 MB
+    g = generate_random_graph(3000, 3300, seed=25)
+    params = init_params(26)
+    tracemalloc.start()
+    try:
+        encode([g], params, ForwardTape())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_encode_rejects_mixed_sizes():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
-from apgf.numcore import AdamState, Tape, adam_step, tensor
+from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step, tensor
 
 from helpers import central_difference, max_relative_error
 
@@ -100,6 +100,18 @@ OP_CASES = {
     "transpose": (lambda t, a: t.transpose(a), [(3, 5)]),
     "reshape": (lambda t, a: t.reshape(a, (2, 6)), [(3, 4)]),
     "gather_rows": (lambda t, a: t.gather_rows(a, [2, 0, 2]), [(4, 3)]),
+    "gather_rows_index": (lambda t, a: t.gather_rows(a, RowIndex([1, 1, 3, 0, 1], 4)), [(4, 2)]),
+    # segments of 1, 3 and 2 entries: a one-entry segment, and several columns (heads)
+    "segment_softmax": (lambda t, a: t.segment_softmax(a, Segments([1, 3, 2])), [(6, 4)]),
+    "segment_softmax_1d": (lambda t, a: t.segment_softmax(a, Segments([2, 1, 3])), [(6,)]),
+    "segment_sum": (
+        lambda t, a, w: t.segment_sum(a, RowIndex([2, 0, 3, 3, 1, 0], 4), w, Segments([1, 3, 2])),
+        [(4, 6), (6, 3)],
+    ),
+    "segment_sum_one_block": (
+        lambda t, a, w: t.segment_sum(a, RowIndex([0, 1, 2, 3], 4), w, Segments([3, 1])),
+        [(4, 5), (4, 1)],
+    ),
     "masked_softmax": (
         lambda t, a: t.masked_softmax(
             a, np.array([[True, True, False, True], [True, False, True, True]])
@@ -254,6 +266,66 @@ def test_loss_must_be_recorded_on_the_tape():
 def test_gather_rows_rejects_out_of_range_index(index):
     with pytest.raises(ValidationError, match="gather_rows"):
         Tape().gather_rows(tensor(np.zeros((4, 3))), [0, index])
+
+
+def test_segment_ops_match_a_loop_over_segments():
+    rng = np.random.default_rng(8)
+    counts = [1, 4, 2, 3]
+    values, weights = rng.normal(size=(10, 6)), rng.normal(size=(10, 2))
+    t = Tape()
+    probs = t.segment_softmax(tensor(values), Segments(counts)).values
+    sums = t.segment_sum(
+        tensor(values), RowIndex(np.arange(10), 10), tensor(weights), Segments(counts)
+    ).values
+    assert probs[0].tolist() == [1.0] * 6
+    for s, (lo, hi) in enumerate(zip(np.cumsum(counts) - counts, np.cumsum(counts))):
+        e = np.exp(values[lo:hi] - values[lo:hi].max(axis=0))
+        np.testing.assert_allclose(probs[lo:hi], e / e.sum(axis=0), rtol=1e-15)
+        scaled = values[lo:hi] * np.repeat(weights[lo:hi], 3, axis=1)
+        np.testing.assert_allclose(sums[s], scaled.sum(axis=0), rtol=1e-14)
+
+
+def test_gather_rows_backward_is_add_at_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        n, width = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        idx = rng.integers(0, n, size=int(rng.integers(0, 12)))  # repeats likely
+        scale = 10.0 ** rng.integers(-8, 9, size=(idx.size, 1))  # so that the order of sums shows
+        upstream = rng.normal(size=(idx.size, width)) * scale
+        upstream[rng.random(upstream.shape) < 0.2] = -0.0
+        upstream[rng.random(upstream.shape) < 0.1] = 0.0
+        t = Tape()
+        a = tensor(rng.normal(size=(n, width)))
+        gathered = t.gather_rows(a, idx)
+        grad = t.backward(t.sum(t.mul(gathered, tensor(upstream))), {"a": a})["a"]
+        expected = np.zeros((n, width))
+        np.add.at(expected, idx, upstream)
+        assert grad.tobytes() == expected.tobytes(), case
+
+
+@pytest.mark.parametrize("counts", [[], [2, 0, 1], [[1, 2]], [1.0, 2.0], [-1]])
+def test_malformed_segments_rejected(counts):
+    with pytest.raises(ValidationError, match="segment counts"):
+        Segments(counts)
+
+
+def test_segment_ops_reject_inputs_of_another_size():
+    t = Tape()
+    segments = Segments([2, 1])
+    with pytest.raises(ValidationError, match="segment_softmax: segments cover 3 entries"):
+        t.segment_softmax(tensor(np.zeros((4, 2))), segments)
+    values, reads = tensor(np.zeros((5, 4))), RowIndex([4, 0, 4], 5)
+    for weights in [(2, 2), ()]:
+        with pytest.raises(ValidationError, match="segment_sum: segments cover 3 entries"):
+            t.segment_sum(values, reads, tensor(np.ones(weights)), segments)
+    for weights in [(3, 3), (3,), (3, 0)]:
+        with pytest.raises(ValidationError, match="do not fit weights"):
+            t.segment_sum(values, reads, tensor(np.ones(weights)), segments)
+    for reads in [RowIndex([0, 1, 2], 4), RowIndex([0, 1], 5)]:
+        with pytest.raises(ValidationError, match="do not fit weights .* and an index of"):
+            t.segment_sum(values, reads, tensor(np.ones((3, 2))), segments)
+    with pytest.raises(ValidationError, match="index is for 5 rows"):
+        t.gather_rows(tensor(np.zeros((4, 2))), RowIndex([0, 1], 5))
 
 
 def test_tape_consumed_once():
