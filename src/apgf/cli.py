@@ -241,7 +241,7 @@ def _load_oracle_cache(
             and route[:1] == [graph.start_index]
             and route[-1] == end
             and len(set(route)) == len(route)
-            and all(graph.adjacency[u, v] for u, v in zip(route, route[1:]))
+            and all(v in graph.neighbors[u] for u, v in zip(route, route[1:]))
         ):
             raise bad(where + "path")
         if score != path_score([graph.node_weights[v] for v in route], aggregator):

@@ -30,8 +30,7 @@ class WeightedGraph:
     edges: tuple[tuple[int, int], ...]
     node_weights: np.ndarray
     start_index: int
-    adjacency: np.ndarray = field(init=False, repr=False)
-    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)  # each ascending
 
     def __post_init__(self):
         n = self.num_nodes
@@ -62,12 +61,13 @@ class WeightedGraph:
         if not (0 <= self.start_index < n):
             raise ValidationError(f"start_index {self.start_index} out of range for {n} nodes")
 
-        adj = np.zeros((n, n), dtype=bool)
+        # edges are sorted, so node i meets its lower neighbours (as v) before
+        # its higher ones (as u), each in ascending order
+        neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
-            adj[u, v] = True
-            adj[v, u] = True
-        self.adjacency = adj
-        self.neighbors = tuple(tuple(np.flatnonzero(adj[i]).tolist()) for i in range(n))
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        self.neighbors = tuple(map(tuple, neighbors))
 
         # connectivity: BFS from node 0
         seen_nodes = {0}
@@ -115,6 +115,8 @@ def generate_random_graph(
     """
     if num_nodes <= 0:
         raise ValidationError("num_nodes must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if tree_mode not in TREE_MODES:
         raise ValidationError(f"tree_mode must be one of {TREE_MODES}, got {tree_mode!r}")
     max_edges = num_nodes * (num_nodes - 1) // 2

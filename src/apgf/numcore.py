@@ -9,8 +9,10 @@ values only: gradients are returned, never stored on it.
 
 Sparse structure is plain index data: a ``RowIndex`` names the rows a
 ``gather_rows`` reads (its backward scatters through the same index),
-and ``Segments`` split an edge-list tensor into per-node runs for
-``segment_softmax`` and ``segment_sum``.
+and ``Segments`` split the leading axis of a tensor into consecutive
+runs, such as a node's edges in the encoder or a move's candidates in
+the loss, for ``segment_softmax`` and ``segment_sum``. ``segment_softmax``
+is the one taped softmax; the plain ``softmax`` serves untaped code.
 
 All arithmetic is float64 and fully deterministic: the same inputs and
 op sequence produce bit-identical outputs.
@@ -85,15 +87,10 @@ def _swap_last(arr: np.ndarray) -> np.ndarray:
     return np.swapaxes(arr, -1, -2)
 
 
-def softmax(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along the last axis of a plain array; masked entries get 0.
-
-    The forward pass of ``Tape.masked_softmax``. Every row must keep at
-    least one unmasked entry; without a mask every entry counts.
-    """
-    x = values if mask is None else np.where(mask, values, -np.inf)
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)  # exp(-inf) == 0 exactly, so masked entries vanish
+def softmax(values: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a plain array, stabilized by
+    subtracting the max before exponentiation."""
+    e = np.exp(values - values.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -254,29 +251,6 @@ class Tape:
         yv = np.tanh(a.values)
         out = Tensor(yv)
         self._record(out, (a,), lambda g: (g * (1.0 - yv * yv),))
-        return out
-
-    def masked_softmax(self, a: Tensor, mask) -> Tensor:
-        """Softmax along the last axis with hard-masked entries.
-
-        Masked entries get exactly zero probability; every row must keep
-        at least one unmasked entry. Numerically stabilized by
-        subtracting the row max before exponentiation.
-        """
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != a.shape:
-            raise ValidationError(f"mask shape {m.shape} does not match values shape {a.shape}")
-        if not m.any(axis=-1).all():
-            raise ValidationError("masked_softmax: at least one fully-masked row")
-        p = softmax(a.values, m)
-        out = Tensor(p)
-        _check_finite(out.values, "masked_softmax")
-
-        def rule(g):
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            return (p * (g - inner),)
-
-        self._record(out, (a,), rule)
         return out
 
     def log(self, a: Tensor) -> Tensor:

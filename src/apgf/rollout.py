@@ -23,6 +23,8 @@ candidate entries at each move; ``decode_all`` encodes one graph, scores
 it and walks it without recording anything. ``move_log_probs`` is the
 one differentiable route from recorded walks back to the scores: it
 turns the moves of any number of walks into one expression on a tape.
+It too reads only candidate entries, and normalizes each move's with
+``segment_softmax``, the op the encoder's attention uses.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import ValidationError
 from .graphgen import WeightedGraph
 from .model import ModelParams, encode, score_matrix
-from .numcore import Tape, Tensor, softmax
+from .numcore import Segments, Tape, Tensor, softmax
 
 _FOLDS = {"product": operator.mul, "sum": operator.add}
 AGGREGATORS = tuple(_FOLDS)
@@ -217,8 +219,10 @@ def move_log_probs(
     ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores; the
     result holds its moves in trace order, after those of the walks
     before it (None when no walk made a move). All moves share one
-    expression: the masked softmax of the gathered score rows, read at
-    the chosen columns of the flattened ``[moves, n]`` probabilities.
+    expression that reads, like the walk, only each move's candidate
+    entries: gathered from the flattened scores, they get a softmax at
+    ``temperature`` with one segment per move, and the log of the chosen
+    entry is each move's term.
     """
     _check_temperature(temperature)
     batch, n, _ = scores.shape
@@ -228,14 +232,14 @@ def move_log_probs(
     moves = sum(steps)
     if not moves:
         return None
-    cands = [c for w in walks for c in w.candidates]
-    mask = np.zeros((moves, n), dtype=bool)
-    mask[np.repeat(np.arange(moves), [len(c) for c in cands]), [j for c in cands for j in c]] = True
-    selected = np.repeat(np.arange(batch) * n, steps) + [v for w in walks for v in w.selected]
-    chosen = np.arange(moves) * n + [v for w in walks for v in w.visit_order[1:]]
-    flat_scores = tape.reshape(scores, (batch * n, n))
-    rows = tape.gather_rows(flat_scores, selected)
-    probs = tape.masked_softmax(tape.mul_scalar(rows, 1.0 / temperature), mask)
-    flat = tape.reshape(probs, (moves * n, 1))
-    picked = tape.gather_rows(flat, chosen)
-    return tape.log(tape.reshape(picked, (moves,)))
+    counts = [len(c) for w in walks for c in w.candidates]
+    cols = np.array([j for w in walks for c in w.candidates for j in c], dtype=np.intp)
+    rows = np.repeat(np.arange(batch) * n, steps) + [v for w in walks for v in w.selected]
+    nexts = np.repeat([v for w in walks for v in w.visit_order[1:]], counts)
+    chosen = np.flatnonzero(cols == nexts)  # one entry per move in a well-formed walk
+    if chosen.size != moves:
+        raise ValidationError("a recorded move's next node is not among its candidates")
+    flat = tape.reshape(scores, (batch * n * n, 1))
+    entries = tape.gather_rows(flat, np.repeat(rows * n, counts) + cols)
+    probs = tape.segment_softmax(tape.mul_scalar(entries, 1.0 / temperature), Segments(counts))
+    return tape.log(tape.reshape(tape.gather_rows(probs, chosen), (moves,)))

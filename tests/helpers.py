@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from apgf.errors import ValidationError
+from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import WeightedGraph
 from apgf.model import LEAKY_SLOPE, NUM_LAYERS, ModelParams, encode, score_matrix
 from apgf.numcore import ForwardTape, Tape, Tensor, tensor
@@ -55,12 +55,12 @@ def simple_paths(graph: WeightedGraph, end: int):
     if end == start:
         yield (start,)
         return
-    adjacency = graph.adjacency
+    neighbors = graph.neighbors
     others = [v for v in range(graph.num_nodes) if v != start and v != end]
     for k in range(len(others) + 1):
         for middle in itertools.permutations(others, k):
             path = (start, *middle, end)
-            if all(adjacency[path[i], path[i + 1]] for i in range(len(path) - 1)):
+            if all(path[i + 1] in neighbors[path[i]] for i in range(len(path) - 1)):
                 yield path
 
 
@@ -198,6 +198,35 @@ def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temper
     return None if log_probs is None else log_probs.values
 
 
+def masked_softmax(tape: Tape, a: Tensor, mask) -> Tensor:
+    """Softmax along the last axis with hard-masked entries, recorded on
+    ``tape`` as one op (``dense_encode``'s normalization; the library's
+    one taped softmax is ``Tape.segment_softmax``).
+
+    Masked entries get exactly zero probability; every row must keep at
+    least one unmasked entry. Numerically stabilized by subtracting the
+    row max before exponentiation.
+    """
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != a.shape:
+        raise ValidationError(f"mask shape {m.shape} does not match values shape {a.shape}")
+    if not m.any(axis=-1).all():
+        raise ValidationError("masked_softmax: at least one fully-masked row")
+    x = np.where(m, a.values, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))  # exp(-inf) == 0 exactly
+    p = e / e.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("masked_softmax produced non-finite values")
+    out = Tensor(p)
+
+    def rule(g):
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        return (p * (g - inner),)
+
+    tape._record(out, (a,), rule)
+    return out
+
+
 def dense_encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
 ) -> Tensor:
@@ -223,7 +252,10 @@ def dense_encode(
             )
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
-    mask = np.stack([g.adjacency for g in graphs]) | np.eye(n, dtype=bool)
+    mask = np.stack([np.eye(n, dtype=bool)] * len(graphs))
+    for b, g in enumerate(graphs):
+        for u, v in g.edges:
+            mask[b, u, v] = mask[b, v, u] = True
 
     weights_col = tensor(np.stack([g.node_weights.reshape(n, 1) for g in graphs]))
     h = tape.matmul(weights_col, p["encoder.input_lift"])  # [B, n, embed_dim]
@@ -242,7 +274,7 @@ def dense_encode(
             # pairwise scores: row i, column j = src score of i + dst score of j
             pair = tape.add(score_src, tape.transpose(score_dst))
             pair = tape.leaky_relu(pair, LEAKY_SLOPE)
-            coeff = tape.masked_softmax(pair, mask)
+            coeff = masked_softmax(tape, pair, mask)
             head_outputs.append(tape.matmul(coeff, projected))
         h = tape.add(h, tape.concat(head_outputs, axis=-1))
 

@@ -45,6 +45,14 @@ def test_gen_cannot_connect(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_negative_seed_exits_2_naming_seed(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    code = run(["gen", "--nodes", "5", "--edges", "4", "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["gen", "--nodes", "30", "--edges", "35", "--seed", "7", "--out", str(a)])
@@ -245,6 +253,20 @@ def test_compare_cap_refusal(tmp_path, capsys):
     )
     assert code == EXIT_CAP
     assert "--cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_compare_cap_below_one_exits_2(tmp_path, compare_inputs, capsys, cap):
+    graph_path, ckpt_path = compare_inputs
+    out_dir = tmp_path / "o"
+    code = run(
+        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
+         "--out-dir", str(out_dir), "--cap", cap]
+    )
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--cap" in err and "node_cap" in err and cap in err
+    assert not out_dir.exists()
 
 
 def test_compare_missing_file(tmp_path, capsys):

@@ -31,6 +31,11 @@ def has_cycle(graph):
     return graph.num_edges > graph.num_nodes - 1
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        generate_random_graph(5, 4, seed=-1)
+
+
 def test_smallest_legal_graph():
     g = generate_random_graph(1, 0, seed=11)
     assert g.num_nodes == 1
@@ -96,9 +101,34 @@ def test_generator_invariants(num_nodes, extra, seed):
     assert g.num_edges == num_edges
     assert is_connected(g)
     assert np.all(g.node_weights >= 0) and np.all(g.node_weights <= 1)
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert not g.adjacency.diagonal().any()
+    assert all(u in g.neighbors[v] for u in range(num_nodes) for v in g.neighbors[u])
+    assert not any(u in g.neighbors[u] for u in range(num_nodes))
     assert g == generate_random_graph(num_nodes, num_edges, seed=seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    num_nodes=st.integers(min_value=1, max_value=30),
+    extra=st.integers(min_value=0, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32),
+    star=st.booleans(),
+    data=st.data(),
+)
+def test_neighbors_equal_a_scan_of_the_edges(num_nodes, extra, seed, star, data):
+    num_edges = min(num_nodes - 1 + extra, num_nodes * (num_nodes - 1) // 2)
+    tree_mode = "star" if star else "random_attach"
+    g = generate_random_graph(num_nodes, num_edges, seed=seed, tree_mode=tree_mode)
+    expected = tuple(
+        tuple(sorted([v for u, v in g.edges if u == node] + [u for u, v in g.edges if v == node]))
+        for node in range(num_nodes)
+    )
+    assert g.neighbors == expected
+    # the same graph given its edges in any order and orientation
+    shuffled = data.draw(st.permutations(g.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=num_edges, max_size=num_edges))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(shuffled, flips)]
+    rebuilt = build_graph(num_nodes, edges, g.node_weights, start=g.start_index)
+    assert rebuilt.neighbors == expected
 
 
 def test_round_trip_tiny(tmp_path):

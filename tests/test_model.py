@@ -265,10 +265,9 @@ def test_candidate_probs_temperature_must_be_positive():
     shift=st.floats(min_value=-50, max_value=50),
 )
 def test_argmax_invariant_under_constant_shift(scores, shift):
-    # the softmax that turns a row of decoder scores into move probabilities
-    mask = np.ones(len(scores), dtype=bool)
-    p0 = softmax(np.array(scores), mask)
-    p1 = softmax(np.array(scores) + shift, mask)
+    # the softmax that turns a move's candidate scores into probabilities
+    p0 = softmax(np.array(scores))
+    p1 = softmax(np.array(scores) + shift)
     assert np.argmax(p0) == np.argmax(p1)
 
 

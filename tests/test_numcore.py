@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from apgf.errors import NumericError, ValidationError
 from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step, tensor
 
-from helpers import central_difference, max_relative_error
+from helpers import central_difference, masked_softmax, max_relative_error
 
 
 def rand_signed(rng, shape):
@@ -19,20 +19,21 @@ def rand_signed(rng, shape):
 
 
 def test_masked_softmax_single_candidate():
+    # the dense reference encoder's masked softmax lives in tests/helpers.py
     t = Tape()
-    out = t.masked_softmax(tensor([2.7]), np.array([True]))
+    out = masked_softmax(t, tensor([2.7]), np.array([True]))
     assert out.values == pytest.approx([1.0], abs=0)
 
 
 def test_masked_softmax_symmetry():
     t = Tape()
-    out = t.masked_softmax(tensor([1.0, 1.0, 1.0]), np.ones(3, dtype=bool))
+    out = masked_softmax(t, tensor([1.0, 1.0, 1.0]), np.ones(3, dtype=bool))
     np.testing.assert_allclose(out.values, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
 
 
 def test_masked_entries_are_exactly_zero():
     t = Tape()
-    out = t.masked_softmax(tensor([5.0, 1.0, 3.0]), np.array([True, False, True]))
+    out = masked_softmax(t, tensor([5.0, 1.0, 3.0]), np.array([True, False, True]))
     assert out.values[1] == 0.0
     assert abs(out.values.sum() - 1.0) < 1e-12
 
@@ -66,7 +67,7 @@ def test_determinism_bit_identical():
     def run():
         t = Tape()
         a, b = tensor(a0), tensor(b0)
-        return t.masked_softmax(t.tanh(t.matmul(a, b)), np.ones((4, 4), dtype=bool)).values
+        return t.segment_softmax(t.tanh(t.matmul(a, b)), Segments([1, 3])).values
 
     assert np.array_equal(run(), run())
 
@@ -112,9 +113,10 @@ OP_CASES = {
         lambda t, a, w: t.segment_sum(a, RowIndex([0, 1, 2, 3], 4), w, Segments([3, 1])),
         [(4, 5), (4, 1)],
     ),
+    # the dense reference encoder's masked softmax (tests/helpers.py)
     "masked_softmax": (
-        lambda t, a: t.masked_softmax(
-            a, np.array([[True, True, False, True], [True, False, True, True]])
+        lambda t, a: masked_softmax(
+            t, a, np.array([[True, True, False, True], [True, False, True, True]])
         ),
         [(2, 4)],
     ),
@@ -123,7 +125,8 @@ OP_CASES = {
     "matmul_batch": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
     "transpose_batch": (lambda t, a: t.transpose(a), [(2, 3, 5)]),
     "masked_softmax_batch": (
-        lambda t, a: t.masked_softmax(
+        lambda t, a: masked_softmax(
+            t,
             a,
             np.array(
                 [
@@ -188,10 +191,27 @@ def test_masked_softmax_is_probability_vector(values, data):
         st.lists(st.booleans(), min_size=len(values), max_size=len(values)).filter(any)
     )
     t = Tape()
-    out = t.masked_softmax(tensor(values), np.array(mask)).values
+    out = masked_softmax(t, tensor(values), np.array(mask)).values
     assert np.all(out >= 0)
     assert all(out[i] == 0.0 for i, m in enumerate(mask) if not m)
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8),
+    st.data(),
+)
+def test_segment_softmax_is_probability_vector(values, data):
+    # a cut after entry i ends a segment there
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(values) - 1, max_size=len(values) - 1))
+    bounds = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [len(values)]
+    out = Tape().segment_softmax(tensor(values), Segments(np.diff(bounds))).values
+    assert np.all(out >= 0)
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert abs(out[lo:hi].sum() - 1.0) < 1e-12
+        if hi - lo == 1:
+            assert out[lo] == 1.0
 
 
 # -- error paths ---------------------------------------------------------
@@ -230,7 +250,9 @@ def test_batched_matmul_equals_per_entry_matmul():
 def test_fully_masked_row_rejected():
     t = Tape()
     with pytest.raises(ValidationError, match="masked"):
-        t.masked_softmax(tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, True], [False, False]]))
+        masked_softmax(
+            t, tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, True], [False, False]])
+        )
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -16,6 +16,12 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_rejected(cap):
+    with pytest.raises(ValidationError, match=f"node_cap .* must be at least 1, got {cap}"):
+        brute_force_scores(fig10_graph(), node_cap=cap)
+
+
 def test_all_ones_product_scores():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [1.0] * 5, start=2)
     result = brute_force_scores(g)
@@ -69,7 +75,7 @@ def test_best_paths_are_simple_and_anchored():
         assert best.path[-1] == end
         assert len(set(best.path)) == len(best.path)
         for u, v in zip(best.path, best.path[1:]):
-            assert g.adjacency[u, v]
+            assert v in g.neighbors[u]
 
 
 def test_monotone_in_node_weights_for_product():

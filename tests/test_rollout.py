@@ -28,6 +28,7 @@ from helpers import (
     reference_dfs,
     reference_step_log_probs,
     star_graph,
+    two_leaf_star_walk,
 )
 
 
@@ -150,7 +151,7 @@ def test_rollout_invariants(seed):
     assert set(dfs_parent) == set(range(12)) - {graph.start_index}
     position = {v: i for i, v in enumerate(result.visit_order)}
     for child, parent in dfs_parent.items():
-        assert graph.adjacency[child, parent]
+        assert parent in graph.neighbors[child]
         assert position[parent] < position[child]
 
     # one sampled decision per non-start node, all log probs <= 0
@@ -403,3 +404,11 @@ def test_bad_arguments():
         decode_all(graph, params, 0, mode="best")
     with pytest.raises(ValidationError, match="rng"):
         decode_all(graph, params, 0, mode="sample")
+
+
+def test_move_log_probs_rejects_a_move_outside_its_candidates():
+    graph = star_graph([0.5, 0.1, 0.2])
+    walk_record = two_leaf_star_walk([0.5, 0.1, 0.2], first=1)
+    walk_record.candidates = [(1, 2), (1,)]  # the second move went to 2
+    with pytest.raises(ValidationError, match="not among its candidates"):
+        recorded_log_probs(graph, identity_model(), walk_record)

@@ -1,0 +1,364 @@
+"""Same-behaviour check of the working tree against a git revision.
+
+Run from anywhere inside the repository:
+
+    python3 tools/parity.py --against HEAD~1
+    python3 tools/parity.py --against HEAD --epochs 2 --seeds 3 --walks 4
+
+The revision is exported from the local git repository (``git archive``)
+into a temporary directory. The same probe then runs on each tree in its
+own subprocess, with that tree's ``src`` first on ``PYTHONPATH``, and
+writes raw results to files; this process compares them and prints one
+JSON verdict. Exit status: 0 when every gated check passes, 1 when one
+fails, 2 when the revision cannot be exported or a probe crashes.
+
+Checks, each with its worst difference:
+
+- ``reward_columns``: ``apgf train`` at the paper config (the default
+  train config) for ``--epochs`` epochs per seed; every column of
+  ``metrics.csv`` but ``mean_loss`` is byte-identical.
+- ``mean_loss``: within ``LOSS_RTOL`` relative, row by row.
+- ``checkpoint``: the largest absolute difference between the final
+  checkpoints' values. Reported, not gated: Adam magnifies rounding noise
+  in gradients that are zero in exact arithmetic.
+- ``walks``: greedy and sampled walks of ``--walks`` seeded 20-node
+  graphs have the same visit order and reward, and the graphs the same
+  ``neighbors``; the largest decoder score difference is reported.
+- ``gradients``: one paper-config epoch's policy gradients at
+  temperature ``GRAD_TEMPERATURE``, per parameter within ``GRAD_RTOL``
+  of that parameter's largest entry.
+- ``golden``: ``apgf compare`` on the committed fixture pair reproduces
+  ``tests/fixtures/golden_comparison.csv`` byte for byte on both trees,
+  and the checkpoints of ``init_params(0)`` at two pinned sizes have
+  equal SHA-256 digests on both.
+- ``reruns``: on each tree a second run of the first seed writes a
+  byte-identical ``metrics.csv`` and byte-identical checkpoints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LOSS_RTOL = 1e-8
+GRAD_RTOL = 1e-8
+GRAD_TEMPERATURE = 0.7  # not the train default of 1, so the loss's temperature is exercised
+WALK_NODES, WALK_EDGES = 20, 25
+PINNED_SIZES = ({}, {"embed_dim": 8, "num_heads": 2, "ff_dim": 6, "score_clip": 3.0})
+
+
+class ParityError(Exception):
+    """The revision cannot be exported, or a probe crashed."""
+
+
+# -- the probe: runs inside one tree ----------------------------------------
+
+
+def probe(out: Path, epochs: int, seeds: list[int], walks: int) -> None:
+    """Write this tree's raw results under ``out``; a section that fails
+    writes its error instead, so one missing API does not hide the rest."""
+    import apgf
+
+    tree = Path.cwd().resolve()
+    if tree not in Path(apgf.__file__).resolve().parents:
+        raise SystemExit(f"apgf imported from {apgf.__file__}, not from {tree}")
+    errors = {}
+    for name, section in (
+        ("train", _probe_train),
+        ("walks", _probe_walks),
+        ("gradients", _probe_gradients),
+        ("golden", _probe_golden),
+    ):
+        try:
+            section(out, tree, epochs=epochs, seeds=seeds, walks=walks)
+        except Exception:  # reported in the verdict as that check's failure
+            errors[name] = traceback.format_exc()
+    (out / "errors.json").write_text(json.dumps(errors))
+
+
+def _probe_train(out: Path, tree: Path, epochs: int, seeds: list[int], **_) -> None:
+    from apgf.cli import main
+
+    runs = [(f"seed{s}", s) for s in seeds] + [("rerun", seeds[0])]
+    for name, seed in runs:
+        config = out / f"{name}.json"
+        config.write_text(json.dumps({"epochs": epochs, "seed": seed}))
+        code = main(["train", "--config", str(config), "--out-dir", str(out / name)])
+        if code != 0:
+            raise RuntimeError(f"apgf train exited {code} for seed {seed}")
+
+
+def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
+    import numpy as np
+
+    from apgf.graphgen import generate_random_graph
+    from apgf.model import encode, init_params, score_matrix
+    from apgf.rollout import walk
+
+    scores, facts = [], []
+    for k in range(walks):
+        graph = generate_random_graph(WALK_NODES, WALK_EDGES + k % 16, seed=k)
+        params = init_params(k)
+        rows = score_matrix(encode([graph], params), params).values[0]
+        greedy = walk(graph, rows, graph.start_index, "greedy")
+        rng = np.random.default_rng(k)
+        sampled = walk(graph, rows, graph.start_index, "sample", 1.0, rng)
+        scores.append(rows)
+        facts.append(
+            {
+                "neighbors": graph.neighbors,
+                "greedy": [greedy.visit_order, repr(greedy.reward)],
+                "sampled": [sampled.visit_order, repr(sampled.reward)],
+            }
+        )
+    np.save(out / "walk_scores.npy", np.stack(scores))
+    (out / "walks.json").write_text(json.dumps(facts))
+
+
+def _probe_gradients(out: Path, tree: Path, **_) -> None:
+    import numpy as np
+
+    from apgf.graphgen import generate_random_graph
+    from apgf.model import encode, init_params, score_matrix
+    from apgf.numcore import Tape
+    from apgf.rollout import walk
+    from apgf.trainer import reinforce_loss
+
+    graphs = [generate_random_graph(20, 25, seed=100 + i) for i in range(16)]
+    policy, baseline = init_params(3), init_params(4)
+    rng = np.random.default_rng(3)
+    tape = Tape()
+    scores = score_matrix(encode(graphs, policy, tape), policy, tape)
+    baseline_scores = score_matrix(encode(graphs, baseline), baseline)
+    sampled, baseline_rewards = [], []
+    for graph, rows, baseline_rows in zip(graphs, scores.values, baseline_scores.values):
+        start = int(rng.integers(graph.num_nodes))
+        sampled.append(walk(graph, rows, start, "sample", GRAD_TEMPERATURE, rng))
+        baseline_rewards.append(walk(graph, baseline_rows, start, "greedy").reward)
+    loss = reinforce_loss(scores, sampled, baseline_rewards, GRAD_TEMPERATURE, tape)
+    grads = tape.backward(loss, policy.tensors)
+    np.savez(out / "gradients.npz", **grads)
+
+
+def _probe_golden(out: Path, tree: Path, **_) -> None:
+    from apgf.cli import main
+    from apgf.model import init_params, save_checkpoint
+
+    fixtures = tree / "tests" / "fixtures"
+    code = main(
+        ["compare", "--graph", str(fixtures / "fixture_graph.json"),
+         "--checkpoint", str(fixtures / "fixture_checkpoint.json"),
+         "--out-dir", str(out / "golden")]
+    )
+    if code != 0:
+        raise RuntimeError(f"apgf compare exited {code} on the fixture pair")
+    digests = []
+    for kwargs in PINNED_SIZES:
+        path = out / "pinned.json"
+        save_checkpoint(init_params(seed=0, **kwargs), path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    (out / "digests.json").write_text(json.dumps(digests))
+
+
+# -- the comparison ------------------------------------------------------------
+
+
+def _csv_columns(path: Path) -> dict[str, list[str]]:
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    return {name: [row.split(",")[i] for row in rows] for i, name in enumerate(names)}
+
+
+def _checkpoint_values(path: Path) -> dict[str, list[float]]:
+    return {k: b["values"] for k, b in json.loads(path.read_text())["params"].items()}
+
+
+def _rel(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, dict]:
+    rewards = {"pass": True, "runs": len(seeds), "differing_rows": 0}
+    loss = {"pass": True, "tolerance": LOSS_RTOL, "worst_rel": 0.0}
+    checkpoint = {"gated": False, "worst_abs": 0.0}
+    for s in seeds:
+        a = _csv_columns(this / f"seed{s}" / "metrics.csv")
+        b = _csv_columns(that / f"seed{s}" / "metrics.csv")
+        for name in set(a) | set(b):
+            if name == "mean_loss":
+                continue
+            col_a, col_b = a.get(name), b.get(name)
+            if col_a is None or col_b is None or len(col_a) != len(col_b):
+                rewards["pass"] = False
+                rewards.setdefault("mismatched_columns", []).append(name)
+                continue
+            rewards["differing_rows"] += sum(x != y for x, y in zip(col_a, col_b))
+        for x, y in zip(a["mean_loss"], b["mean_loss"]):
+            loss["worst_rel"] = max(loss["worst_rel"], _rel(float(x), float(y)))
+        va = _checkpoint_values(this / f"seed{s}" / "checkpoint_final.json")
+        vb = _checkpoint_values(that / f"seed{s}" / "checkpoint_final.json")
+        for name in va.keys() & vb.keys():
+            diff = max((abs(x - y) for x, y in zip(va[name], vb[name])), default=0.0)
+            checkpoint["worst_abs"] = max(checkpoint["worst_abs"], diff)
+    rewards["pass"] = rewards["pass"] and rewards["differing_rows"] == 0
+    loss["pass"] = loss["worst_rel"] <= LOSS_RTOL
+    return rewards, loss, checkpoint
+
+
+def _check_walks(this: Path, that: Path) -> dict:
+    import numpy as np
+
+    a = json.loads((this / "walks.json").read_text())
+    b = json.loads((that / "walks.json").read_text())
+    differing = sum(x[mode] != y[mode] for x, y in zip(a, b) for mode in ("greedy", "sampled"))
+    neighbors_equal = all(x["neighbors"] == y["neighbors"] for x, y in zip(a, b))
+    score_diff = np.abs(np.load(this / "walk_scores.npy") - np.load(that / "walk_scores.npy"))
+    return {
+        "pass": differing == 0 and neighbors_equal and len(a) == len(b),
+        "graphs": len(a),
+        "differing_walks": differing,
+        "neighbors_equal": neighbors_equal,
+        "worst_score_abs": float(score_diff.max(initial=0.0)),
+    }
+
+
+def _check_gradients(this: Path, that: Path) -> dict:
+    import numpy as np
+
+    a, b = np.load(this / "gradients.npz"), np.load(that / "gradients.npz")
+    worst = 0.0
+    for name in a.files:
+        scale = max(np.abs(a[name]).max(initial=0.0), np.abs(b[name]).max(initial=0.0))
+        if scale:
+            worst = max(worst, float(np.abs(a[name] - b[name]).max() / scale))
+    same_names = sorted(a.files) == sorted(b.files)
+    return {"pass": same_names and worst <= GRAD_RTOL, "tolerance": GRAD_RTOL, "worst_rel": worst}
+
+
+def _check_golden(this: Path, that: Path) -> dict:
+    golden = (ROOT / "tests" / "fixtures" / "golden_comparison.csv").read_bytes()
+    reproduced = {
+        side: (out / "golden" / "comparison.csv").read_bytes() == golden
+        for side, out in (("this", this), ("against", that))
+    }
+    digests_equal = (this / "digests.json").read_text() == (that / "digests.json").read_text()
+    return {
+        "pass": all(reproduced.values()) and digests_equal,
+        "comparison_csv": reproduced,
+        "checkpoint_digests_equal": digests_equal,
+    }
+
+
+def _check_reruns(this: Path, that: Path, seed: int) -> dict:
+    def same(out: Path) -> bool:
+        first, rerun = out / f"seed{seed}", out / "rerun"
+        files = ["metrics.csv"] + sorted(p.name for p in first.glob("checkpoint_*.json"))
+        return all((first / f).read_bytes() == (rerun / f).read_bytes() for f in files)
+
+    result = {"this": same(this), "against": same(that)}
+    return {"pass": all(result.values()), **result}
+
+
+def verdict(this: Path, that: Path, seeds: list[int]) -> dict:
+    checks = {}
+    errors = {
+        side: json.loads((out / "errors.json").read_text())
+        for side, out in (("this", this), ("against", that))
+    }
+    failed = {name for errs in errors.values() for name in errs}
+    if "train" not in failed:
+        train = _check_train(this, that, seeds)
+        checks["reward_columns"], checks["mean_loss"], checks["checkpoint"] = train
+        checks["reruns"] = _check_reruns(this, that, seeds[0])
+    if "walks" not in failed:
+        checks["walks"] = _check_walks(this, that)
+    if "gradients" not in failed:
+        checks["gradients"] = _check_gradients(this, that)
+    if "golden" not in failed:
+        checks["golden"] = _check_golden(this, that)
+    for side, errs in errors.items():
+        for name, message in errs.items():
+            checks[f"{name}_error_{side}"] = {"pass": False, "error": message}
+    ok = all(c.get("pass", True) for c in checks.values())
+    return {"verdict": "pass" if ok else "fail", "checks": checks}
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract ``rev`` from the local repository into ``dest``; its commit id."""
+    commit = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if commit.returncode != 0:
+        raise ParityError(f"cannot resolve revision {rev!r}: {commit.stderr.strip()}")
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", commit.stdout.strip()],
+        capture_output=True, check=True,
+    )
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return commit.stdout.strip()
+
+
+def run_probe(tree: Path, out: Path, args) -> None:
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    command = [
+        sys.executable, str(Path(__file__).resolve()), "--probe", str(out),
+        "--epochs", str(args.epochs), "--walks", str(args.walks), "--seeds", *map(str, args.seeds),
+    ]
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise ParityError(f"probe failed in {tree}:\n{done.stderr}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", help="git revision to compare the working tree with")
+    parser.add_argument("--epochs", type=int, default=100, help="training epochs per seed")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11], help="training seeds")
+    parser.add_argument("--walks", type=int, default=200, help="seeded graphs to walk")
+    parser.add_argument("--probe", help=argparse.SUPPRESS)  # internal: run the probe here
+    args = parser.parse_args(argv)
+    if args.probe:
+        probe(Path(args.probe), args.epochs, args.seeds, args.walks)
+        return 0
+    if not args.against:
+        parser.error("--against is required")
+    with tempfile.TemporaryDirectory(prefix="apgf-parity-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "tree").mkdir()
+        try:
+            commit = export(args.against, tmp / "tree")
+            run_probe(ROOT, tmp / "this", args)
+            run_probe(tmp / "tree", tmp / "against", args)
+        except ParityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        result = verdict(tmp / "this", tmp / "against", args.seeds)
+    report = {
+        "against": args.against,
+        "commit": commit,
+        "config": {"epochs": args.epochs, "seeds": args.seeds, "walks": args.walks},
+        **result,
+    }
+    print(json.dumps(report, indent=2))
+    return 0 if result["verdict"] == "pass" else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
