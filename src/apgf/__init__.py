@@ -20,7 +20,7 @@ from .model import (
     save_checkpoint,
     score_matrix,
 )
-from .numcore import AdamState, Tape, Tensor, adam_step, tensor
+from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, OracleResult, brute_force_scores, compare
 from .rollout import RolloutResult, ScoreConfig, decode_all, path_score
 from .trainer import EpochMetrics, TrainConfig, evaluate, reinforce_loss, train
@@ -45,9 +45,7 @@ __all__ = [
     "score_matrix",
     "AdamState",
     "Tape",
-    "Tensor",
     "adam_step",
-    "tensor",
     "ComparisonReport",
     "OracleResult",
     "brute_force_scores",

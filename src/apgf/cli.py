@@ -23,6 +23,7 @@ from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph, graph_to_json, load_graph, save_graph
 from .model import load_checkpoint
 from .oracle import DEFAULT_NODE_CAP, EndNodeBest, OracleResult, brute_force_scores, compare
+from .oracle import check_node_cap
 from .rollout import AGGREGATORS, ScoreConfig, decode_all, path_score
 from .trainer import TrainConfig, train
 
@@ -280,6 +281,7 @@ def cmd_compare(args) -> int:
     graph_json = graph_to_json(graph)
     digest = _oracle_digest(graph_json, score_config.aggregator)
     cache_path = Path(args.oracle_cache) if args.oracle_cache else None
+    check_node_cap(args.cap)  # a cache hit runs no search, so check here too
     oracle_result = None
     if cache_path is not None and cache_path.exists():
         oracle_result = _load_oracle_cache(cache_path, digest, graph, score_config.aggregator)

@@ -56,7 +56,8 @@ class WeightedGraph:
             raise ValidationError(
                 f"node_weights length {self.node_weights.shape} does not match {n} nodes"
             )
-        if np.any(self.node_weights < 0.0) or np.any(self.node_weights > 1.0):
+        w = self.node_weights
+        if not np.all((w >= 0.0) & (w <= 1.0)):  # also false for NaN
             raise ValidationError("weight out of range [0, 1]")
         if not (0 <= self.start_index < n):
             raise ValidationError(f"start_index {self.start_index} out of range for {n} nodes")

@@ -13,8 +13,8 @@ node j as
 
 so every score lands in [-clip, +clip]; a temperature softmax turns the
 scores of the unvisited neighbors into move probabilities. Both take a
-batch of equal-size graphs and return tensors with the batch as the
-leading axis; a single graph is a batch of one.
+batch of equal-size graphs and return float64 arrays with the batch as
+the leading axis; a single graph is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph
-from .numcore import ForwardTape, RowIndex, Segments, Tape, Tensor, tensor
+from .numcore import ForwardTape, RowIndex, Segments, Tape
 
 CHECKPOINT_VERSION = 1
 
@@ -63,13 +63,13 @@ def param_spec(embed_dim: int, num_heads: int, ff_dim: int) -> dict[str, tuple]:
 
 @dataclass
 class ModelParams:
-    """Hyperparameters plus one tensor per ``param_spec`` entry."""
+    """Hyperparameters plus one float64 array per ``param_spec`` entry."""
 
     embed_dim: int
     num_heads: int
     ff_dim: int
     score_clip: float
-    tensors: dict[str, Tensor]
+    tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
         if min(self.embed_dim, self.num_heads, self.ff_dim) <= 0:
@@ -97,21 +97,21 @@ def init_params(
     rng = np.random.default_rng(seed)
     for name, (shape, fan_in) in param_spec(embed_dim, num_heads, ff_dim).items():
         bound = 1.0 / math.sqrt(fan_in)
-        params.tensors[name] = tensor(rng.uniform(-bound, bound, size=shape))
+        params.tensors[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
 def copy_params(params: ModelParams) -> ModelParams:
     """Deep copy, e.g. to freeze a baseline network."""
-    tensors = {name: Tensor(t.values.copy()) for name, t in params.tensors.items()}
+    tensors = {name: t.copy() for name, t in params.tensors.items()}
     return replace(params, tensors=tensors)
 
 
 def encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
-) -> Tensor:
+) -> np.ndarray:
     """Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
-    tensor, entry b for ``graphs[b]``; a single graph is a batch of one.
+    array, entry b for ``graphs[b]``; a single graph is a batch of one.
 
     The batch runs as one disjoint union of its graphs, on an edge list:
     every directed edge plus a self-loop per node, grouped by source node.
@@ -141,9 +141,9 @@ def encode(
     neighbours = RowIndex(cols, total)
     # row r of a [embed_dim, .] weight belongs to head r // head_dim, as position r % head_dim
     within = np.arange(dim) % head_dim
-    own_head = Tensor(np.repeat(np.eye(heads), head_dim, axis=0))  # [embed_dim, heads]
+    own_head = np.repeat(np.eye(heads), head_dim, axis=0)  # [embed_dim, heads]
 
-    weights_col = tensor(np.concatenate([g.node_weights for g in graphs]).reshape(total, 1))
+    weights_col = np.concatenate([g.node_weights for g in graphs]).reshape(total, 1)
     h = tape.matmul(weights_col, p["encoder.input_lift"])  # [total, embed_dim]
 
     for li in range(NUM_LAYERS):
@@ -186,8 +186,8 @@ def _union_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarra
     return np.divmod(np.sort(src * total + dst), total)
 
 
-def score_matrix(emb: Tensor, params: ModelParams, tape: Tape | None = None) -> Tensor:
-    """Decoder scores of every move as one ``[B, num_nodes, num_nodes]`` tensor.
+def score_matrix(emb: np.ndarray, params: ModelParams, tape: Tape | None = None) -> np.ndarray:
+    """Decoder scores of every move as one ``[B, num_nodes, num_nodes]`` array.
 
     Entry b, row i, column j scores moving from node i to node j in graph
     b; every entry lies in [-clip, +clip]. The inputs are fixed for a
@@ -207,7 +207,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     blobs = {}
     for name in param_spec(params.embed_dim, params.num_heads, params.ff_dim):
         t = params.tensors[name]
-        blobs[name] = {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
+        blobs[name] = {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
     doc = {"version": CHECKPOINT_VERSION, "hyper": params.hyper(), "params": blobs}
     # Streamed chunk by chunk: the whole text at once would double peak memory.
     atomic_write_text(path, itertools.chain(json.JSONEncoder().iterencode(doc), ["\n"]))
@@ -261,7 +261,7 @@ def _params_from_doc(doc) -> ModelParams:
             raise ValidationError(
                 f"parameter {name!r} has shape {blob.get('shape')!r}, header implies {list(shape)}"
             )
-        params.tensors[name] = _values_tensor(name, blob.get("values"), shape)
+        params.tensors[name] = _values_array(name, blob.get("values"), shape)
     extra = sorted(set(blobs) - set(spec))
     if extra:
         raise ValidationError(f"unexpected parameters: {extra}")
@@ -281,7 +281,7 @@ def _header_number(hyper: dict, key: str):
     raise ValidationError(f"field 'hyper.{key}' must be {what}, got {value!r}")
 
 
-def _values_tensor(name: str, values, shape: tuple[int, ...]) -> Tensor:
+def _values_array(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
     size = math.prod(shape)
     try:
         arr = np.array(values) if isinstance(values, list) else None
@@ -291,4 +291,4 @@ def _values_tensor(name: str, values, shape: tuple[int, ...]) -> Tensor:
         raise ValidationError(f"field 'params.{name}.values' must be a list of {size} numbers")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"field 'params.{name}.values' holds non-finite numbers")
-    return tensor(arr.astype(np.float64, copy=False).reshape(shape))
+    return arr.astype(np.float64, copy=False).reshape(shape)

@@ -1,15 +1,16 @@
-"""Dense float64 tensor arithmetic with taped reverse-mode differentiation.
+"""Taped reverse-mode differentiation of float64 numpy arrays.
 
 Every learnable computation in the package is built from the primitives
-here. A forward op validates shapes, rejects non-finite results, and
-appends its local gradient rule to a ``Tape``; ``Tape.backward`` replays
-the records in reverse and returns the exact chain-rule gradients of the
-tensors it is asked for, which ``adam_step`` consumes. A ``Tensor`` is
-values only: gradients are returned, never stored on it.
+here. A forward op takes and returns float64 ``np.ndarray``s, validates
+shapes, rejects non-finite results, and appends its local gradient rule
+to a ``Tape``; ``Tape.backward`` replays the records in reverse and
+returns the exact chain-rule gradients of the arrays it is asked for,
+which ``adam_step`` consumes. Adjoints are keyed by array identity, so
+an op always returns a new array object, never one of its inputs.
 
 Sparse structure is plain index data: a ``RowIndex`` names the rows a
 ``gather_rows`` reads (its backward scatters through the same index),
-and ``Segments`` split the leading axis of a tensor into consecutive
+and ``Segments`` split the leading axis of an array into consecutive
 runs, such as a node's edges in the encoder or a move's candidates in
 the loss, for ``segment_softmax`` and ``segment_sum``. ``segment_softmax``
 is the one taped softmax; the plain ``softmax`` serves untaped code.
@@ -22,50 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 
 __all__ = [
-    "Tensor",
     "Tape",
     "RowIndex",
     "Segments",
     "AdamState",
     "adam_step",
-    "tensor",
 ]
-
-
-class Tensor:
-    """A dense float64 array."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise ValidationError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.values.reshape(-1)[0])
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-
-def tensor(values) -> Tensor:
-    """Wrap ``values`` as a Tensor, rejecting non-finite entries."""
-    t = Tensor(values)
-    if not np.all(np.isfinite(t.values)):
-        raise NumericError("tensor values must be finite")
-    return t
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -145,8 +115,8 @@ class Segments(RowIndex):
         self.starts = np.cumsum(self.counts) - self.counts
         super().__init__(np.repeat(np.arange(c.size), self.counts), c.size)
 
-    def check(self, a: Tensor, op: str) -> None:
-        if a.values.ndim == 0 or a.shape[0] != self.rows.size:
+    def check(self, a: np.ndarray, op: str) -> None:
+        if a.ndim == 0 or a.shape[0] != self.rows.size:
             raise ValidationError(
                 f"{op}: segments cover {self.rows.size} entries, got shape {a.shape}"
             )
@@ -161,164 +131,155 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], _Rule]] = []
+        self._records: list[tuple[np.ndarray, tuple[np.ndarray, ...], _Rule]] = []
         self._consumed = False
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], rule: _Rule) -> None:
+    def _record(self, out: np.ndarray, inputs: tuple[np.ndarray, ...], rule: _Rule) -> None:
         self._records.append((out, inputs, rule))
 
     # -- primitive forward ops -------------------------------------------
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``[n, k] @ [k, m]``, or per batch entry ``[B, n, k] @ [k, m]``
         (one shared right operand) and ``[B, n, k] @ [B, k, m]``."""
-        av, bv = a.values, b.values
         if (
-            av.ndim not in (2, 3)
-            or bv.ndim not in (2, av.ndim)
-            or av.shape[-1] != bv.shape[-2]
-            or (bv.ndim == 3 and av.shape[0] != bv.shape[0])
+            a.ndim not in (2, 3)
+            or b.ndim not in (2, a.ndim)
+            or a.shape[-1] != b.shape[-2]
+            or (b.ndim == 3 and a.shape[0] != b.shape[0])
         ):
-            raise ValidationError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv)
-        _check_finite(out.values, "matmul")
+            raise ValidationError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+        out = a @ b
+        _check_finite(out, "matmul")
 
         def rule(g):
-            if bv.ndim == av.ndim:
-                return g @ _swap_last(bv), _swap_last(av) @ g
+            if b.ndim == a.ndim:
+                return g @ _swap_last(b), _swap_last(a) @ g
             # a shared right operand's gradient sums over the batch
-            return g @ bv.T, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return g @ b.T, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
         self._record(out, (a, b), rule)
         return out
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         try:
-            out = Tensor(a.values + b.values)
+            out = a + b
         except ValueError as exc:
             raise ValidationError(f"add shape mismatch: {a.shape} + {b.shape}") from exc
-        _check_finite(out.values, "add")
-        a_shape, b_shape = a.shape, b.shape
-        self._record(out, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
+        _check_finite(out, "add")
+        self._record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
         return out
 
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         try:
-            out = Tensor(a.values * b.values)
+            out = a * b
         except ValueError as exc:
             raise ValidationError(f"mul shape mismatch: {a.shape} * {b.shape}") from exc
-        _check_finite(out.values, "mul")
-        av, bv = a.values, b.values
-        a_shape, b_shape = a.shape, b.shape
+        _check_finite(out, "mul")
         self._record(
-            out,
-            (a, b),
-            lambda g: (_unbroadcast(g * bv, a_shape), _unbroadcast(g * av, b_shape)),
+            out, (a, b), lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
         )
         return out
 
-    def mul_scalar(self, a: Tensor, scalar: float) -> Tensor:
+    def mul_scalar(self, a: np.ndarray, scalar: float) -> np.ndarray:
         c = float(scalar)
-        out = Tensor(a.values * c)
-        _check_finite(out.values, "mul_scalar")
+        out = a * c
+        _check_finite(out, "mul_scalar")
         self._record(out, (a,), lambda g: (g * c,))
         return out
 
-    def concat(self, parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    def concat(self, parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
         if not parts:
-            raise ValidationError("concat needs at least one tensor")
+            raise ValidationError("concat needs at least one array")
         try:
-            out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
+            out = np.concatenate(parts, axis=axis)
         except ValueError as exc:
             raise ValidationError(f"concat shape mismatch along axis {axis}") from exc
-        _check_finite(out.values, "concat")
-        offsets = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
+        _check_finite(out, "concat")
+        offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
         self._record(out, tuple(parts), lambda g: tuple(np.split(g, offsets, axis=axis)))
         return out
 
-    def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
-        av = a.values
-        out = Tensor(np.where(av > 0, av, slope * av))
-        _check_finite(out.values, "leaky_relu")
-        factor = np.where(av > 0, 1.0, slope)
+    def leaky_relu(self, a: np.ndarray, slope: float = 0.2) -> np.ndarray:
+        out = np.where(a > 0, a, slope * a)
+        _check_finite(out, "leaky_relu")
+        factor = np.where(a > 0, 1.0, slope)
         self._record(out, (a,), lambda g: (g * factor,))
         return out
 
-    def tanh(self, a: Tensor) -> Tensor:
-        yv = np.tanh(a.values)
-        out = Tensor(yv)
-        self._record(out, (a,), lambda g: (g * (1.0 - yv * yv),))
+    def tanh(self, a: np.ndarray) -> np.ndarray:
+        out = np.tanh(a)
+        self._record(out, (a,), lambda g: (g * (1.0 - out * out),))
         return out
 
-    def log(self, a: Tensor) -> Tensor:
-        av = a.values
-        if np.any(av <= 0):
+    def log(self, a: np.ndarray) -> np.ndarray:
+        if np.any(a <= 0):
             raise NumericError("log of a non-positive value")
-        out = Tensor(np.log(av))
-        _check_finite(out.values, "log")
-        self._record(out, (a,), lambda g: (g / av,))
+        out = np.log(a)
+        _check_finite(out, "log")
+        self._record(out, (a,), lambda g: (g / a,))
         return out
 
-    def sum(self, a: Tensor) -> Tensor:
-        out = Tensor(a.values.sum())
-        _check_finite(out.values, "sum")
-        shape = a.shape
-        self._record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        out = np.asarray(a.sum())  # a 0-d array, not a numpy scalar
+        _check_finite(out, "sum")
+        self._record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
         return out
 
-    def transpose(self, a: Tensor) -> Tensor:
-        """Swap the last two axes of a 2-d or 3-d tensor."""
-        if a.values.ndim not in (2, 3):
-            raise ValidationError(f"transpose needs a 2-d or 3-d tensor, got shape {a.shape}")
-        out = Tensor(_swap_last(a.values).copy())
+    def transpose(self, a: np.ndarray) -> np.ndarray:
+        """Swap the last two axes of a 2-d or 3-d array."""
+        if a.ndim not in (2, 3):
+            raise ValidationError(f"transpose needs a 2-d or 3-d array, got shape {a.shape}")
+        out = _swap_last(a).copy()
         self._record(out, (a,), lambda g: (_swap_last(g),))
         return out
 
-    def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         old = a.shape
         try:
-            out = Tensor(a.values.reshape(shape))
+            out = a.reshape(shape)
         except ValueError as exc:
             raise ValidationError(f"cannot reshape {old} to {shape}") from exc
         self._record(out, (a,), lambda g: (g.reshape(old),))
         return out
 
-    def gather_rows(self, a: Tensor, indices: Sequence[int] | np.ndarray | RowIndex) -> Tensor:
-        """Rows ``indices`` of a 2-d tensor, repeats allowed. The backward
+    def gather_rows(
+        self, a: np.ndarray, indices: Sequence[int] | np.ndarray | RowIndex
+    ) -> np.ndarray:
+        """Rows ``indices`` of a 2-d array, repeats allowed. The backward
         scatter-adds each gathered row's adjoint in index order. One
         ``RowIndex`` serves every gather from arrays of its row count."""
-        if a.values.ndim != 2:
-            raise ValidationError(f"gather_rows needs a 2-d tensor, got shape {a.shape}")
+        if a.ndim != 2:
+            raise ValidationError(f"gather_rows needs a 2-d array, got shape {a.shape}")
         index = indices if isinstance(indices, RowIndex) else RowIndex(indices, a.shape[0])
         if index.num_rows != a.shape[0]:
             raise ValidationError(
                 f"gather_rows index is for {index.num_rows} rows, got shape {a.shape}"
             )
-        out = Tensor(a.values[index.rows])
+        out = a[index.rows]
         self._record(out, (a,), lambda g: (index.scatter(g),))
         return out
 
-    def segment_softmax(self, a: Tensor, segments: Segments) -> Tensor:
+    def segment_softmax(self, a: np.ndarray, segments: Segments) -> np.ndarray:
         """Softmax over each segment of the leading axis, per column.
 
         Numerically stabilized by subtracting the segment max before
         exponentiation; a one-entry segment gets exactly 1.
         """
         segments.check(a, "segment_softmax")
-        peak = np.maximum.reduceat(a.values, segments.starts, axis=0)
-        e = np.exp(a.values - peak[segments.rows])
+        peak = np.maximum.reduceat(a, segments.starts, axis=0)
+        e = np.exp(a - peak[segments.rows])
         p = e / segments.scatter(e)[segments.rows]
-        out = Tensor(p)
-        _check_finite(out.values, "segment_softmax")
-        self._record(out, (a,), lambda g: (p * (g - segments.scatter(g * p)[segments.rows]),))
-        return out
+        _check_finite(p, "segment_softmax")
+        self._record(p, (a,), lambda g: (p * (g - segments.scatter(g * p)[segments.rows]),))
+        return p
 
     def segment_sum(
-        self, a: Tensor, index: RowIndex, weights: Tensor, segments: Segments
-    ) -> Tensor:
+        self, a: np.ndarray, index: RowIndex, weights: np.ndarray, segments: Segments
+    ) -> np.ndarray:
         """Per segment, the weighted sum of the rows of ``a`` ``[n, k]`` that
         ``index`` names, one per entry: entry e reads row ``index.rows[e]``
         and scales it block-wise by ``weights[e]`` ``[E, h]``, columns
@@ -326,50 +287,51 @@ class Tape:
         ``[len(segments.counts), k]``. The gathered ``[E, k]`` rows are
         not kept: the backward gathers them again."""
         segments.check(weights, "segment_sum")
-        av, wv = a.values, weights.values
-        blocks = wv.shape[1] if wv.ndim == 2 else 0
+        blocks = weights.shape[1] if weights.ndim == 2 else 0
         if (
             not blocks
-            or av.ndim != 2
-            or av.shape[1] % blocks
-            or (index.num_rows, index.rows.size) != (av.shape[0], wv.shape[0])
+            or a.ndim != 2
+            or a.shape[1] % blocks
+            or (index.num_rows, index.rows.size) != (a.shape[0], weights.shape[0])
         ):
             raise ValidationError(
-                f"segment_sum: values {av.shape} do not fit weights {wv.shape} "
+                f"segment_sum: values {a.shape} do not fit weights {weights.shape} "
                 f"and an index of {index.rows.size} rows into {index.num_rows}"
             )
-        blocked = (wv.shape[0], blocks, av.shape[1] // blocks)
-        scaled = av[index.rows].reshape(blocked)
-        scaled *= wv[:, :, None]
-        out = Tensor(segments.scatter(scaled).reshape(-1, av.shape[1]))
-        _check_finite(out.values, "segment_sum")
+        blocked = (weights.shape[0], blocks, a.shape[1] // blocks)
+        scaled = a[index.rows].reshape(blocked)
+        scaled *= weights[:, :, None]
+        out = segments.scatter(scaled).reshape(-1, a.shape[1])
+        _check_finite(out, "segment_sum")
 
         def rule(g):
             # each entry's segment adjoint, scaled in place into the gathered
             # rows' adjoint: an [E, k] array is costly to allocate
             spread = g[segments.rows].reshape(blocked)
-            grad_w = np.einsum("ehk,ehk->eh", spread, av[index.rows].reshape(blocked))
-            spread *= wv[:, :, None]
-            return index.scatter(spread.reshape(-1, av.shape[1])), grad_w
+            grad_w = np.einsum("ehk,ehk->eh", spread, a[index.rows].reshape(blocked))
+            spread *= weights[:, :, None]
+            return index.scatter(spread.reshape(-1, a.shape[1])), grad_w
 
         self._record(out, (a, weights), rule)
         return out
 
     # -- reverse pass -----------------------------------------------------
 
-    def backward(self, loss: Tensor, wrt: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-        """d(loss)/d(t) for every tensor ``t`` of ``wrt``, under its name; zeros
+    def backward(
+        self, loss: np.ndarray, wrt: Mapping[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """d(loss)/d(x) for every array ``x`` of ``wrt``, under its name; zeros
         where the loss does not reach. The loss must be a single-element
-        tensor produced on this tape; a tape backpropagates only once."""
+        array produced on this tape; a tape backpropagates only once."""
         if self._consumed:
             raise ValidationError("tape already consumed by a previous backward pass")
-        if loss.values.size != 1:
+        if loss.size != 1:
             raise ValidationError(f"loss must be scalar, got shape {loss.shape}")
         if not any(out is loss for out, _, _ in reversed(self._records)):
             raise ValidationError("loss is not the output of an op recorded on this tape")
         self._consumed = True
 
-        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
+        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
         for out, inputs, rule in reversed(self._records):
             g = adjoints.pop(id(out), None)
             if g is None:
@@ -378,8 +340,8 @@ class Tape:
                 key = id(inp)
                 adjoints[key] = adjoints[key] + gin if key in adjoints else gin
         return {
-            name: adjoints[id(t)] if id(t) in adjoints else np.zeros_like(t.values)
-            for name, t in wrt.items()
+            name: adjoints[id(x)] if id(x) in adjoints else np.zeros_like(x)
+            for name, x in wrt.items()
         }
 
 
@@ -387,7 +349,7 @@ class ForwardTape(Tape):
     """Runs the ops and records none of them: a forward pass that will
     never be differentiated keeps no intermediates alive."""
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], rule: _Rule) -> None:
+    def _record(self, out: np.ndarray, inputs: tuple[np.ndarray, ...], rule: _Rule) -> None:
         pass
 
 
@@ -407,14 +369,14 @@ class AdamState:
 
 
 def adam_step(
-    params: Mapping[str, Tensor],
+    params: MutableMapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
     state: AdamState,
 ) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     Each parameter gets its own effective step size from its moment
-    estimates.
+    estimates. A new array replaces ``params[name]``; the old one is kept.
     """
     if not 0 < state.learning_rate < math.inf:  # also false for NaN
         raise ValidationError(f"learning_rate must be positive and finite, got {state.learning_rate}")
@@ -435,12 +397,12 @@ def adam_step(
         m = state.first_moment.get(name)
         v = state.second_moment.get(name)
         if m is None:
-            m = np.zeros_like(p.values)
-            v = np.zeros_like(p.values)
+            m = np.zeros_like(p)
+            v = np.zeros_like(p)
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         state.first_moment[name] = m
         state.second_moment[name] = v
         m_hat = m / bias1
         v_hat = v / bias2
-        p.values = p.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        params[name] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -59,6 +59,12 @@ class ComparisonReport:
         return out.getvalue()
 
 
+def check_node_cap(node_cap: int) -> None:
+    """Reject a cap below 1, which admits no graph at all."""
+    if node_cap < 1:
+        raise ValidationError(f"node_cap (CLI: --cap) must be at least 1, got {node_cap}")
+
+
 def brute_force_scores(
     graph: WeightedGraph,
     score_config: ScoreConfig = ScoreConfig(),
@@ -67,10 +73,9 @@ def brute_force_scores(
     """Best attack-path score (and one achieving path) per end node.
 
     Refuses graphs above ``node_cap``; pass a higher cap explicitly to
-    accept the factorial runtime. A cap below 1 admits no graph at all.
+    accept the factorial runtime; ``check_node_cap`` rejects a cap below 1.
     """
-    if node_cap < 1:
-        raise ValidationError(f"node_cap (CLI: --cap) must be at least 1, got {node_cap}")
+    check_node_cap(node_cap)
     if graph.num_nodes > node_cap:
         raise CapExceededError(
             f"{graph.num_nodes} nodes exceeds the brute-force cap of {node_cap}; "

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ValidationError
 from .graphgen import WeightedGraph
 from .model import ModelParams, encode, score_matrix
-from .numcore import Segments, Tape, Tensor, softmax
+from .numcore import Segments, Tape, softmax
 
 _FOLDS = {"product": operator.mul, "sum": operator.add}
 AGGREGATORS = tuple(_FOLDS)
@@ -118,7 +118,7 @@ def decode_all(
     with taped scores.
     """
     scores = score_matrix(encode([graph], params), params)
-    return walk(graph, scores.values[0], start, mode, temperature, rng, score_config)
+    return walk(graph, scores[0], start, mode, temperature, rng, score_config)
 
 
 def walk(
@@ -212,9 +212,9 @@ def _check_temperature(temperature: float) -> None:
 
 
 def move_log_probs(
-    scores: Tensor, walks: Sequence[RolloutResult], temperature: float, tape: Tape
-) -> Tensor | None:
-    """log p(next | selected) of every move of every walk, as one tensor.
+    scores: np.ndarray, walks: Sequence[RolloutResult], temperature: float, tape: Tape
+) -> np.ndarray | None:
+    """log p(next | selected) of every move of every walk, as one array.
 
     ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores; the
     result holds its moves in trace order, after those of the walks

@@ -38,7 +38,7 @@ from .errors import NumericError, ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
 from .model import ModelParams, copy_params, encode, init_params, save_checkpoint, score_matrix
-from .numcore import AdamState, Tape, Tensor, adam_step, tensor
+from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare
 from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
 
@@ -104,12 +104,12 @@ class EpochMetrics:
 
 
 def reinforce_loss(
-    scores: Tensor,
+    scores: np.ndarray,
     walks: Sequence[RolloutResult],
     baseline_rewards: Sequence[float],
     temperature: float,
     tape: Tape,
-) -> Tensor:
+) -> np.ndarray:
     """The mean over ``walks`` of -(reward - baseline_reward) * sum(log probs).
 
     ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores at
@@ -132,8 +132,8 @@ def reinforce_loss(
             stacklevel=2,
         )
     if log_probs is None:  # still a record of the tape, so it can be differentiated
-        return tape.reshape(Tensor(np.zeros(1)), (1,))
-    coef = tensor(np.repeat([scale * -a for a in advantages], steps))
+        return tape.reshape(np.zeros(1), (1,))
+    coef = np.repeat([scale * -a for a in advantages], steps)
     return tape.reshape(tape.sum(tape.mul(log_probs, coef)), (1,))
 
 
@@ -188,7 +188,7 @@ def train(
                 baseline_scores = score_matrix(encode(graphs, baseline), baseline)
             scores = score_matrix(encode(graphs, policy, tape), policy, tape)
             sampled, baseline_rewards = [], []
-            for graph, rows, baseline_rows in zip(graphs, scores.values, baseline_scores.values):
+            for graph, rows, baseline_rows in zip(graphs, scores, baseline_scores):
                 start = int(rng.integers(graph.num_nodes))
                 rolled = walk(
                     graph, rows, start, "sample", config.temperature, rng, config.score_config

@@ -20,8 +20,19 @@ import numpy as np
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import WeightedGraph
 from apgf.model import LEAKY_SLOPE, NUM_LAYERS, ModelParams, encode, score_matrix
-from apgf.numcore import ForwardTape, Tape, Tensor, tensor
+from apgf.numcore import ForwardTape, Tape
 from apgf.rollout import RolloutResult, move_log_probs
+
+
+class CheckedTape(Tape):
+    """A tape that asserts, op by op, what the tape itself does not check:
+    every output is a float64 array, since nothing coerces dtypes, and a
+    new object, since ``backward`` keys adjoints by identity."""
+
+    def _record(self, out, inputs, rule) -> None:
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64, type(out)
+        assert not any(out is x for x in inputs), "an op returned one of its inputs"
+        super()._record(out, inputs, rule)
 
 
 def central_difference(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -111,9 +122,9 @@ def identity_model(score_clip: float = 10.0):
 
     params = init_params(0, embed_dim=1, num_heads=1, ff_dim=1, score_clip=score_clip)
     for name, t in params.tensors.items():
-        t.values = np.zeros_like(t.values)
+        params.tensors[name] = np.zeros_like(t)
     for name in ("encoder.input_lift", "decoder.query_proj", "decoder.key_proj"):
-        params.tensors[name].values = np.array([[1.0]])
+        params.tensors[name] = np.array([[1.0]])
     return params
 
 
@@ -194,11 +205,10 @@ def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temper
     under ``params``, untaped: an array, or None when it made no move."""
     tape = ForwardTape()
     scores = score_matrix(encode([graph], params, tape), params, tape)
-    log_probs = move_log_probs(scores, [walk], temperature, tape)
-    return None if log_probs is None else log_probs.values
+    return move_log_probs(scores, [walk], temperature, tape)
 
 
-def masked_softmax(tape: Tape, a: Tensor, mask) -> Tensor:
+def masked_softmax(tape: Tape, a: np.ndarray, mask) -> np.ndarray:
     """Softmax along the last axis with hard-masked entries, recorded on
     ``tape`` as one op (``dense_encode``'s normalization; the library's
     one taped softmax is ``Tape.segment_softmax``).
@@ -212,29 +222,28 @@ def masked_softmax(tape: Tape, a: Tensor, mask) -> Tensor:
         raise ValidationError(f"mask shape {m.shape} does not match values shape {a.shape}")
     if not m.any(axis=-1).all():
         raise ValidationError("masked_softmax: at least one fully-masked row")
-    x = np.where(m, a.values, -np.inf)
+    x = np.where(m, a, -np.inf)
     e = np.exp(x - x.max(axis=-1, keepdims=True))  # exp(-inf) == 0 exactly
     p = e / e.sum(axis=-1, keepdims=True)
     if not np.all(np.isfinite(p)):
         raise NumericError("masked_softmax produced non-finite values")
-    out = Tensor(p)
 
     def rule(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
-    tape._record(out, (a,), rule)
-    return out
+    tape._record(p, (a,), rule)
+    return p
 
 
 def dense_encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
-) -> Tensor:
+) -> np.ndarray:
     """The encoder as it was before the edge-list form, kept verbatim as a
     reference: dense ``[n, n]`` attention, one head at a time.
 
     Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
-    tensor, entry b for ``graphs[b]``; a single graph is a batch of one.
+    array, entry b for ``graphs[b]``; a single graph is a batch of one.
 
     Per attention layer and head: score each neighborhood edge (self-loop
     included) with a LeakyReLU of the learned attention form, normalize
@@ -257,7 +266,7 @@ def dense_encode(
         for u, v in g.edges:
             mask[b, u, v] = mask[b, v, u] = True
 
-    weights_col = tensor(np.stack([g.node_weights.reshape(n, 1) for g in graphs]))
+    weights_col = np.stack([g.node_weights.reshape(n, 1) for g in graphs])
     h = tape.matmul(weights_col, p["encoder.input_lift"])  # [B, n, embed_dim]
 
     for li in range(NUM_LAYERS):

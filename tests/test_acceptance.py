@@ -56,7 +56,7 @@ def test_criterion_1_gradient_integrity():
     for name, p in params.tensors.items():
         analytic = grads[name]
         assert np.any(analytic), f"no gradient reached {name}"
-        fd = central_difference(loss_value, p.values, h=1e-5)
+        fd = central_difference(loss_value, p, h=1e-5)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
     elapsed = time.perf_counter() - started

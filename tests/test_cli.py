@@ -269,6 +269,23 @@ def test_compare_cap_below_one_exits_2(tmp_path, compare_inputs, capsys, cap):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_compare_cap_below_one_exits_2_on_a_warm_cache(tmp_path, compare_inputs, capsys, cap):
+    graph_path, ckpt_path = compare_inputs
+    cache = tmp_path / "oracle_cache.json"
+    common = ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
+              "--oracle-cache", str(cache)]
+    assert run(common + ["--out-dir", str(tmp_path / "warm")]) == EXIT_OK
+    capsys.readouterr()
+    out_dir = tmp_path / "o"
+    assert run(common + ["--out-dir", str(out_dir), "--cap", cap]) == EXIT_VALIDATION
+    assert "--cap" in capsys.readouterr().err
+    assert not (out_dir / "comparison.csv").exists()
+    assert not (out_dir / "manifest.json").exists()
+    # a cap of at least 1 below the graph's 8 nodes still reads the cache
+    assert run(common + ["--out-dir", str(out_dir), "--cap", "5"]) == EXIT_OK
+
+
 def test_compare_missing_file(tmp_path, capsys):
     code = run(
         ["compare", "--graph", str(tmp_path / "nope.json"), "--checkpoint", str(tmp_path / "c.json"),

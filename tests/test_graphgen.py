@@ -159,6 +159,12 @@ def test_weight_out_of_range_in_file():
         graph_from_json(bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_weight_rejected(bad):
+    with pytest.raises(ValidationError, match=r"weight out of range \[0, 1\]"):
+        build_graph(3, [(0, 1), (1, 2)], [bad, 0.5, 0.2])
+
+
 def test_malformed_file_errors_name_the_field():
     with pytest.raises(GraphFormatError, match="JSON"):
         graph_from_json("{nope")

@@ -18,7 +18,7 @@ from apgf.model import (
     save_checkpoint,
     score_matrix,
 )
-from apgf.numcore import ForwardTape, Tape, softmax, tensor
+from apgf.numcore import ForwardTape, Tape, softmax
 from apgf.rollout import decode_all, walk
 
 from helpers import (
@@ -43,15 +43,15 @@ def small_params(seed=0, embed_dim=8, num_heads=2, ff_dim=12, score_clip=10.0):
 def decoder_params(query_proj, key_proj, score_clip=10.0):
     """A model whose decoder projections are the given square matrices."""
     params = init_params(0, embed_dim=len(query_proj), num_heads=1, ff_dim=1, score_clip=score_clip)
-    params.tensors["decoder.query_proj"] = tensor(query_proj)
-    params.tensors["decoder.key_proj"] = tensor(key_proj)
+    params.tensors["decoder.query_proj"] = np.array(query_proj, dtype=np.float64)
+    params.tensors["decoder.key_proj"] = np.array(key_proj, dtype=np.float64)
     return params
 
 
 def test_single_node_graph():
     g = build_graph(1, [], [0.7])
     params = small_params()
-    p = {name: t.values for name, t in params.tensors.items()}
+    p = params.tensors
     emb = encode([g], params)
     assert emb.shape == (1, 1, params.embed_dim)
     # self-attention over one node has coefficient 1, so the first layer
@@ -64,7 +64,7 @@ def test_single_node_graph():
     inner = h2 @ p["encoder.ff_in_weight"] + p["encoder.ff_in_bias"]
     inner = np.where(inner > 0, inner, 0.2 * inner)
     expected = h2 + inner @ p["encoder.ff_out_weight"] + p["encoder.ff_out_bias"]
-    np.testing.assert_allclose(emb.values[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(emb[0], expected, rtol=1e-12)
 
 
 def test_zero_weight_matrices_leave_only_lifted_inputs():
@@ -72,10 +72,10 @@ def test_zero_weight_matrices_leave_only_lifted_inputs():
     params = small_params()
     for name, t in params.tensors.items():
         if name != "encoder.input_lift":
-            t.values = np.zeros_like(t.values)
+            params.tensors[name] = np.zeros_like(t)
     emb = encode([g], params)
-    lifted = g.node_weights.reshape(-1, 1) @ params.tensors["encoder.input_lift"].values
-    np.testing.assert_array_equal(emb.values[0], lifted)
+    lifted = g.node_weights.reshape(-1, 1) @ params.tensors["encoder.input_lift"]
+    np.testing.assert_array_equal(emb[0], lifted)
 
 
 def test_permutation_equivariance():
@@ -91,18 +91,18 @@ def test_permutation_equivariance():
         start=int(perm[g.start_index]),
     )
     params = small_params(seed=9)
-    v = encode([g], params).values[0]
-    v_perm = encode([relabeled], params).values[0]
+    v = encode([g], params)[0]
+    v_perm = encode([relabeled], params)[0]
     np.testing.assert_allclose(v_perm[perm], v, atol=1e-10, rtol=0)
 
 
 def test_batched_scores_equal_single_graph_scores_bit_for_bit():
     graphs = [generate_random_graph(20, 25, seed=300 + s) for s in range(16)]
     params = init_params(17)
-    batched = score_matrix(encode(graphs, params), params).values
+    batched = score_matrix(encode(graphs, params), params)
     assert batched.shape == (16, 20, 20)
     for b, g in enumerate(graphs):
-        single = score_matrix(encode([g], params), params).values
+        single = score_matrix(encode([g], params), params)
         assert single.shape == (1, 20, 20)
         np.testing.assert_array_equal(batched[b], single[0])
 
@@ -126,8 +126,8 @@ MODEL_SIZES = {"small": dict(embed_dim=8, num_heads=2, ff_dim=12), "paper": {}}
 def test_encode_agrees_with_dense_reference(case, size):
     graphs = _reference_cases()[case]
     params = init_params(23, **MODEL_SIZES[size])
-    edge_list = encode(graphs, params).values
-    dense = dense_encode(graphs, params).values
+    edge_list = encode(graphs, params)
+    dense = dense_encode(graphs, params)
     assert edge_list.shape == dense.shape
     assert max_relative_error(edge_list, dense) <= 1e-12
 
@@ -136,7 +136,7 @@ def test_encode_agrees_with_dense_reference(case, size):
 def test_encode_gradients_agree_with_dense_reference(size):
     graphs = _reference_cases()["batch"]
     params = init_params(27, **MODEL_SIZES[size])
-    weighting = tensor(np.random.default_rng(28).normal(size=(len(graphs), 20, 20)))
+    weighting = np.random.default_rng(28).normal(size=(len(graphs), 20, 20))
 
     def gradients(encoder):
         t = Tape()
@@ -154,8 +154,8 @@ def test_walks_choose_as_with_dense_reference(size):
     for s in range(8):
         n = 12 + 4 * s
         g = generate_random_graph(n, n + s, seed=60 + s)
-        ours = score_matrix(encode([g], params), params).values[0]
-        reference = score_matrix(dense_encode([g], params), params).values[0]
+        ours = score_matrix(encode([g], params), params)[0]
+        reference = score_matrix(dense_encode([g], params), params)[0]
         for start in (g.start_index, (g.start_index + 1) % n):
             a = walk(g, ours, start, "greedy")
             b = walk(g, reference, start, "greedy")
@@ -187,17 +187,17 @@ def test_encode_rejects_mixed_sizes():
 
 
 def test_decoder_zero_projections_give_zero_scores():
-    emb = tensor(np.random.default_rng(0).normal(size=(1, 4, 3)))
+    emb = np.random.default_rng(0).normal(size=(1, 4, 3))
     dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
     scores = score_matrix(emb, dec)
     assert scores.shape == (1, 4, 4)
-    assert not np.any(scores.values)
+    assert not np.any(scores)
 
 
 def test_decoder_one_dimensional_case():
-    emb = tensor([[[1.0], [1.0]]])
+    emb = np.array([[[1.0], [1.0]]])
     dec = decoder_params([[1.0]], [[1.0]])
-    scores = score_matrix(emb, dec).values[0]
+    scores = score_matrix(emb, dec)[0]
     assert scores[0, 1] == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
     assert scores[0, 1] == pytest.approx(7.615941559, rel=1e-9)
     np.testing.assert_array_equal(scores, np.full((2, 2), scores[0, 1]))
@@ -205,9 +205,9 @@ def test_decoder_one_dimensional_case():
 
 def test_decoder_scores_bounded_by_clip():
     rng = np.random.default_rng(2)
-    emb = tensor(rng.normal(size=(1, 6, 4)) * 50)
+    emb = rng.normal(size=(1, 6, 4)) * 50
     dec = decoder_params(rng.normal(size=(4, 4)) * 50, rng.normal(size=(4, 4)) * 50)
-    scores = score_matrix(emb, dec).values
+    scores = score_matrix(emb, dec)
     assert np.all(np.abs(scores) <= 10.0)
     assert np.max(np.abs(scores)) > 9.0  # saturated, so the bound is exercised
 
@@ -279,7 +279,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.hyper() == params.hyper()
     for (name_a, a), (name_b, b) in zip(params.tensors.items(), loaded.tensors.items()):
         assert name_a == name_b
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_checkpoint_dim_mismatch_names_both_values(tmp_path):
@@ -308,9 +308,9 @@ def test_greedy_rollout_identical_after_round_trip(tmp_path):
 def test_copy_params_is_decoupled():
     params = small_params(seed=3)
     frozen = copy_params(params)
-    params.tensors["encoder.input_lift"].values[:] = 99.0
+    params.tensors["encoder.input_lift"][:] = 99.0
     assert not np.array_equal(
-        frozen.tensors["encoder.input_lift"].values, params.tensors["encoder.input_lift"].values
+        frozen.tensors["encoder.input_lift"], params.tensors["encoder.input_lift"]
     )
     assert frozen.hyper() == params.hyper()
 
@@ -319,7 +319,7 @@ def test_decoder_gradients_match_finite_differences():
     g = generate_random_graph(6, 7, seed=14)
     params = small_params(seed=15, embed_dim=4, num_heads=2, ff_dim=6)
     # a fixed random weighting keeps every entry's gradient distinct
-    weighting = tensor(np.random.default_rng(16).normal(size=(1, 6, 6)))
+    weighting = np.random.default_rng(16).normal(size=(1, 6, 6))
 
     def weighted_sum(t):
         return t.sum(t.mul(score_matrix(encode([g], params, t), params, t), weighting))
@@ -331,7 +331,7 @@ def test_decoder_gradients_match_finite_differences():
     grads = t.backward(weighted_sum(t), params.tensors)
 
     for name, p in params.tensors.items():
-        fd = central_difference(loss_value, p.values, h=1e-5)
+        fd = central_difference(loss_value, p, h=1e-5)
         analytic = grads[name]
         assert max_relative_error(analytic, fd) <= 1e-4, name
 
@@ -420,7 +420,7 @@ def _checkpoint_docs(draw):
         "version": 1,
         "hyper": params.hyper(),
         "params": {
-            name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
+            name: {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
             for name, t in params.tensors.items()
         },
     }

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
-from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step, tensor
+from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step
 
-from helpers import central_difference, masked_softmax, max_relative_error
+from helpers import CheckedTape, central_difference, masked_softmax, max_relative_error
 
 
 def rand_signed(rng, shape):
@@ -21,40 +21,40 @@ def rand_signed(rng, shape):
 def test_masked_softmax_single_candidate():
     # the dense reference encoder's masked softmax lives in tests/helpers.py
     t = Tape()
-    out = masked_softmax(t, tensor([2.7]), np.array([True]))
-    assert out.values == pytest.approx([1.0], abs=0)
+    out = masked_softmax(t, np.array([2.7]), np.array([True]))
+    assert out == pytest.approx([1.0], abs=0)
 
 
 def test_masked_softmax_symmetry():
     t = Tape()
-    out = masked_softmax(t, tensor([1.0, 1.0, 1.0]), np.ones(3, dtype=bool))
-    np.testing.assert_allclose(out.values, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+    out = masked_softmax(t, np.array([1.0, 1.0, 1.0]), np.ones(3, dtype=bool))
+    np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
 
 
 def test_masked_entries_are_exactly_zero():
     t = Tape()
-    out = masked_softmax(t, tensor([5.0, 1.0, 3.0]), np.array([True, False, True]))
-    assert out.values[1] == 0.0
-    assert abs(out.values.sum() - 1.0) < 1e-12
+    out = masked_softmax(t, np.array([5.0, 1.0, 3.0]), np.array([True, False, True]))
+    assert out[1] == 0.0
+    assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_tanh_and_leaky_relu_points():
     t = Tape()
-    assert t.tanh(tensor([0.0])).values[0] == 0.0
-    assert t.leaky_relu(tensor([-1.0]), 0.2).values[0] == pytest.approx(-0.2, abs=0)
-    assert t.leaky_relu(tensor([3.0]), 0.2).values[0] == 3.0
+    assert t.tanh(np.array([0.0]))[0] == 0.0
+    assert t.leaky_relu(np.array([-1.0]), 0.2)[0] == pytest.approx(-0.2, abs=0)
+    assert t.leaky_relu(np.array([3.0]), 0.2)[0] == 3.0
 
 
 def test_backward_sum_gives_ones():
     t = Tape()
-    w = tensor([1.0, 2.0, 3.0])
+    w = np.array([1.0, 2.0, 3.0])
     grads = t.backward(t.sum(w), {"w": w})
     np.testing.assert_array_equal(grads["w"], [1.0, 1.0, 1.0])
 
 
 def test_backward_sum_of_squares():
     t = Tape()
-    w = tensor([2.0])
+    w = np.array([2.0])
     grads = t.backward(t.sum(t.mul(w, w)), {"w": w})
     np.testing.assert_allclose(grads["w"], [4.0], rtol=0)
 
@@ -66,8 +66,7 @@ def test_determinism_bit_identical():
 
     def run():
         t = Tape()
-        a, b = tensor(a0), tensor(b0)
-        return t.segment_softmax(t.tanh(t.matmul(a, b)), Segments([1, 3])).values
+        return t.segment_softmax(t.tanh(t.matmul(a0, b0)), Segments([1, 3]))
 
     assert np.array_equal(run(), run())
 
@@ -77,11 +76,11 @@ def test_determinism_bit_identical():
 
 def loss_through(op_builder, *arrays):
     """Build sum(op(...) * R) with fixed random R; return (tape, tensors, loss)."""
-    tensors = [tensor(a) for a in arrays]
+    tensors = list(arrays)
     t = Tape()
     out = op_builder(t, *tensors)
-    rng = np.random.default_rng(out.values.size)
-    weights = tensor(rng.normal(size=out.shape))
+    rng = np.random.default_rng(out.size)
+    weights = rng.normal(size=out.shape)
     loss = t.sum(t.mul(out, weights))
     return t, tensors, loss
 
@@ -100,6 +99,7 @@ OP_CASES = {
     "sum": (lambda t, a: t.reshape(t.sum(a), (1,)), [(4, 2)]),
     "transpose": (lambda t, a: t.transpose(a), [(3, 5)]),
     "reshape": (lambda t, a: t.reshape(a, (2, 6)), [(3, 4)]),
+    "reshape_same_shape": (lambda t, a: t.reshape(a, (3, 4)), [(3, 4)]),
     "gather_rows": (lambda t, a: t.gather_rows(a, [2, 0, 2]), [(4, 3)]),
     "gather_rows_index": (lambda t, a: t.gather_rows(a, RowIndex([1, 1, 3, 0, 1], 4)), [(4, 2)]),
     # segments of 1, 3 and 2 entries: a one-entry segment, and several columns (heads)
@@ -157,9 +157,18 @@ def test_gradients_match_finite_differences(name):
         assert max_relative_error(an, fd) <= 1e-6
 
 
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_every_op_records_a_new_float64_array(name):
+    op_builder, shapes = OP_CASES[name]
+    rng = np.random.default_rng(0)
+    t = CheckedTape()
+    t.sum(op_builder(t, *[rand_signed(rng, s) for s in shapes]))
+    assert len(t) >= 2
+
+
 def test_grad_accumulates_when_tensor_used_twice():
     t = Tape()
-    w = tensor([3.0])
+    w = np.array([3.0])
     grads = t.backward(t.sum(t.add(w, w)), {"w": w})
     np.testing.assert_array_equal(grads["w"], [2.0])
 
@@ -169,9 +178,9 @@ def test_frozen_tensors_never_receive_gradients():
     # back only the gradients asked for, with zeros where the loss does
     # not reach
     t = Tape()
-    live = tensor([[1.0, 2.0]])
-    frozen = tensor([[3.0], [4.0]])
-    unused = tensor([[5.0, 6.0]])
+    live = np.array([[1.0, 2.0]])
+    frozen = np.array([[3.0], [4.0]])
+    unused = np.array([[5.0, 6.0]])
     grads = t.backward(t.sum(t.matmul(live, frozen)), {"live": live, "unused": unused})
     assert list(grads) == ["live", "unused"]
     np.testing.assert_array_equal(grads["live"], [[3.0, 4.0]])
@@ -191,7 +200,7 @@ def test_masked_softmax_is_probability_vector(values, data):
         st.lists(st.booleans(), min_size=len(values), max_size=len(values)).filter(any)
     )
     t = Tape()
-    out = masked_softmax(t, tensor(values), np.array(mask)).values
+    out = masked_softmax(t, np.array(values), np.array(mask))
     assert np.all(out >= 0)
     assert all(out[i] == 0.0 for i, m in enumerate(mask) if not m)
     assert abs(out.sum() - 1.0) < 1e-12
@@ -206,7 +215,7 @@ def test_segment_softmax_is_probability_vector(values, data):
     # a cut after entry i ends a segment there
     cuts = data.draw(st.lists(st.booleans(), min_size=len(values) - 1, max_size=len(values) - 1))
     bounds = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [len(values)]
-    out = Tape().segment_softmax(tensor(values), Segments(np.diff(bounds))).values
+    out = Tape().segment_softmax(np.array(values), Segments(np.diff(bounds)))
     assert np.all(out >= 0)
     for lo, hi in zip(bounds, bounds[1:]):
         assert abs(out[lo:hi].sum() - 1.0) < 1e-12
@@ -220,18 +229,18 @@ def test_segment_softmax_is_probability_vector(values, data):
 def test_shape_mismatch_rejected():
     t = Tape()
     with pytest.raises(ValidationError):
-        t.matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
+        t.matmul(np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(ValidationError):
-        t.add(tensor(np.ones((2, 3))), tensor(np.ones((4, 5))))
+        t.add(np.ones((2, 3)), np.ones((4, 5)))
 
 
 def test_batched_matmul_shape_mismatch_rejected():
     t = Tape()
     for a, b in [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)), ((3, 4), (2, 4, 2))]:
         with pytest.raises(ValidationError, match="matmul shape mismatch"):
-            t.matmul(tensor(np.ones(a)), tensor(np.ones(b)))
+            t.matmul(np.ones(a), np.ones(b))
     with pytest.raises(ValidationError, match="transpose"):
-        t.transpose(tensor(np.ones((2, 2, 2, 2))))
+        t.transpose(np.ones((2, 2, 2, 2)))
 
 
 def test_batched_matmul_equals_per_entry_matmul():
@@ -240,8 +249,8 @@ def test_batched_matmul_equals_per_entry_matmul():
     shared = rng.normal(size=(6, 3))
     per_entry = rng.normal(size=(4, 6, 3))
     t = Tape()
-    with_shared = t.matmul(tensor(a), tensor(shared)).values
-    with_per_entry = t.matmul(tensor(a), tensor(per_entry)).values
+    with_shared = t.matmul(a, shared)
+    with_per_entry = t.matmul(a, per_entry)
     for i in range(4):
         np.testing.assert_array_equal(with_shared[i], a[i] @ shared)
         np.testing.assert_array_equal(with_per_entry[i], a[i] @ per_entry[i])
@@ -251,7 +260,7 @@ def test_fully_masked_row_rejected():
     t = Tape()
     with pytest.raises(ValidationError, match="masked"):
         masked_softmax(
-            t, tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, True], [False, False]])
+            t, np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, True], [False, False]])
         )
 
 
@@ -259,26 +268,26 @@ def test_fully_masked_row_rejected():
 def test_non_finite_result_rejected():
     t = Tape()
     with pytest.raises(NumericError):
-        t.log(tensor([0.0]))
+        t.log(np.array([0.0]))
     with pytest.raises(NumericError):
-        t.mul_scalar(tensor([1e308]), 1e308)
+        t.mul_scalar(np.array([1e308]), 1e308)
 
 
 def test_non_scalar_loss_rejected():
     t = Tape()
-    w = tensor([1.0, 2.0])
+    w = np.array([1.0, 2.0])
     out = t.mul_scalar(w, 2.0)
     with pytest.raises(ValidationError, match="scalar"):
         t.backward(out, {"w": w})
 
 
 def test_loss_must_be_recorded_on_the_tape():
-    w = tensor([1.0, 2.0])
+    w = np.array([1.0, 2.0])
     other = Tape()
     loss = other.sum(w)
     t = Tape()
     t.sum(w)
-    for stray in (loss, tensor([3.0])):
+    for stray in (loss, np.array([3.0])):
         with pytest.raises(ValidationError, match="not the output of an op recorded on this tape"):
             t.backward(stray, {"w": w})
     assert other.backward(loss, {"w": w})["w"].tolist() == [1.0, 1.0]
@@ -287,7 +296,7 @@ def test_loss_must_be_recorded_on_the_tape():
 @pytest.mark.parametrize("index", [-1, 4])
 def test_gather_rows_rejects_out_of_range_index(index):
     with pytest.raises(ValidationError, match="gather_rows"):
-        Tape().gather_rows(tensor(np.zeros((4, 3))), [0, index])
+        Tape().gather_rows(np.zeros((4, 3)), [0, index])
 
 
 def test_segment_ops_match_a_loop_over_segments():
@@ -295,10 +304,8 @@ def test_segment_ops_match_a_loop_over_segments():
     counts = [1, 4, 2, 3]
     values, weights = rng.normal(size=(10, 6)), rng.normal(size=(10, 2))
     t = Tape()
-    probs = t.segment_softmax(tensor(values), Segments(counts)).values
-    sums = t.segment_sum(
-        tensor(values), RowIndex(np.arange(10), 10), tensor(weights), Segments(counts)
-    ).values
+    probs = t.segment_softmax(values, Segments(counts))
+    sums = t.segment_sum(values, RowIndex(np.arange(10), 10), weights, Segments(counts))
     assert probs[0].tolist() == [1.0] * 6
     for s, (lo, hi) in enumerate(zip(np.cumsum(counts) - counts, np.cumsum(counts))):
         e = np.exp(values[lo:hi] - values[lo:hi].max(axis=0))
@@ -317,9 +324,9 @@ def test_gather_rows_backward_is_add_at_bit_for_bit():
         upstream[rng.random(upstream.shape) < 0.2] = -0.0
         upstream[rng.random(upstream.shape) < 0.1] = 0.0
         t = Tape()
-        a = tensor(rng.normal(size=(n, width)))
+        a = rng.normal(size=(n, width))
         gathered = t.gather_rows(a, idx)
-        grad = t.backward(t.sum(t.mul(gathered, tensor(upstream))), {"a": a})["a"]
+        grad = t.backward(t.sum(t.mul(gathered, upstream)), {"a": a})["a"]
         expected = np.zeros((n, width))
         np.add.at(expected, idx, upstream)
         assert grad.tobytes() == expected.tobytes(), case
@@ -335,24 +342,24 @@ def test_segment_ops_reject_inputs_of_another_size():
     t = Tape()
     segments = Segments([2, 1])
     with pytest.raises(ValidationError, match="segment_softmax: segments cover 3 entries"):
-        t.segment_softmax(tensor(np.zeros((4, 2))), segments)
-    values, reads = tensor(np.zeros((5, 4))), RowIndex([4, 0, 4], 5)
+        t.segment_softmax(np.zeros((4, 2)), segments)
+    values, reads = np.zeros((5, 4)), RowIndex([4, 0, 4], 5)
     for weights in [(2, 2), ()]:
         with pytest.raises(ValidationError, match="segment_sum: segments cover 3 entries"):
-            t.segment_sum(values, reads, tensor(np.ones(weights)), segments)
+            t.segment_sum(values, reads, np.ones(weights), segments)
     for weights in [(3, 3), (3,), (3, 0)]:
         with pytest.raises(ValidationError, match="do not fit weights"):
-            t.segment_sum(values, reads, tensor(np.ones(weights)), segments)
+            t.segment_sum(values, reads, np.ones(weights), segments)
     for reads in [RowIndex([0, 1, 2], 4), RowIndex([0, 1], 5)]:
         with pytest.raises(ValidationError, match="do not fit weights .* and an index of"):
-            t.segment_sum(values, reads, tensor(np.ones((3, 2))), segments)
+            t.segment_sum(values, reads, np.ones((3, 2)), segments)
     with pytest.raises(ValidationError, match="index is for 5 rows"):
-        t.gather_rows(tensor(np.zeros((4, 2))), RowIndex([0, 1], 5))
+        t.gather_rows(np.zeros((4, 2)), RowIndex([0, 1], 5))
 
 
 def test_tape_consumed_once():
     t = Tape()
-    w = tensor([1.0])
+    w = np.array([1.0])
     loss = t.sum(w)
     t.backward(loss, {"w": w})
     with pytest.raises(ValidationError, match="consumed"):
@@ -363,18 +370,27 @@ def test_tape_consumed_once():
 
 
 def make_params(*arrays):
-    return {f"p{i}": tensor(a) for i, a in enumerate(arrays)}
+    return {f"p{i}": a for i, a in enumerate(arrays)}
 
 
 def test_adam_zero_grads_leave_params_unchanged():
     params = make_params(np.array([1.0, -2.0]), np.array([[0.5]]))
-    before = {k: p.values.copy() for k, p in params.items()}
+    before = {k: p.copy() for k, p in params.items()}
     state = AdamState()
     for _ in range(3):
-        adam_step(params, {k: np.zeros_like(p.values) for k, p in params.items()}, state)
+        adam_step(params, {k: np.zeros_like(p) for k, p in params.items()}, state)
     for k, p in params.items():
-        np.testing.assert_array_equal(p.values, before[k])
+        np.testing.assert_array_equal(p, before[k])
     assert state.step == 3
+
+
+def test_adam_replaces_each_parameter_and_leaves_the_old_array_alone():
+    old = np.array([1.0, -2.0])
+    params = {"p0": old}
+    adam_step(params, {"p0": np.array([0.5, 0.5])}, AdamState())
+    assert params["p0"] is not old
+    assert not np.array_equal(params["p0"], old)
+    np.testing.assert_array_equal(old, [1.0, -2.0])
 
 
 def test_adam_moments_decay_after_grads_vanish():
@@ -392,7 +408,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
         params = make_params(np.array([1.0]))
         state = AdamState(learning_rate=1e-3)
         adam_step(params, {"p0": np.array([g])}, state)
-        delta = params["p0"].values[0] - 1.0
+        delta = params["p0"][0] - 1.0
         expected = -1e-3 * g / (abs(g) + 1e-8)
         assert delta == pytest.approx(expected, rel=1e-12)
         assert abs(delta) == pytest.approx(1e-3, rel=1e-6)
@@ -404,8 +420,8 @@ def test_adam_per_parameter_step_sizes_differ():
     # second step with unequal grad histories gives unequal effective steps
     adam_step(params, {"p0": np.array([1.0]), "p1": np.array([100.0])}, state)
     adam_step(params, {"p0": np.array([0.5]), "p1": np.array([1.0])}, state)
-    step0 = params["p0"].values[0]
-    step1 = params["p1"].values[0]
+    step0 = params["p0"][0]
+    step1 = params["p1"][0]
     assert step0 != step1
 
 
@@ -421,4 +437,4 @@ def test_adam_rejects_bad_grads():
     for learning_rate in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="learning_rate"):
             adam_step(params, {"p0": np.zeros(2)}, AdamState(learning_rate=learning_rate))
-    np.testing.assert_array_equal(params["p0"].values, [1.0, 2.0])
+    np.testing.assert_array_equal(params["p0"], [1.0, 2.0])

@@ -36,6 +36,8 @@ def test_parity_against_head_passes_at_a_tiny_config(git_checkout):
         "reward_columns", "mean_loss", "checkpoint", "reruns", "walks", "gradients", "golden"
     }
     assert checks["walks"]["graphs"] == 4 and checks["reward_columns"]["runs"] == 1
+    lines = report["src_lines"]  # reported, not a check
+    assert set(lines) == {"this", "against"} and min(lines.values()) > 0
 
 
 def test_unknown_revision_exits_2(git_checkout):

@@ -105,7 +105,7 @@ def test_trace_with_tied_scores_falls_to_index_order():
     # tie-break reproduces the same trace
     graph = fig10_graph(weights=[0.5] * 6)
     params = identity_model()
-    params.tensors["decoder.query_proj"].values = np.array([[0.0]])
+    params.tensors["decoder.query_proj"] = np.array([[0.0]])
     result = decode_all(graph, params, start=0, mode="greedy")
     assert_matches_expected_trace(result)
 
@@ -270,9 +270,9 @@ def test_step_log_probs_match_per_step_reference(seed):
         graph, params, graph.start_index, temperature=temperature, rng=np.random.default_rng(seed)
     )
     expected = reference_step_log_probs(
-        encode([graph], params).values[0],
-        params.tensors["decoder.query_proj"].values,
-        params.tensors["decoder.key_proj"].values,
+        encode([graph], params)[0],
+        params.tensors["decoder.query_proj"],
+        params.tensors["decoder.key_proj"],
         params.score_clip,
         sampled.branch_trace,
         temperature,
@@ -298,7 +298,7 @@ def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
         encoder_tape, tape = Tape(), Tape()
         encode([graph], params, encoder_tape)
         scores = score_matrix(encode([graph], params, tape), params, tape)
-        result = walk(graph, scores.values[0], graph.start_index, rng=np.random.default_rng(n))
+        result = walk(graph, scores[0], graph.start_index, rng=np.random.default_rng(n))
         move_log_probs(scores, [result], 1.0, tape)
         beyond_encode.append(len(tape) - len(encoder_tape))
     assert beyond_encode[0] == beyond_encode[1]
@@ -314,9 +314,9 @@ def test_batched_walks_match_single_graph_rollouts():
     rng = np.random.default_rng(9)
     walks = [
         walk(g, rows, g.start_index, temperature=0.7, rng=rng)
-        for g, rows in zip(graphs, scores.values)
+        for g, rows in zip(graphs, scores)
     ]
-    log_probs = move_log_probs(scores, walks, 0.7, tape).values
+    log_probs = move_log_probs(scores, walks, 0.7, tape)
     rng = np.random.default_rng(9)
     offset = 0
     for g, w in zip(graphs, walks):
@@ -327,7 +327,7 @@ def test_batched_walks_match_single_graph_rollouts():
         )
         offset += 9
     assert offset == log_probs.size
-    for g, rows in zip(graphs, scores.values):
+    for g, rows in zip(graphs, scores):
         greedy = walk(g, rows, g.start_index, mode="greedy")
         assert greedy.visit_order == decode_all(g, params, g.start_index, mode="greedy").visit_order
 

@@ -6,11 +6,18 @@ import pytest
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import copy_params, encode, init_params, score_matrix
-from apgf.numcore import AdamState, Tape, adam_step, tensor
+from apgf.numcore import AdamState, Tape, adam_step
 from apgf.rollout import decode_all, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
 
-from helpers import build_graph, path_graph, recorded_log_probs, star_graph, two_leaf_star_walk
+from helpers import (
+    CheckedTape,
+    build_graph,
+    path_graph,
+    recorded_log_probs,
+    star_graph,
+    two_leaf_star_walk,
+)
 
 
 def tiny_config(**overrides):
@@ -37,7 +44,7 @@ STAR_WEIGHTS = [1.0, 0.5, 0.25]  # dyadic, so the star rollout's reward 1.75 is 
 
 def test_loss_zero_when_reward_equals_baseline():
     t = Tape()
-    scores = tensor([[[0.0, 0.3, 0.1]] * 3])
+    scores = np.array([[[0.0, 0.3, 0.1]] * 3])
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
     loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
     assert loss.item() == 0.0
@@ -48,7 +55,7 @@ def test_loss_matches_hand_value():
     # leaf 1 with probability 1 / (1 + e^gap) = e^-2, the second is forced
     t = Tape()
     gap = math.log(math.exp(2.0) - 1.0)
-    scores = tensor([[[0.0, 0.0, gap]] * 3])
+    scores = np.array([[[0.0, 0.0, gap]] * 3])
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
     loss = reinforce_loss(scores, [rollout], [rollout.reward - 1.0], 1.0, t)
     assert loss.item() == pytest.approx(2.0, rel=1e-12)
@@ -58,21 +65,21 @@ def test_empty_log_probs_with_advantage_warns_and_zeroes():
     t = Tape()
     rollout = walk(build_graph(1, [], [0.6]), np.zeros((1, 1)), 0, mode="greedy")
     with pytest.warns(UserWarning, match="no choices"):
-        loss = reinforce_loss(tensor(np.zeros((1, 1, 1))), [rollout], [rollout.reward - 2.0], 1.0, t)
+        loss = reinforce_loss(np.zeros((1, 1, 1)), [rollout], [rollout.reward - 2.0], 1.0, t)
     assert loss.item() == 0.0
 
 
 def test_no_move_loss_is_recorded_on_the_tape():
     t = Tape()
-    scores = tensor(np.zeros((1, 1, 1)))
-    rollout = walk(build_graph(1, [], [0.6]), scores.values[0], 0, mode="greedy")
+    scores = np.zeros((1, 1, 1))
+    rollout = walk(build_graph(1, [], [0.6]), scores[0], 0, mode="greedy")
     loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
     assert t.backward(loss, {"scores": scores})["scores"].tolist() == [[[0.0]]]
 
 
 def test_empty_batch_is_rejected():
     with pytest.raises(ValidationError, match="empty batch"):
-        reinforce_loss(tensor(np.zeros((0, 3, 3))), [], [], 1.0, Tape())
+        reinforce_loss(np.zeros((0, 3, 3)), [], [], 1.0, Tape())
 
 
 def test_positive_advantage_raises_probability_of_taken_action():
@@ -104,13 +111,13 @@ def test_mean_loss_is_the_mean_of_rollout_losses():
     baselines = [walks[0].reward - 0.5, walks[1].reward, walks[2].reward + 0.75]
 
     batched_tape = Tape()
-    batched_scores = tensor(raw)
+    batched_scores = raw
     batched = reinforce_loss(batched_scores, walks, baselines, 0.8, batched_tape)
     batched_grad = batched_tape.backward(batched, {"scores": batched_scores})["scores"]
 
     per_rollout, grads = [], []
     for b in range(3):
-        scores = tensor(raw[b : b + 1])
+        scores = raw[b : b + 1]
         t = Tape()
         loss = reinforce_loss(scores, [walks[b]], [baselines[b]], 0.8, t)
         per_rollout.append(loss.item())
@@ -130,7 +137,7 @@ def test_mean_loss_is_the_mean_of_rollout_losses():
 )
 def test_batch_counts_must_agree(num_walks, num_baselines, counts):
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
-    scores = tensor([[[0.0, 0.3, 0.1]] * 3])
+    scores = np.array([[[0.0, 0.3, 0.1]] * 3])
     with pytest.raises(ValidationError, match=counts):
         reinforce_loss(scores, [rollout] * num_walks, [0.0] * num_baselines, 1.0, Tape())
 
@@ -155,7 +162,7 @@ def test_zero_epochs_returns_initialization(tmp_path):
         score_clip=cfg.score_clip,
     )
     for (_, a), (_, b) in zip(policy.tensors.items(), fresh.tensors.items()):
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_metrics_have_expected_shape_and_sync_flags():
@@ -178,7 +185,7 @@ def test_training_is_bit_reproducible(tmp_path):
         dir_b / "checkpoint_final.json"
     ).read_bytes()
     for (_, a), (_, b) in zip(policy_a.tensors.items(), policy_b.tensors.items()):
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_checkpoints_written_at_sync_epochs(tmp_path):
@@ -209,7 +216,7 @@ def test_no_branch_graphs_with_synced_baseline_give_zero_loss():
     tape = Tape()
     rng = np.random.default_rng(0)
     scores = score_matrix(encode(graphs, policy, tape), policy, tape)
-    sampled = [walk(g, rows, 0, temperature=1e-6, rng=rng) for g, rows in zip(graphs, scores.values)]
+    sampled = [walk(g, rows, 0, temperature=1e-6, rng=rng) for g, rows in zip(graphs, scores)]
     references = [decode_all(g, baseline, 0, mode="greedy") for g in graphs]
     for rolled, reference in zip(sampled, references):
         assert rolled.reward == reference.reward
@@ -247,6 +254,21 @@ def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
     assert passes.count(("policy", 3)) == 10
     assert passes.count(("baseline", 3)) == baseline_passes
     assert len(passes) == 10 + baseline_passes
+
+
+def test_a_paper_config_epoch_records_only_new_float64_arrays(monkeypatch):
+    # the policy's taped pass: encode, score_matrix and the loss's move_log_probs
+    import apgf.trainer as trainer_mod
+
+    tapes = []
+
+    def checked():
+        tapes.append(CheckedTape())
+        return tapes[-1]
+
+    monkeypatch.setattr(trainer_mod, "Tape", checked)
+    train(TrainConfig(epochs=1))
+    assert len(tapes) == 1 and len(tapes[0]) > 0
 
 
 def test_config_validation_names_fields():

@@ -33,6 +33,9 @@ Checks, each with its worst difference:
   equal SHA-256 digests on both.
 - ``reruns``: on each tree a second run of the first seed writes a
   byte-identical ``metrics.csv`` and byte-identical checkpoints.
+
+The verdict also reports ``src_lines``, each tree's package source line
+count; it is not a check.
 """
 
 from __future__ import annotations
@@ -98,6 +101,12 @@ def _probe_train(out: Path, tree: Path, epochs: int, seeds: list[int], **_) -> N
             raise RuntimeError(f"apgf train exited {code} for seed {seed}")
 
 
+def _array(scores):
+    # Revisions that still have ``numcore.Tensor`` return scores boxed in
+    # one, with the array as ``.values``; this lets one probe read both.
+    return getattr(scores, "values", scores)
+
+
 def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
     import numpy as np
 
@@ -109,7 +118,7 @@ def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
     for k in range(walks):
         graph = generate_random_graph(WALK_NODES, WALK_EDGES + k % 16, seed=k)
         params = init_params(k)
-        rows = score_matrix(encode([graph], params), params).values[0]
+        rows = _array(score_matrix(encode([graph], params), params))[0]
         greedy = walk(graph, rows, graph.start_index, "greedy")
         rng = np.random.default_rng(k)
         sampled = walk(graph, rows, graph.start_index, "sample", 1.0, rng)
@@ -141,7 +150,7 @@ def _probe_gradients(out: Path, tree: Path, **_) -> None:
     scores = score_matrix(encode(graphs, policy, tape), policy, tape)
     baseline_scores = score_matrix(encode(graphs, baseline), baseline)
     sampled, baseline_rewards = [], []
-    for graph, rows, baseline_rows in zip(graphs, scores.values, baseline_scores.values):
+    for graph, rows, baseline_rows in zip(graphs, _array(scores), _array(baseline_scores)):
         start = int(rng.integers(graph.num_nodes))
         sampled.append(walk(graph, rows, start, "sample", GRAD_TEMPERATURE, rng))
         baseline_rewards.append(walk(graph, baseline_rows, start, "greedy").reward)
@@ -171,6 +180,11 @@ def _probe_golden(out: Path, tree: Path, **_) -> None:
 
 
 # -- the comparison ------------------------------------------------------------
+
+
+def _src_lines(tree: Path) -> int:
+    """Lines of the package source, as ``cat src/apgf/*.py | wc -l`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "apgf").glob("*.py"))
 
 
 def _csv_columns(path: Path) -> dict[str, list[str]]:
@@ -350,10 +364,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         result = verdict(tmp / "this", tmp / "against", args.seeds)
+        lines = {"this": _src_lines(ROOT), "against": _src_lines(tmp / "tree")}
     report = {
         "against": args.against,
         "commit": commit,
         "config": {"epochs": args.epochs, "seeds": args.seeds, "walks": args.walks},
+        "src_lines": lines,
         **result,
     }
     print(json.dumps(report, indent=2))
