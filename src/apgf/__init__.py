@@ -13,12 +13,12 @@ from .graphgen import WeightedGraph, generate_random_graph, load_graph, save_gra
 from .model import (
     ModelParams,
     copy_params,
+    edge_scores,
     encode,
     init_params,
     load_checkpoint,
     param_spec,
     save_checkpoint,
-    score_matrix,
 )
 from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, OracleResult, brute_force_scores, compare
@@ -37,12 +37,12 @@ __all__ = [
     "save_graph",
     "ModelParams",
     "copy_params",
+    "edge_scores",
     "encode",
     "init_params",
     "load_checkpoint",
     "param_spec",
     "save_checkpoint",
-    "score_matrix",
     "AdamState",
     "Tape",
     "adam_step",

@@ -99,7 +99,10 @@ _FIELD_KINDS = {
 
 def _train_config_from_file(path: Path) -> TrainConfig:
     """Parse and validate a train config; errors are prefixed ``config <path>:``."""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path}: not UTF-8 text: {exc}") from exc
     try:
         return _train_config_from_doc(json.loads(text))
     except json.JSONDecodeError as exc:

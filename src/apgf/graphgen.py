@@ -9,6 +9,7 @@ the weight stream does not shift when the edge count changes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -24,13 +25,22 @@ TREE_MODES = ("random_attach", "star")
 
 @dataclass(eq=False)
 class WeightedGraph:
-    """Undirected connected graph with per-node weights in [0, 1]."""
+    """Undirected connected graph with per-node weights in [0, 1].
+
+    Its directed edges, both directions of each edge, are held once in
+    CSR form, ordered by source node, then target node: node i's
+    neighbours are ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
+    ``neighbors[i]`` holds the same nodes as a tuple. Both arrays are
+    read-only.
+    """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     node_weights: np.ndarray
     start_index: int
-    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)  # each ascending
+    indptr: np.ndarray = field(init=False, repr=False)  # [num_nodes + 1]
+    indices: np.ndarray = field(init=False, repr=False)  # [2 * num_edges]
+    neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.num_nodes
@@ -69,6 +79,9 @@ class WeightedGraph:
             neighbors[u].append(v)
             neighbors[v].append(u)
         self.neighbors = tuple(map(tuple, neighbors))
+        self.indices = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.intp)
+        self.indptr = np.array([0, *itertools.accumulate(map(len, neighbors))], dtype=np.intp)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
 
         # connectivity: BFS from node 0
         seen_nodes = {0}
@@ -250,8 +263,11 @@ def graph_from_json(text: str) -> WeightedGraph:
 
 def load_graph(path) -> WeightedGraph:
     """Read a graph file; format errors are prefixed ``graph <path>:``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"graph {path}: not UTF-8 text: {exc}") from exc
     try:
         return graph_from_json(text)
     except GraphFormatError as exc:

@@ -11,10 +11,13 @@ node j as
 
     score(i, j) = clip * tanh( (Q v_i) . (K v_j) / sqrt(embed_dim) )
 
-so every score lands in [-clip, +clip]; a temperature softmax turns the
-scores of the unvisited neighbors into move probabilities. Both take a
-batch of equal-size graphs and return float64 arrays with the batch as
-the leading axis; a single graph is a batch of one.
+so every score lands in [-clip, +clip], and scores only the moves a
+walk can make: one score per directed edge, in the CSR order of the
+batch's disjoint union, so its cost too grows with the number of edges.
+A temperature softmax turns the scores of the unvisited neighbors into
+move probabilities. Both take a batch of equal-size graphs, a single
+graph being a batch of one: the encoder returns ``[B, n, embed_dim]``
+float64 embeddings, the decoder one ``[E]`` array of edge scores.
 """
 
 from __future__ import annotations
@@ -169,36 +172,57 @@ def encode(
     return tape.reshape(tape.add(h, ff), (len(graphs), n, dim))
 
 
-def _union_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target of every directed edge and self-loop of the graphs'
-    disjoint union, whose nodes are the graphs' nodes in batch order;
-    sorted by source, then target."""
+def directed_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target of every directed edge of the graphs' disjoint
+    union, whose nodes are the graphs' nodes in batch order: the graphs'
+    CSR targets, shifted by each graph's first node, so sorted by source,
+    then target."""
     sizes = [g.num_nodes for g in graphs]
-    total = sum(sizes)
-    ends = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    ends += np.repeat(np.cumsum(sizes) - sizes, [g.num_edges for g in graphs])[:, None]
+    firsts = np.repeat(np.cumsum(sizes) - sizes, [g.indices.size for g in graphs])
+    cols = np.concatenate([g.indices for g in graphs]) + firsts
+    # every edge is listed in both directions, so the sources in CSR order
+    # are the targets, sorted
+    return np.sort(cols), cols
+
+
+def _union_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """``directed_edges`` plus a self-loop per node, sorted by source, then
+    target."""
+    total = sum(g.num_nodes for g in graphs)
+    rows, cols = directed_edges(graphs)
     loops = np.arange(total)
-    src = np.concatenate([ends[:, 0], ends[:, 1], loops])
-    dst = np.concatenate([ends[:, 1], ends[:, 0], loops])
-    return np.divmod(np.sort(src * total + dst), total)
+    keys = np.concatenate([rows, loops]) * total + np.concatenate([cols, loops])
+    return np.divmod(np.sort(keys), total)
 
 
-def score_matrix(emb: np.ndarray, params: ModelParams, tape: Tape | None = None) -> np.ndarray:
-    """Decoder scores of every move as one ``[B, num_nodes, num_nodes]`` array.
+def edge_scores(
+    emb: np.ndarray,
+    graphs: Sequence[WeightedGraph],
+    params: ModelParams,
+    tape: Tape | None = None,
+) -> np.ndarray:
+    """Decoder scores of every move as one ``[E]`` array: entry e scores
+    the move along directed edge e of ``directed_edges(graphs)``, from its
+    source to its target, and lies in [-clip, +clip].
 
-    Entry b, row i, column j scores moving from node i to node j in graph
-    b; every entry lies in [-clip, +clip]. The inputs are fixed for a
-    whole rollout, so a rollout computes the matrix once and reads each
-    decision from it.
+    ``emb[b]`` embeds ``graphs[b]``. Only the edges are scored, each as
+    the dot product of its source's query and its target's key, so work
+    and memory grow with the number of edges. The inputs are fixed for a
+    whole rollout, so a rollout scores its graph once and reads each
+    decision from the current node's CSR slice.
     """
+    batch, n, _ = emb.shape
+    if len(graphs) != batch or any(g.num_nodes != n for g in graphs):
+        raise ValidationError(
+            f"embeddings {emb.shape} do not match graphs of {[g.num_nodes for g in graphs]} nodes"
+        )
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
     query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [B, n, embed_dim]
     keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [B, n, embed_dim]
-    raw = tape.matmul(query, tape.transpose(keys))  # [B, n, n]
+    rows, cols = directed_edges(graphs)
+    # source row b*n + i and target column j are entry (b, i, j) of query @ keys^T
+    raw = tape.edge_dot(query, keys, rows * n + cols % n)
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
     return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
 

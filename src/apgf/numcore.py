@@ -12,8 +12,10 @@ Sparse structure is plain index data: a ``RowIndex`` names the rows a
 ``gather_rows`` reads (its backward scatters through the same index),
 and ``Segments`` split the leading axis of an array into consecutive
 runs, such as a node's edges in the encoder or a move's candidates in
-the loss, for ``segment_softmax`` and ``segment_sum``. ``segment_softmax``
-is the one taped softmax; the plain ``softmax`` serves untaped code.
+the loss, for ``segment_softmax`` and ``segment_sum``. ``edge_dot``
+computes chosen entries of a batched product, such as one per edge of a
+graph, without the dense whole. ``segment_softmax`` is the one taped
+softmax; the plain ``softmax`` serves untaped code.
 
 All arithmetic is float64 and fully deterministic: the same inputs and
 op sequence produce bit-identical outputs.
@@ -261,6 +263,36 @@ class Tape:
             )
         out = a[index.rows]
         self._record(out, (a,), lambda g: (index.scatter(g),))
+        return out
+
+    def edge_dot(self, a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Entries ``index`` of the batched product ``a @ swap(b)`` of two
+        ``[B, n, k]`` arrays, without forming its ``[B, n, n]`` whole: flat
+        position ``(s * n + i) * n + j`` is row i of ``a[s]`` dotted with
+        row j of ``b[s]``, e.g. the source and target of an edge. The
+        forward works per entry; the backward scatters the ``[E]`` adjoint
+        into ``[B, n, n]`` and runs two batched matmuls."""
+        index = np.asarray(index, dtype=np.intp)
+        batch, n, k = a.shape if a.ndim == 3 else (0, 0, 0)
+        if (
+            b.shape != a.shape
+            or not n
+            or index.ndim != 1
+            or (index.size and (index.min() < 0 or index.max() >= batch * n * n))
+        ):
+            raise ValidationError(
+                f"edge_dot needs two equal [B, n, k] arrays and entries of their [B, n, n] "
+                f"product, got {a.shape}, {b.shape} and {index.shape} entries"
+            )
+        rows, cols = index // n, index // (n * n) * n + index % n
+        out = np.einsum("ek,ek->e", a.reshape(-1, k)[rows], b.reshape(-1, k)[cols])
+        _check_finite(out, "edge_dot")
+
+        def rule(g):
+            adjoint = np.bincount(index, weights=g, minlength=batch * n * n).reshape(batch, n, n)
+            return adjoint @ b, _swap_last(adjoint) @ a
+
+        self._record(out, (a, b), rule)
         return out
 
     def segment_softmax(self, a: np.ndarray, segments: Segments) -> np.ndarray:

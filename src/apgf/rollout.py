@@ -17,14 +17,15 @@ aggregator's step, left to right; the rollout reward sums those per-node
 scores. The oracle and ``path_score`` fold with the same step, so all
 three agree bit for bit.
 
-A rollout is plain, untaped data. ``walk`` runs the traversal on plain
-rows of a graph's decoder scores, reading only the current node's
-candidate entries at each move; ``decode_all`` encodes one graph, scores
-it and walks it without recording anything. ``move_log_probs`` is the
-one differentiable route from recorded walks back to the scores: it
-turns the moves of any number of walks into one expression on a tape.
-It too reads only candidate entries, and normalizes each move's with
-``segment_softmax``, the op the encoder's attention uses.
+A rollout is plain, untaped data. ``walk`` runs the traversal on a
+graph's plain edge scores, reading at each move only the candidates'
+entries of the current node's CSR slice; ``decode_all`` encodes one
+graph, scores its edges and walks it without recording anything.
+``move_log_probs`` is the one differentiable route from recorded walks
+back to the scores: it turns the moves of any number of walks into one
+expression on a tape. It too reads only candidate entries, and
+normalizes each move's with ``segment_softmax``, the op the encoder's
+attention uses.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphgen import WeightedGraph
-from .model import ModelParams, encode, score_matrix
+from .model import ModelParams, directed_edges, edge_scores, encode
 from .numcore import Segments, Tape, softmax
 
 _FOLDS = {"product": operator.mul, "sum": operator.add}
@@ -112,13 +113,12 @@ def decode_all(
 ) -> RolloutResult:
     """Run one full traversal of ``graph`` under ``params`` and score it.
 
-    Encodes the graph, computes its decoder score matrix once and
-    ``walk``s its rows, all untaped, so nothing is recorded in either
-    mode. To differentiate the result, pass it to ``move_log_probs``
-    with taped scores.
+    Encodes the graph, scores its edges once and ``walk``s them, all
+    untaped, so nothing is recorded in either mode. To differentiate the
+    result, pass it to ``move_log_probs`` with taped scores.
     """
-    scores = score_matrix(encode([graph], params), params)
-    return walk(graph, scores[0], start, mode, temperature, rng, score_config)
+    scores = edge_scores(encode([graph], params), [graph], params)
+    return walk(graph, scores, start, mode, temperature, rng, score_config)
 
 
 def walk(
@@ -130,11 +130,13 @@ def walk(
     rng: np.random.Generator | None = None,
     score_config: ScoreConfig = ScoreConfig(),
 ) -> RolloutResult:
-    """The DFS traversal over the graph's ``[n, n]`` decoder scores.
+    """The DFS traversal over the graph's decoder scores, one per directed
+    edge in the graph's CSR order (``edge_scores`` of the graph alone).
 
     A move records its ``selected`` node and ``candidates``, all that
-    ``move_log_probs`` needs, and reads only its candidates' scores:
-    ``mode="greedy"`` takes the highest (the lowest index on ties);
+    ``move_log_probs`` needs, and reads only its candidates' scores, from
+    the current node's CSR slice: ``mode="greedy"`` takes the highest
+    (the lowest index on ties);
     ``mode="sample"`` takes the first candidate whose running softmax
     probability at ``temperature`` exceeds the move's uniform, one of
     n - 1 drawn from ``rng`` at once. A lone candidate is taken without a
@@ -148,8 +150,13 @@ def walk(
     if mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
     _check_temperature(temperature)
+    if scores.shape != graph.indices.shape:
+        raise ValidationError(
+            f"walk needs one score per directed edge, {graph.indices.size}, got {scores.shape}"
+        )
 
     weights = graph.node_weights.tolist()
+    values, firsts, neighbors = scores.tolist(), graph.indptr.tolist(), graph.neighbors
     fold = score_config.fold
     inv_temperature = 1.0 / temperature
     draws = rng.random(n - 1).tolist() if mode == "sample" else None
@@ -162,7 +169,7 @@ def walk(
 
     for move in range(n - 1):
         # neighbors are sorted, so the candidates are in ascending order
-        options = [j for j in graph.neighbors[current] if not visited[j]]
+        options = [j for j in neighbors[current] if not visited[j]]
         while not options:  # backtrack to the latest branch point with options left
             if not stack:
                 raise ValidationError(
@@ -170,18 +177,21 @@ def walk(
                     "unvisited; graph violates the connectivity invariant"
                 )
             current = stack.pop()
-            options = [j for j in graph.neighbors[current] if not visited[j]]
+            options = [j for j in neighbors[current] if not visited[j]]
 
         if len(options) == 1:
             nxt = options[0]
         else:
             stack.append(current)
-            option_scores = scores[current][options]
+            first = firsts[current]  # the current node's CSR slice lines up with its neighbors
+            option_scores = [
+                values[first + k] for k, j in enumerate(neighbors[current]) if not visited[j]
+            ]
             if mode == "greedy":
-                # argmax keeps the first maximum, so the lowest index wins ties
-                nxt = options[int(option_scores.argmax())]
+                # max keeps the first maximum, so the lowest index wins ties
+                nxt = options[max(range(len(options)), key=option_scores.__getitem__)]
             else:
-                probs = softmax(option_scores * inv_temperature).tolist()
+                probs = softmax(np.array(option_scores) * inv_temperature).tolist()
                 nxt = options[-1]  # guard against accumulated rounding
                 acc = 0.0
                 for j, p in zip(options, probs):
@@ -212,34 +222,47 @@ def _check_temperature(temperature: float) -> None:
 
 
 def move_log_probs(
-    scores: np.ndarray, walks: Sequence[RolloutResult], temperature: float, tape: Tape
+    scores: np.ndarray,
+    graphs: Sequence[WeightedGraph],
+    walks: Sequence[RolloutResult],
+    temperature: float,
+    tape: Tape,
 ) -> np.ndarray | None:
     """log p(next | selected) of every move of every walk, as one array.
 
-    ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores; the
-    result holds its moves in trace order, after those of the walks
-    before it (None when no walk made a move). All moves share one
-    expression that reads, like the walk, only each move's candidate
-    entries: gathered from the flattened scores, they get a softmax at
-    ``temperature`` with one segment per move, and the log of the chosen
-    entry is each move's term.
+    ``walks[b]`` walked ``graphs[b]``, whose edges ``scores`` scores as
+    ``edge_scores(emb, graphs, ...)`` does; the result holds its moves in
+    trace order, after those of the walks before it (None when no walk
+    made a move). All moves share one expression that reads, like the
+    walk, only each move's candidate entries: gathered from the edge
+    scores, they get a softmax at ``temperature`` with one segment per
+    move, and the log of the chosen entry is each move's term.
     """
     _check_temperature(temperature)
-    batch, n, _ = scores.shape
-    if len(walks) != batch:
-        raise ValidationError(f"{len(walks)} walks but {batch} score matrices")
+    if len(walks) != len(graphs):
+        raise ValidationError(f"{len(walks)} walks but {len(graphs)} graphs")
+    rows, cols = directed_edges(graphs)
+    if scores.shape != rows.shape:
+        raise ValidationError(f"{rows.size} directed edges but scores of shape {scores.shape}")
     steps = [len(w.selected) for w in walks]
     moves = sum(steps)
     if not moves:
         return None
+    sizes = [g.num_nodes for g in graphs]
+    total = sum(sizes)
     counts = [len(c) for w in walks for c in w.candidates]
-    cols = np.array([j for w in walks for c in w.candidates for j in c], dtype=np.intp)
-    rows = np.repeat(np.arange(batch) * n, steps) + [v for w in walks for v in w.selected]
-    nexts = np.repeat([v for w in walks for v in w.visit_order[1:]], counts)
-    chosen = np.flatnonzero(cols == nexts)  # one entry per move in a well-formed walk
+    firsts = np.repeat(np.cumsum(sizes) - sizes, steps)  # each move's graph's first node
+    sources = np.repeat(firsts + [v for w in walks for v in w.selected], counts)
+    targets = np.repeat(firsts, counts) + [j for w in walks for c in w.candidates for j in c]
+    nexts = np.repeat(firsts + [v for w in walks for v in w.visit_order[1:]], counts)
+    chosen = np.flatnonzero(targets == nexts)  # one entry per move in a well-formed walk
     if chosen.size != moves:
         raise ValidationError("a recorded move's next node is not among its candidates")
-    flat = tape.reshape(scores, (batch * n * n, 1))
-    entries = tape.gather_rows(flat, np.repeat(rows * n, counts) + cols)
+    # directed edges are sorted by source, then target, so a search finds each candidate's
+    keys, wanted = rows * total + cols, sources * total + targets
+    at = np.searchsorted(keys, wanted)
+    if at.max() >= keys.size or not np.array_equal(keys[at], wanted):
+        raise ValidationError("a recorded move's candidate is not a neighbor of its node")
+    entries = tape.gather_rows(tape.reshape(scores, (scores.size, 1)), at)
     probs = tape.segment_softmax(tape.mul_scalar(entries, 1.0 / temperature), Segments(counts))
     return tape.log(tape.reshape(tape.gather_rows(probs, chosen), (moves,)))

@@ -13,18 +13,20 @@ The baseline network is never touched by gradients; every
 ``baseline_sync_period`` epochs it is overwritten with a copy of the
 policy. Runs are bit-reproducible from the config seed.
 
-An epoch is one batched computation: the policy encodes all of the
-epoch's graphs (they share one size) in one taped pass, every rollout
-walks its graph's rows of the resulting scores, and one loss expression
-and one backward pass cover all rollouts. The baseline's scores of the
-training graphs change only when the baseline is synced or the graphs
-are resampled, so they are computed once, on a ``ForwardTape``, and
-reused until then; in ``fixed`` mode that is once per sync period.
+An epoch is one batched computation: the policy encodes and scores all
+of the epoch's graphs (they share one size) in one taped pass, every
+rollout walks its graph's slice of the resulting edge scores, and one
+loss expression and one backward pass cover all rollouts. The
+baseline's scores of the training graphs change only when the baseline
+is synced or the graphs are resampled, so they are computed once, on a
+``ForwardTape``, and reused until then; in ``fixed`` mode that is once
+per sync period.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import time
 import warnings
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
-from .model import ModelParams, copy_params, encode, init_params, save_checkpoint, score_matrix
+from .model import ModelParams, copy_params, edge_scores, encode, init_params, save_checkpoint
 from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare
 from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
@@ -105,6 +107,7 @@ class EpochMetrics:
 
 def reinforce_loss(
     scores: np.ndarray,
+    graphs: Sequence[WeightedGraph],
     walks: Sequence[RolloutResult],
     baseline_rewards: Sequence[float],
     temperature: float,
@@ -112,17 +115,18 @@ def reinforce_loss(
 ) -> np.ndarray:
     """The mean over ``walks`` of -(reward - baseline_reward) * sum(log probs).
 
-    ``walks[b]`` walked ``scores[b]`` of the ``[B, n, n]`` scores at
-    ``temperature``; its reward is read from the walk and its step log
-    probabilities come from ``move_log_probs`` on ``tape``. Rewards enter
-    as constants, so the gradient flows only through the log-probability
-    terms: each weighs ``-(reward - baseline_reward) / B`` of its walk.
+    ``walks[b]`` walked ``graphs[b]`` at ``temperature``, with the scores
+    of its edges in ``scores``, the batch's ``edge_scores``; its reward is
+    read from the walk and its step log probabilities come from
+    ``move_log_probs`` on ``tape``. Rewards enter as constants, so the
+    gradient flows only through the log-probability terms: each weighs
+    ``-(reward - baseline_reward) / B`` of its walk.
     """
     if len(baseline_rewards) != len(walks):
         raise ValidationError(f"{len(walks)} walks but {len(baseline_rewards)} baseline rewards")
     if not walks:
         raise ValidationError("reinforce_loss needs at least one walk, got an empty batch")
-    log_probs = move_log_probs(scores, walks, temperature, tape)
+    log_probs = move_log_probs(scores, graphs, walks, temperature, tape)
     scale = 1.0 / len(walks)
     advantages = [w.reward - float(b) for w, b in zip(walks, baseline_rewards)]
     steps = [len(w.selected) for w in walks]
@@ -144,6 +148,12 @@ def _training_graphs(config: TrainConfig, rng: np.random.Generator) -> list[Weig
         )
         for _ in range(config.graphs_per_epoch)
     ]
+
+
+def _per_graph(scores: np.ndarray, graphs: Sequence[WeightedGraph]) -> list[np.ndarray]:
+    """A batch's edge scores split into each graph's own."""
+    ends = itertools.accumulate(g.indices.size for g in graphs)
+    return [scores[end - g.indices.size : end] for g, end in zip(graphs, ends)]
 
 
 def train(
@@ -174,7 +184,7 @@ def train(
         out_path.mkdir(parents=True, exist_ok=True)
 
     metrics: list[EpochMetrics] = []
-    baseline_scores = None  # the baseline's [B, n, n] scores until the next sync or resample
+    baseline_scores = None  # the baseline's per-graph edge scores until the next sync or resample
     train_started = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         epoch_started = time.perf_counter()
@@ -185,21 +195,24 @@ def train(
         tape = Tape()
         try:
             if baseline_scores is None:
-                baseline_scores = score_matrix(encode(graphs, baseline), baseline)
-            scores = score_matrix(encode(graphs, policy, tape), policy, tape)
+                baseline_scores = _per_graph(
+                    edge_scores(encode(graphs, baseline), graphs, baseline), graphs
+                )
+            scores = edge_scores(encode(graphs, policy, tape), graphs, policy, tape)
+            per_graph = _per_graph(scores, graphs)
             sampled, baseline_rewards = [], []
-            for graph, rows, baseline_rows in zip(graphs, scores, baseline_scores):
+            for graph, own, baseline_own in zip(graphs, per_graph, baseline_scores):
                 start = int(rng.integers(graph.num_nodes))
                 rolled = walk(
-                    graph, rows, start, "sample", config.temperature, rng, config.score_config
+                    graph, own, start, "sample", config.temperature, rng, config.score_config
                 )
                 reference = walk(
-                    graph, baseline_rows, start, "greedy", score_config=config.score_config
+                    graph, baseline_own, start, "greedy", score_config=config.score_config
                 )
                 sampled.append(rolled)
                 baseline_rewards.append(reference.reward)
             mean_loss_t = reinforce_loss(
-                scores, sampled, baseline_rewards, config.temperature, tape
+                scores, graphs, sampled, baseline_rewards, config.temperature, tape
             )
             adam_step(params, tape.backward(mean_loss_t, params), adam)
         except NumericError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import WeightedGraph
-from apgf.model import LEAKY_SLOPE, NUM_LAYERS, ModelParams, encode, score_matrix
+from apgf.model import LEAKY_SLOPE, NUM_LAYERS, ModelParams, edge_scores, encode
 from apgf.numcore import ForwardTape, Tape
 from apgf.rollout import RolloutResult, move_log_probs
 
@@ -204,8 +204,8 @@ def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temper
     """The library's ``move_log_probs`` of a recorded walk of ``graph``
     under ``params``, untaped: an array, or None when it made no move."""
     tape = ForwardTape()
-    scores = score_matrix(encode([graph], params, tape), params, tape)
-    return move_log_probs(scores, [walk], temperature, tape)
+    scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
+    return move_log_probs(scores, [graph], [walk], temperature, tape)
 
 
 def masked_softmax(tape: Tape, a: np.ndarray, mask) -> np.ndarray:
@@ -292,3 +292,34 @@ def dense_encode(
     )
     ff = tape.add(tape.matmul(inner, p["encoder.ff_out_weight"]), p["encoder.ff_out_bias"])
     return tape.add(h, ff)
+
+
+def dense_score_matrix(emb: np.ndarray, params: ModelParams, tape: Tape | None = None) -> np.ndarray:
+    """The decoder as it was before the edge-list form, kept verbatim as a
+    reference: the scores of every pair of nodes, edge or not.
+
+    Decoder scores of every move as one ``[B, num_nodes, num_nodes]`` array.
+
+    Entry b, row i, column j scores moving from node i to node j in graph
+    b; every entry lies in [-clip, +clip]. The inputs are fixed for a
+    whole rollout, so a rollout computes the matrix once and reads each
+    decision from it.
+    """
+    tape = tape if tape is not None else ForwardTape()
+    p = params.tensors
+    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [B, n, embed_dim]
+    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [B, n, embed_dim]
+    raw = tape.matmul(query, tape.transpose(keys))  # [B, n, n]
+    scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
+    return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
+
+
+def at_edges(graph: WeightedGraph, matrix: np.ndarray) -> np.ndarray:
+    """The entries of an ``[n, n]`` matrix at the graph's directed edges, in
+    the order of ``edge_scores``: a dense score matrix in edge form. Read
+    by plain indexing along the graph's neighbour tuples."""
+    return np.array(
+        [matrix[i, j] for i in range(graph.num_nodes) for j in graph.neighbors[i]],
+        dtype=np.float64,
+    )
+

@@ -11,7 +11,7 @@ import pytest
 
 from apgf.charts import grouped_bar_chart
 from apgf.graphgen import generate_random_graph
-from apgf.model import copy_params, encode, init_params, score_matrix
+from apgf.model import copy_params, edge_scores, encode, init_params
 from apgf.numcore import Tape
 from apgf.oracle import brute_force_scores
 from apgf.rollout import ScoreConfig, decode_all
@@ -43,8 +43,8 @@ def test_criterion_1_gradient_integrity():
     assert sampled.reward != baseline_reward
 
     def loss(t: Tape):
-        scores = score_matrix(encode([graph], params, t), params, t)
-        return reinforce_loss(scores, [sampled], [baseline_reward], 1.0, t)
+        scores = edge_scores(encode([graph], params, t), [graph], params, t)
+        return reinforce_loss(scores, [graph], [sampled], [baseline_reward], 1.0, t)
 
     def loss_value() -> float:
         return loss(Tape()).item()

@@ -374,6 +374,23 @@ def test_bad_graph_or_config_names_the_file(tmp_path, compare_inputs, capsys, ma
     assert str(path) in err and field in err
 
 
+@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
+def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+    graph_path, ckpt_path = compare_inputs
+    config_path = tmp_path / "cfg.json"
+    write_config(config_path, epochs=1)
+    bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+    if kind == "config":
+        argv = ["train", "--config", config_path, "--out-dir", tmp_path / "out"]
+    else:
+        argv = ["compare", "--graph", graph_path, "--checkpoint", ckpt_path]
+        argv += ["--out-dir", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == EXIT_VALIDATION
+    assert str(bad) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ckpt.json", "graph.json"]
+
+
 def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache):
     return run(
         ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),

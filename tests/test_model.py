@@ -12,19 +12,22 @@ from apgf.errors import ApgfError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import (
     copy_params,
+    directed_edges,
+    edge_scores,
     encode,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score_matrix,
 )
 from apgf.numcore import ForwardTape, Tape, softmax
 from apgf.rollout import decode_all, walk
 
 from helpers import (
+    at_edges,
     build_graph,
     central_difference,
     dense_encode,
+    dense_score_matrix,
     identity_model,
     max_relative_error,
     path_graph,
@@ -99,12 +102,12 @@ def test_permutation_equivariance():
 def test_batched_scores_equal_single_graph_scores_bit_for_bit():
     graphs = [generate_random_graph(20, 25, seed=300 + s) for s in range(16)]
     params = init_params(17)
-    batched = score_matrix(encode(graphs, params), params)
-    assert batched.shape == (16, 20, 20)
+    batched = edge_scores(encode(graphs, params), graphs, params)
+    assert batched.shape == (16 * 50,)
     for b, g in enumerate(graphs):
-        single = score_matrix(encode([g], params), params)
-        assert single.shape == (1, 20, 20)
-        np.testing.assert_array_equal(batched[b], single[0])
+        single = edge_scores(encode([g], params), [g], params)
+        assert single.shape == (50,)
+        np.testing.assert_array_equal(batched[50 * b : 50 * (b + 1)], single)
 
 
 def _reference_cases():
@@ -136,11 +139,11 @@ def test_encode_agrees_with_dense_reference(case, size):
 def test_encode_gradients_agree_with_dense_reference(size):
     graphs = _reference_cases()["batch"]
     params = init_params(27, **MODEL_SIZES[size])
-    weighting = np.random.default_rng(28).normal(size=(len(graphs), 20, 20))
+    weighting = np.random.default_rng(28).normal(size=len(graphs) * 50)
 
     def gradients(encoder):
         t = Tape()
-        scores = score_matrix(encoder(graphs, params, t), params, t)
+        scores = edge_scores(encoder(graphs, params, t), graphs, params, t)
         return t.backward(t.sum(t.mul(scores, weighting)), params.tensors)
 
     ours, dense = gradients(encode), gradients(dense_encode)
@@ -154,8 +157,8 @@ def test_walks_choose_as_with_dense_reference(size):
     for s in range(8):
         n = 12 + 4 * s
         g = generate_random_graph(n, n + s, seed=60 + s)
-        ours = score_matrix(encode([g], params), params)[0]
-        reference = score_matrix(dense_encode([g], params), params)[0]
+        ours = edge_scores(encode([g], params), [g], params)
+        reference = edge_scores(dense_encode([g], params), [g], params)
         for start in (g.start_index, (g.start_index + 1) % n):
             a = walk(g, ours, start, "greedy")
             b = walk(g, reference, start, "greedy")
@@ -186,30 +189,92 @@ def test_encode_rejects_mixed_sizes():
         encode([], small_params())
 
 
+def complete_graph(n):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], [0.5] * n)
+
+
 def test_decoder_zero_projections_give_zero_scores():
     emb = np.random.default_rng(0).normal(size=(1, 4, 3))
     dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
-    scores = score_matrix(emb, dec)
-    assert scores.shape == (1, 4, 4)
+    scores = edge_scores(emb, [complete_graph(4)], dec)
+    assert scores.shape == (12,)
     assert not np.any(scores)
 
 
 def test_decoder_one_dimensional_case():
     emb = np.array([[[1.0], [1.0]]])
     dec = decoder_params([[1.0]], [[1.0]])
-    scores = score_matrix(emb, dec)[0]
-    assert scores[0, 1] == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
-    assert scores[0, 1] == pytest.approx(7.615941559, rel=1e-9)
-    np.testing.assert_array_equal(scores, np.full((2, 2), scores[0, 1]))
+    scores = edge_scores(emb, [complete_graph(2)], dec)  # 0 -> 1, then 1 -> 0
+    assert scores[0] == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
+    assert scores[0] == pytest.approx(7.615941559, rel=1e-9)
+    np.testing.assert_array_equal(scores, np.full(2, scores[0]))
 
 
 def test_decoder_scores_bounded_by_clip():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(1, 6, 4)) * 50
     dec = decoder_params(rng.normal(size=(4, 4)) * 50, rng.normal(size=(4, 4)) * 50)
-    scores = score_matrix(emb, dec)
+    scores = edge_scores(emb, [complete_graph(6)], dec)
+    assert scores.shape == (30,)
     assert np.all(np.abs(scores) <= 10.0)
     assert np.max(np.abs(scores)) > 9.0  # saturated, so the bound is exercised
+
+
+def test_decoder_rejects_embeddings_of_other_graphs():
+    emb = np.zeros((2, 4, 3))
+    dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
+    for graphs in ([complete_graph(4)], [complete_graph(4), complete_graph(5)]):
+        with pytest.raises(ValidationError, match="do not match graphs"):
+            edge_scores(emb, graphs, dec)
+
+
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_edge_scores_equal_the_dense_reference_at_every_edge(case, size):
+    graphs = _reference_cases()[case]
+    params = init_params(29, **MODEL_SIZES[size])
+    emb = encode(graphs, params)
+    dense = dense_score_matrix(emb, params)
+    scores = edge_scores(emb, graphs, params)
+    reference = np.concatenate([at_edges(g, m) for g, m in zip(graphs, dense)])
+    assert scores.shape == reference.shape == (sum(2 * g.num_edges for g in graphs),)
+    assert np.max(np.abs(scores - reference), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+def test_edge_decoder_gradients_agree_with_dense_reference(size):
+    graphs = _reference_cases()["batch"]
+    params = init_params(30, **MODEL_SIZES[size])
+    weighting = np.random.default_rng(31).normal(size=len(graphs) * 50)
+    # the same weighting on the dense matrices: the edges' weights, 0 elsewhere
+    rows, cols = directed_edges(graphs)
+    dense_weighting = np.zeros((len(graphs) * 20, 20))
+    dense_weighting[rows, cols % 20] = weighting
+
+    def gradients(decoder, weights):
+        t = Tape()
+        scores = decoder(t, encode(graphs, params, t))
+        return t.backward(t.sum(t.mul(scores, weights)), params.tensors)
+
+    ours = gradients(lambda t, emb: edge_scores(emb, graphs, params, t), weighting)
+    dense = gradients(
+        lambda t, emb: dense_score_matrix(emb, params, t), dense_weighting.reshape(-1, 20, 20)
+    )
+    for name, g in dense.items():
+        assert np.max(np.abs(ours[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_greedy_decode_memory_grows_with_edges_not_nodes_squared():
+    # one dense [3000, 3000] float64 array alone would take 72 MB
+    g = generate_random_graph(3000, 3300, seed=32)
+    params = init_params(33)
+    tracemalloc.start()
+    try:
+        decode_all(g, params, g.start_index, mode="greedy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def two_leaf_star_rollout(leaf_weights, actions, temperature=1.0):
@@ -319,10 +384,10 @@ def test_decoder_gradients_match_finite_differences():
     g = generate_random_graph(6, 7, seed=14)
     params = small_params(seed=15, embed_dim=4, num_heads=2, ff_dim=6)
     # a fixed random weighting keeps every entry's gradient distinct
-    weighting = np.random.default_rng(16).normal(size=(1, 6, 6))
+    weighting = np.random.default_rng(16).normal(size=2 * g.num_edges)
 
     def weighted_sum(t):
-        return t.sum(t.mul(score_matrix(encode([g], params, t), params, t), weighting))
+        return t.sum(t.mul(edge_scores(encode([g], params, t), [g], params, t), weighting))
 
     def loss_value():
         return weighted_sum(Tape()).item()

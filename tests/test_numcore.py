@@ -120,6 +120,8 @@ OP_CASES = {
         ),
         [(2, 4)],
     ),
+    # entries (0,0,0), (0,1,2), (0,2,1), (1,1,0), (1,2,2) and (0,1,2) again of a @ swap(b)
+    "edge_dot": (lambda t, a, b: t.edge_dot(a, b, [0, 5, 7, 12, 17, 5]), [(2, 3, 4), (2, 3, 4)]),
     # batched forms: a leading batch axis of 2
     "matmul_batch_shared": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (4, 2)]),
     "matmul_batch": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
@@ -355,6 +357,30 @@ def test_segment_ops_reject_inputs_of_another_size():
             t.segment_sum(values, reads, np.ones((3, 2)), segments)
     with pytest.raises(ValidationError, match="index is for 5 rows"):
         t.gather_rows(np.zeros((4, 2)), RowIndex([0, 1], 5))
+
+
+def test_edge_dot_reads_entries_of_the_batched_product():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+    index = rng.permutation(75)[:20]
+    product = np.einsum("snk,smk->snm", a, b).reshape(-1)
+    np.testing.assert_allclose(Tape().edge_dot(a, b, index), product[index], rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a, b, index",
+    [
+        ((2, 3, 4), (2, 3, 4), [18]),
+        ((2, 3, 4), (2, 3, 4), [-1]),
+        ((2, 3, 4), (2, 3, 5), [0]),
+        ((6, 4), (6, 4), [0]),
+        ((2, 3, 4), (2, 3, 4), [[0, 1]]),
+    ],
+    ids=["past-the-end", "negative", "other-width", "2-d", "2-d-index"],
+)
+def test_edge_dot_rejects_bad_shapes_and_entries(a, b, index):
+    with pytest.raises(ValidationError, match="edge_dot"):
+        Tape().edge_dot(np.zeros(a), np.zeros(b), index)
 
 
 def test_tape_consumed_once():

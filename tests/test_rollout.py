@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import apgf.rollout
 from apgf.errors import ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import encode, init_params, score_matrix
+from apgf.model import edge_scores, encode, init_params
 from apgf.numcore import Tape
 from apgf.rollout import (
     RolloutResult,
@@ -20,6 +20,7 @@ from apgf.rollout import (
 )
 
 from helpers import (
+    at_edges,
     build_graph,
     fig10_graph,
     identity_model,
@@ -187,7 +188,7 @@ def test_branch_trace_matches_eager_reference_dfs(mode, aggregator):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(20, 20))
         start = int(rng.integers(20))
-        result = walk(graph, rows, start, mode, 0.8, rng, config)
+        result = walk(graph, at_edges(graph, rows), start, mode, 0.8, rng, config)
         expected, per_node = reference_dfs(graph, start, result.visit_order[1:], aggregator)
         trace = [(r.selected, r.neighbors, r.next, r.visited, r.stack) for r in result.branch_trace]
         assert trace == expected
@@ -199,7 +200,7 @@ def test_branch_trace_matches_eager_reference_dfs(mode, aggregator):
 def test_sampled_walk_draws_one_uniform_per_move(n, e):
     graph = generate_random_graph(n, e, seed=n)
     rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    walk(graph, np.zeros((n, n)), graph.start_index, rng=rng)
+    walk(graph, np.zeros(2 * e), graph.start_index, rng=rng)
     twin.random(n - 1)
     assert rng.random() == twin.random()
 
@@ -214,13 +215,13 @@ def test_forced_moves_skip_the_softmax(monkeypatch):
     monkeypatch.setattr(apgf.rollout, "softmax", spy)
     graph = path_graph([0.9, 0.5, 0.7, 0.2, 0.4])
     for mode in ("sample", "greedy"):
-        result = walk(graph, np.zeros((5, 5)), 0, mode, rng=np.random.default_rng(0))
+        result = walk(graph, np.zeros(8), 0, mode, rng=np.random.default_rng(0))
         assert result.visit_order == [0, 1, 2, 3, 4]
     assert calls == []
     # the spy does see the branching moves: the centre of a four-leaf star
     # chooses among 4, 3 and 2 leaves, and its last move is forced
     star = star_graph([0.5, 0.1, 0.2, 0.3, 0.4])
-    walk(star, np.zeros((5, 5)), 0, rng=np.random.default_rng(0))
+    walk(star, np.zeros(8), 0, rng=np.random.default_rng(0))
     assert calls == [4, 3, 2]
 
 
@@ -297,26 +298,27 @@ def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
         graph = generate_random_graph(n, e, seed=n)
         encoder_tape, tape = Tape(), Tape()
         encode([graph], params, encoder_tape)
-        scores = score_matrix(encode([graph], params, tape), params, tape)
-        result = walk(graph, scores[0], graph.start_index, rng=np.random.default_rng(n))
-        move_log_probs(scores, [result], 1.0, tape)
+        scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
+        result = walk(graph, scores, graph.start_index, rng=np.random.default_rng(n))
+        move_log_probs(scores, [graph], [result], 1.0, tape)
         beyond_encode.append(len(tape) - len(encoder_tape))
     assert beyond_encode[0] == beyond_encode[1]
 
 
 def test_batched_walks_match_single_graph_rollouts():
-    # one score tensor and one log-prob expression for a batch give every
+    # one score array and one log-prob expression for a batch give every
     # graph exactly what its own decode_all and log probabilities give
     graphs = [generate_random_graph(10, 13, seed=400 + s) for s in range(5)]
     params = init_params(8, embed_dim=8, num_heads=2, ff_dim=8)
     tape = Tape()
-    scores = score_matrix(encode(graphs, params, tape), params, tape)
+    scores = edge_scores(encode(graphs, params, tape), graphs, params, tape)
+    per_graph = np.split(scores, 5)  # 26 directed edges each
     rng = np.random.default_rng(9)
     walks = [
-        walk(g, rows, g.start_index, temperature=0.7, rng=rng)
-        for g, rows in zip(graphs, scores)
+        walk(g, own, g.start_index, temperature=0.7, rng=rng)
+        for g, own in zip(graphs, per_graph)
     ]
-    log_probs = move_log_probs(scores, walks, 0.7, tape)
+    log_probs = move_log_probs(scores, graphs, walks, 0.7, tape)
     rng = np.random.default_rng(9)
     offset = 0
     for g, w in zip(graphs, walks):
@@ -327,8 +329,8 @@ def test_batched_walks_match_single_graph_rollouts():
         )
         offset += 9
     assert offset == log_probs.size
-    for g, rows in zip(graphs, scores):
-        greedy = walk(g, rows, g.start_index, mode="greedy")
+    for g, own in zip(graphs, per_graph):
+        greedy = walk(g, own, g.start_index, mode="greedy")
         assert greedy.visit_order == decode_all(g, params, g.start_index, mode="greedy").visit_order
 
 
@@ -375,8 +377,8 @@ def test_greedy_choice_invariant_under_monotone_transform(scores, scale, shift):
 
 def choose(scores: dict) -> int:
     """The first greedy move from a start whose neighbors are exactly the
-    keys of ``scores``, on a score row whose non-candidate entries beat
-    every candidate."""
+    keys of ``scores``, in a graph whose other edges' scores beat every
+    candidate."""
     start = max(scores) + 1
     keys = sorted(scores)
     edges = [(start, k) for k in keys]
@@ -384,7 +386,7 @@ def choose(scores: dict) -> int:
     graph = build_graph(start + 1, edges, [0.5] * (start + 1), start=start)
     rows = np.full((start + 1, start + 1), np.inf)
     rows[start, keys] = [scores[k] for k in keys]
-    return walk(graph, rows, start, mode="greedy").branch_trace[0].next
+    return walk(graph, at_edges(graph, rows), start, mode="greedy").branch_trace[0].next
 
 
 def test_greedy_choice_tie_breaks_to_lowest_index():
@@ -404,6 +406,26 @@ def test_bad_arguments():
         decode_all(graph, params, 0, mode="best")
     with pytest.raises(ValidationError, match="rng"):
         decode_all(graph, params, 0, mode="sample")
+
+
+def test_scores_must_be_one_per_directed_edge():
+    graph = fig10_graph()  # 5 edges, so 10 directed edges
+    walk_record = decode_all(graph, identity_model(), 0, mode="greedy")
+    for scores in (np.zeros((6, 6)), np.zeros(9)):
+        with pytest.raises(ValidationError, match="directed edge"):
+            walk(graph, scores, 0, mode="greedy")
+        with pytest.raises(ValidationError, match="directed edges"):
+            move_log_probs(scores, [graph], [walk_record], 1.0, Tape())
+    with pytest.raises(ValidationError, match="1 walks but 2 graphs"):
+        move_log_probs(np.zeros(20), [graph, graph], [walk_record], 1.0, Tape())
+
+
+def test_move_log_probs_rejects_a_candidate_that_is_no_neighbor():
+    graph = star_graph([0.5, 0.1, 0.2, 0.3])  # leaves 1, 2 and 3 hang off node 0
+    walk_record = decode_all(graph, identity_model(), 0, mode="greedy")
+    walk_record.selected[1] = walk_record.visit_order[1]  # a move from a leaf to another leaf
+    with pytest.raises(ValidationError, match="not a neighbor of its node"):
+        recorded_log_probs(graph, identity_model(), walk_record)
 
 
 def test_move_log_probs_rejects_a_move_outside_its_candidates():

@@ -5,13 +5,14 @@ import pytest
 
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import copy_params, encode, init_params, score_matrix
+from apgf.model import copy_params, edge_scores, encode, init_params
 from apgf.numcore import AdamState, Tape, adam_step
 from apgf.rollout import decode_all, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
 
 from helpers import (
     CheckedTape,
+    at_edges,
     build_graph,
     path_graph,
     recorded_log_probs,
@@ -40,13 +41,14 @@ def tiny_config(**overrides):
 
 
 STAR_WEIGHTS = [1.0, 0.5, 0.25]  # dyadic, so the star rollout's reward 1.75 is exact
+STAR = star_graph(STAR_WEIGHTS)  # directed edges 0->1, 0->2, 1->0, 2->0
 
 
 def test_loss_zero_when_reward_equals_baseline():
     t = Tape()
-    scores = np.array([[[0.0, 0.3, 0.1]] * 3])
+    scores = at_edges(STAR, np.array([[0.0, 0.3, 0.1]] * 3))
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
-    loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
+    loss = reinforce_loss(scores, [STAR], [rollout], [rollout.reward], 1.0, t)
     assert loss.item() == 0.0
 
 
@@ -55,31 +57,32 @@ def test_loss_matches_hand_value():
     # leaf 1 with probability 1 / (1 + e^gap) = e^-2, the second is forced
     t = Tape()
     gap = math.log(math.exp(2.0) - 1.0)
-    scores = np.array([[[0.0, 0.0, gap]] * 3])
+    scores = at_edges(STAR, np.array([[0.0, 0.0, gap]] * 3))
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
-    loss = reinforce_loss(scores, [rollout], [rollout.reward - 1.0], 1.0, t)
+    loss = reinforce_loss(scores, [STAR], [rollout], [rollout.reward - 1.0], 1.0, t)
     assert loss.item() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_empty_log_probs_with_advantage_warns_and_zeroes():
     t = Tape()
-    rollout = walk(build_graph(1, [], [0.6]), np.zeros((1, 1)), 0, mode="greedy")
+    graph = build_graph(1, [], [0.6])
+    rollout = walk(graph, np.zeros(0), 0, mode="greedy")
     with pytest.warns(UserWarning, match="no choices"):
-        loss = reinforce_loss(np.zeros((1, 1, 1)), [rollout], [rollout.reward - 2.0], 1.0, t)
+        loss = reinforce_loss(np.zeros(0), [graph], [rollout], [rollout.reward - 2.0], 1.0, t)
     assert loss.item() == 0.0
 
 
 def test_no_move_loss_is_recorded_on_the_tape():
     t = Tape()
-    scores = np.zeros((1, 1, 1))
-    rollout = walk(build_graph(1, [], [0.6]), scores[0], 0, mode="greedy")
-    loss = reinforce_loss(scores, [rollout], [rollout.reward], 1.0, t)
-    assert t.backward(loss, {"scores": scores})["scores"].tolist() == [[[0.0]]]
+    graph, scores = build_graph(1, [], [0.6]), np.zeros(0)  # one node, no edge to score
+    rollout = walk(graph, scores, 0, mode="greedy")
+    loss = reinforce_loss(scores, [graph], [rollout], [rollout.reward], 1.0, t)
+    assert t.backward(loss, {"scores": scores})["scores"].shape == (0,)
 
 
 def test_empty_batch_is_rejected():
     with pytest.raises(ValidationError, match="empty batch"):
-        reinforce_loss(np.zeros((0, 3, 3)), [], [], 1.0, Tape())
+        reinforce_loss(np.zeros(0), [], [], [], 1.0, Tape())
 
 
 def test_positive_advantage_raises_probability_of_taken_action():
@@ -92,8 +95,8 @@ def test_positive_advantage_raises_probability_of_taken_action():
     prob_before = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
 
     tape = Tape()
-    scores = score_matrix(encode([graph], params, tape), params, tape)
-    loss = reinforce_loss(scores, [rolled], [rolled.reward - 1.0], 1.0, tape)
+    scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
+    loss = reinforce_loss(scores, [graph], [rolled], [rolled.reward - 1.0], 1.0, tape)
     adam_step(params.tensors, tape.backward(loss, params.tensors), AdamState(learning_rate=1e-3))
 
     prob_after = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
@@ -106,20 +109,20 @@ def test_positive_advantage_raises_probability_of_taken_action():
 def test_mean_loss_is_the_mean_of_rollout_losses():
     rng = np.random.default_rng(5)
     graphs = [generate_random_graph(6, 8, seed=s) for s in range(3)]
-    raw = rng.normal(size=(3, 6, 6))
+    raw = [at_edges(g, rng.normal(size=(6, 6))) for g in graphs]
     walks = [walk(g, raw[b], g.start_index, temperature=0.8, rng=rng) for b, g in enumerate(graphs)]
     baselines = [walks[0].reward - 0.5, walks[1].reward, walks[2].reward + 0.75]
 
     batched_tape = Tape()
-    batched_scores = raw
-    batched = reinforce_loss(batched_scores, walks, baselines, 0.8, batched_tape)
+    batched_scores = np.concatenate(raw)
+    batched = reinforce_loss(batched_scores, graphs, walks, baselines, 0.8, batched_tape)
     batched_grad = batched_tape.backward(batched, {"scores": batched_scores})["scores"]
 
     per_rollout, grads = [], []
     for b in range(3):
-        scores = raw[b : b + 1]
+        scores = raw[b]
         t = Tape()
-        loss = reinforce_loss(scores, [walks[b]], [baselines[b]], 0.8, t)
+        loss = reinforce_loss(scores, [graphs[b]], [walks[b]], [baselines[b]], 0.8, t)
         per_rollout.append(loss.item())
         grads.append(t.backward(loss, {"scores": scores})["scores"])
     assert batched.item() == pytest.approx(np.mean(per_rollout), rel=1e-14)
@@ -131,15 +134,15 @@ def test_mean_loss_is_the_mean_of_rollout_losses():
     [
         (1, 2, "1 walks but 2 baseline"),
         (2, 1, "2 walks but 1 baseline"),
-        (2, 2, "2 walks but 1 score"),
+        (2, 2, "2 walks but 1 graph"),
     ],
     ids=["extra-baseline", "missing-baseline", "extra-walk"],
 )
 def test_batch_counts_must_agree(num_walks, num_baselines, counts):
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
-    scores = np.array([[[0.0, 0.3, 0.1]] * 3])
+    scores = np.array([0.3, 0.1, 0.0, 0.0])
     with pytest.raises(ValidationError, match=counts):
-        reinforce_loss(scores, [rollout] * num_walks, [0.0] * num_baselines, 1.0, Tape())
+        reinforce_loss(scores, [STAR], [rollout] * num_walks, [0.0] * num_baselines, 1.0, Tape())
 
 
 # -- train loop ----------------------------------------------------------------
@@ -215,12 +218,14 @@ def test_no_branch_graphs_with_synced_baseline_give_zero_loss():
     baseline = copy_params(policy)
     tape = Tape()
     rng = np.random.default_rng(0)
-    scores = score_matrix(encode(graphs, policy, tape), policy, tape)
-    sampled = [walk(g, rows, 0, temperature=1e-6, rng=rng) for g, rows in zip(graphs, scores)]
+    scores = edge_scores(encode(graphs, policy, tape), graphs, policy, tape)
+    per_graph = np.split(scores, 3)
+    sampled = [walk(g, own, 0, temperature=1e-6, rng=rng) for g, own in zip(graphs, per_graph)]
     references = [decode_all(g, baseline, 0, mode="greedy") for g in graphs]
     for rolled, reference in zip(sampled, references):
         assert rolled.reward == reference.reward
-    total_loss = reinforce_loss(scores, sampled, [r.reward for r in references], 1e-6, tape)
+    rewards = [r.reward for r in references]
+    total_loss = reinforce_loss(scores, graphs, sampled, rewards, 1e-6, tape)
     assert total_loss.item() == 0.0
 
 
@@ -257,7 +262,7 @@ def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
 
 
 def test_a_paper_config_epoch_records_only_new_float64_arrays(monkeypatch):
-    # the policy's taped pass: encode, score_matrix and the loss's move_log_probs
+    # the policy's taped pass: encode, edge_scores and the loss's move_log_probs
     import apgf.trainer as trainer_mod
 
     tapes = []

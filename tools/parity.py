@@ -23,7 +23,8 @@ Checks, each with its worst difference:
   in gradients that are zero in exact arithmetic.
 - ``walks``: greedy and sampled walks of ``--walks`` seeded 20-node
   graphs have the same visit order and reward, and the graphs the same
-  ``neighbors``; the largest decoder score difference is reported.
+  ``neighbors``; the largest decoder score difference at the graphs'
+  directed edges, the moves a walk can make, is reported.
 - ``gradients``: one paper-config epoch's policy gradients at
   temperature ``GRAD_TEMPERATURE``, per parameter within ``GRAD_RTOL``
   of that parameter's largest entry.
@@ -107,22 +108,46 @@ def _array(scores):
     return getattr(scores, "values", scores)
 
 
+def _decoder(graphs, params, tape=None):
+    """This tree's decoder scores of ``graphs``: each graph's own scores,
+    as its walk takes them, and the leading arguments of its
+    ``reinforce_loss``. Revisions before the edge-list decoder score a
+    dense ``[B, n, n]`` matrix, and their loss takes no graphs."""
+    import numpy as np
+
+    from apgf import model
+
+    if hasattr(model, "edge_scores"):
+        scores = model.edge_scores(model.encode(graphs, params, tape), graphs, params, tape)
+        ends = np.cumsum([2 * g.num_edges for g in graphs])[:-1]
+        return np.split(scores, ends), (scores, graphs)
+    scores = model.score_matrix(model.encode(graphs, params, tape), params, tape)
+    return list(_array(scores)), (scores,)
+
+
+def _at_edges(graph, own):
+    """A graph's own decoder scores at its directed edges, by source, then
+    target: as they are in edge form, picked from a dense matrix."""
+    if own.ndim == 1:
+        return own
+    return [own[i, j] for i in range(graph.num_nodes) for j in graph.neighbors[i]]
+
+
 def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
     import numpy as np
 
     from apgf.graphgen import generate_random_graph
-    from apgf.model import encode, init_params, score_matrix
+    from apgf.model import init_params
     from apgf.rollout import walk
 
     scores, facts = [], []
     for k in range(walks):
         graph = generate_random_graph(WALK_NODES, WALK_EDGES + k % 16, seed=k)
-        params = init_params(k)
-        rows = _array(score_matrix(encode([graph], params), params))[0]
-        greedy = walk(graph, rows, graph.start_index, "greedy")
+        (own,), _ = _decoder([graph], init_params(k))
+        greedy = walk(graph, own, graph.start_index, "greedy")
         rng = np.random.default_rng(k)
-        sampled = walk(graph, rows, graph.start_index, "sample", 1.0, rng)
-        scores.append(rows)
+        sampled = walk(graph, own, graph.start_index, "sample", 1.0, rng)
+        scores.extend(_at_edges(graph, own))
         facts.append(
             {
                 "neighbors": graph.neighbors,
@@ -130,7 +155,7 @@ def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
                 "sampled": [sampled.visit_order, repr(sampled.reward)],
             }
         )
-    np.save(out / "walk_scores.npy", np.stack(scores))
+    np.save(out / "walk_scores.npy", np.array(scores))
     (out / "walks.json").write_text(json.dumps(facts))
 
 
@@ -138,7 +163,7 @@ def _probe_gradients(out: Path, tree: Path, **_) -> None:
     import numpy as np
 
     from apgf.graphgen import generate_random_graph
-    from apgf.model import encode, init_params, score_matrix
+    from apgf.model import init_params
     from apgf.numcore import Tape
     from apgf.rollout import walk
     from apgf.trainer import reinforce_loss
@@ -147,14 +172,14 @@ def _probe_gradients(out: Path, tree: Path, **_) -> None:
     policy, baseline = init_params(3), init_params(4)
     rng = np.random.default_rng(3)
     tape = Tape()
-    scores = score_matrix(encode(graphs, policy, tape), policy, tape)
-    baseline_scores = score_matrix(encode(graphs, baseline), baseline)
+    per_graph, loss_head = _decoder(graphs, policy, tape)
+    baseline_per_graph, _ = _decoder(graphs, baseline)
     sampled, baseline_rewards = [], []
-    for graph, rows, baseline_rows in zip(graphs, _array(scores), _array(baseline_scores)):
+    for graph, own, baseline_own in zip(graphs, per_graph, baseline_per_graph):
         start = int(rng.integers(graph.num_nodes))
-        sampled.append(walk(graph, rows, start, "sample", GRAD_TEMPERATURE, rng))
-        baseline_rewards.append(walk(graph, baseline_rows, start, "greedy").reward)
-    loss = reinforce_loss(scores, sampled, baseline_rewards, GRAD_TEMPERATURE, tape)
+        sampled.append(walk(graph, own, start, "sample", GRAD_TEMPERATURE, rng))
+        baseline_rewards.append(walk(graph, baseline_own, start, "greedy").reward)
+    loss = reinforce_loss(*loss_head, sampled, baseline_rewards, GRAD_TEMPERATURE, tape)
     grads = tape.backward(loss, policy.tensors)
     np.savez(out / "gradients.npz", **grads)
 
@@ -237,9 +262,11 @@ def _check_walks(this: Path, that: Path) -> dict:
     b = json.loads((that / "walks.json").read_text())
     differing = sum(x[mode] != y[mode] for x, y in zip(a, b) for mode in ("greedy", "sampled"))
     neighbors_equal = all(x["neighbors"] == y["neighbors"] for x, y in zip(a, b))
-    score_diff = np.abs(np.load(this / "walk_scores.npy") - np.load(that / "walk_scores.npy"))
+    scores_a, scores_b = np.load(this / "walk_scores.npy"), np.load(that / "walk_scores.npy")
+    same_edges = scores_a.shape == scores_b.shape
+    score_diff = np.abs(scores_a - scores_b) if same_edges else np.array([np.inf])
     return {
-        "pass": differing == 0 and neighbors_equal and len(a) == len(b),
+        "pass": differing == 0 and neighbors_equal and same_edges and len(a) == len(b),
         "graphs": len(a),
         "differing_walks": differing,
         "neighbors_equal": neighbors_equal,
