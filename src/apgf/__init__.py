@@ -2,8 +2,8 @@
 
 A graph-attention encoder-decoder policy, trained with REINFORCE
 against a frozen greedy baseline, learns to pick high-score attack
-paths on random weighted graphs; an exhaustive brute-force oracle
-provides the ground truth it is compared to.
+paths on random weighted graphs; an exact oracle search provides the
+ground truth it is compared to.
 """
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Every command is seed-deterministic and drops a RunManifest next to its
 outputs with the fully resolved configuration, enough to reproduce them
 bit-exactly. Exit codes: 0 success, 2 validation error, 3 numeric
-failure, 4 brute-force cap refusal.
+failure, 4 brute-force cap refusal (the ``sum`` oracle only).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ def _write_manifest(
     inputs: dict,
     outputs: dict,
     started_at: str,
+    extra: dict | None = None,
 ) -> None:
     doc = {
         "command": command,
@@ -55,6 +56,7 @@ def _write_manifest(
         "tool_version": __version__,
         "started_at": started_at,
         "finished_at": _utc_now(),
+        **(extra or {}),
     }
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
@@ -288,10 +290,17 @@ def cmd_compare(args) -> int:
     oracle_result = None
     if cache_path is not None and cache_path.exists():
         oracle_result = _load_oracle_cache(cache_path, digest, graph, score_config.aggregator)
-    if oracle_result is None:
+    cache_hit = oracle_result is not None
+    if not cache_hit:
         oracle_result = brute_force_scores(graph, score_config, node_cap=args.cap)
         if cache_path is not None:
             _write_oracle_cache(cache_path, digest, oracle_result)
+    # wall_clock is the search's own, also when read back from the cache
+    oracle_stats = {
+        "explored_path_count": oracle_result.explored_path_count,
+        "wall_clock": oracle_result.wall_clock,
+        "cache_hit": cache_hit,
+    }
 
     rolled = decode_all(graph, params, graph.start_index, mode="greedy", score_config=score_config)
     report = compare(oracle_result, rolled)
@@ -331,6 +340,11 @@ def cmd_compare(args) -> int:
         inputs={"graph": args.graph, "checkpoint": args.checkpoint},
         outputs=outputs,
         started_at=started,
+        extra={"oracle": oracle_stats},
+    )
+    print(
+        f"oracle: {oracle_stats['explored_path_count']} paths explored in "
+        f"{oracle_stats['wall_clock']:.6f}s (cache {'hit' if cache_hit else 'miss'})"
     )
     print(f"mean ratio model/oracle: {report.mean_ratio!r} over {len(report.rows)} nodes")
     print(f"max absolute gap: {report.max_abs_gap!r}")
@@ -362,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out-dir", required=True, help="output directory")
     tr.set_defaults(func=cmd_train)
 
-    cmp_ = sub.add_parser("compare", help="greedy rollout vs brute-force oracle on one graph")
+    cmp_ = sub.add_parser("compare", help="greedy rollout vs the exact oracle on one graph")
     cmp_.add_argument("--graph", required=True, help="graph file from `apgf gen`")
     cmp_.add_argument("--checkpoint", required=True, help="model checkpoint file")
     cmp_.add_argument("--out-dir", required=True, help="output directory")
@@ -371,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_NODE_CAP,
-        help=f"brute-force node cap (default {DEFAULT_NODE_CAP})",
+        help=(
+            f"node cap of the factorial sum oracle (default {DEFAULT_NODE_CAP}); "
+            "product has no cap"
+        ),
     )
     cmp_.add_argument("--aggregator", choices=AGGREGATORS, default="product")
     cmp_.set_defaults(func=cmd_compare)

@@ -1,16 +1,37 @@
-"""Exhaustive simple-path search: the ground truth the model is judged against.
+"""Exact best attack-path scores: the ground truth the model is judged against.
 
-One recursive DFS from the start enumerates every simple path once; each
-path is a candidate for the node it ends at, which keeps the best-scoring
-one (the first found on ties) and counts it. Complexity is factorial in
-the node count, which is exactly why the learned model exists; a hard cap
-keeps accidental large runs from burning hours.
-Memoization is deliberately absent: the best simple path does not
-decompose over subpaths once the visited set matters.
+Each end node's score is the best fold of node weights along a simple
+path from the start. Two searches find it, one per aggregator:
+
+- ``product``: max-product Dijkstra. Weights lie in [0, 1], so extending
+  a path never raises its score, even in floating point: fl(a*w) <= a,
+  and a <= b implies fl(a*w) <= fl(b*w). A walk that repeats a node
+  therefore never beats the simple path that cuts the loop out, and the
+  first time a node leaves the heap its label is the best score over all
+  simple paths, bit for bit the one an exhaustive search finds. Labels
+  start at -inf and are replaced only by a strictly greater score; ties
+  leave the heap lowest index first. A node's path is read back from
+  the predecessor tree, so its ``path_score`` is its score exactly.
+  The search is O(edges log nodes) and takes any graph size. See Mohri,
+  "Semiring frameworks and algorithms for shortest-distance problems"
+  (2002), for Dijkstra over such semirings.
+- ``sum``: the best path is a longest simple path, which is NP-hard, and
+  Dijkstra is wrong for it. One recursive DFS from the start enumerates
+  every simple path once; each is a candidate for the node it ends at,
+  which keeps the best-scoring one (the first found on ties). The search
+  is factorial in the node count, so a node cap refuses large graphs.
+  Memoization is deliberately absent: the best simple path does not
+  decompose over subpaths once the visited set matters.
+
+``explored_paths`` counts the paths a search offered a node. For the
+DFS that is every simple path ending there. For Dijkstra it is 1 for the
+start, plus one per neighbour that settled while the node had not, so a
+connected graph's total is 1 + its edge count.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 import math
 import time
@@ -65,6 +86,11 @@ def check_node_cap(node_cap: int) -> None:
         raise ValidationError(f"node_cap (CLI: --cap) must be at least 1, got {node_cap}")
 
 
+def exceeds_cap(graph: WeightedGraph, score_config: ScoreConfig, node_cap: int) -> bool:
+    """Whether the factorial search refuses ``graph``; ``product`` has no cap."""
+    return score_config.aggregator != "product" and graph.num_nodes > node_cap
+
+
 def brute_force_scores(
     graph: WeightedGraph,
     score_config: ScoreConfig = ScoreConfig(),
@@ -72,22 +98,74 @@ def brute_force_scores(
 ) -> OracleResult:
     """Best attack-path score (and one achieving path) per end node.
 
-    Refuses graphs above ``node_cap``; pass a higher cap explicitly to
-    accept the factorial runtime; ``check_node_cap`` rejects a cap below 1.
+    For ``sum``, refuses graphs above ``node_cap``; pass a higher cap
+    explicitly to accept the factorial runtime. ``check_node_cap``
+    rejects a cap below 1 for either aggregator.
     """
     check_node_cap(node_cap)
-    if graph.num_nodes > node_cap:
+    if exceeds_cap(graph, score_config, node_cap):
         raise CapExceededError(
             f"{graph.num_nodes} nodes exceeds the brute-force cap of {node_cap}; "
-            "the search is factorial in the node count. Pass an explicit higher "
-            "node_cap (CLI: --cap) to run anyway."
+            f"the {score_config.aggregator} search is factorial in the node count. "
+            "Pass an explicit higher node_cap (CLI: --cap) to run anyway."
         )
     started = time.perf_counter()
+    if score_config.aggregator == "product":
+        best_score, best_path, explored = _max_product(graph)
+    else:
+        best_score, best_path, explored = _every_simple_path(graph, score_config.fold)
+    wall = time.perf_counter() - started
+    per_node = {
+        e: EndNodeBest(score=best_score[e], path=best_path[e], explored_paths=explored[e])
+        for e in range(graph.num_nodes)
+    }
+    return OracleResult(per_node=per_node, explored_path_count=sum(explored), wall_clock=wall)
+
+
+def _max_product(graph: WeightedGraph) -> tuple[list[float], list[list[int]], list[int]]:
     n = graph.num_nodes
     weights = graph.node_weights.tolist()
     start = graph.start_index
     neighbors = graph.neighbors
-    fold = score_config.fold  # looked up once, not once per explored path
+    best_score = [-math.inf] * n
+    parent = [-1] * n
+    explored = [0] * n
+    settled = [False] * n
+    best_score[start] = weights[start]
+    explored[start] = 1
+    heap = [(-best_score[start], start)]
+    # Nodes leave the heap in non-increasing score order and extending is
+    # monotone, so a node's first offer is its best: no label improves once
+    # set, and each node enters the heap once.
+    while heap:
+        _, node = heapq.heappop(heap)
+        settled[node] = True
+        score = best_score[node]
+        for nb in neighbors[node]:
+            if settled[nb]:
+                continue
+            explored[nb] += 1
+            offered = score * weights[nb]
+            if offered > best_score[nb]:
+                best_score[nb] = offered
+                parent[nb] = node
+                heapq.heappush(heap, (-offered, nb))
+    best_path = []
+    for end in range(n):
+        path = [end]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        best_path.append(path[::-1])
+    return best_score, best_path, explored
+
+
+def _every_simple_path(
+    graph: WeightedGraph, fold
+) -> tuple[list[float], list[list[int]], list[int]]:
+    n = graph.num_nodes
+    weights = graph.node_weights.tolist()
+    start = graph.start_index
+    neighbors = graph.neighbors
     best_score = [-math.inf] * n
     best_path: list[list[int]] = [[] for _ in range(n)]
     explored = [0] * n
@@ -110,12 +188,7 @@ def brute_force_scores(
             on_path[nb] = False
 
     extend(start, weights[start])
-    wall = time.perf_counter() - started
-    per_node = {
-        e: EndNodeBest(score=best_score[e], path=best_path[e], explored_paths=explored[e])
-        for e in range(n)
-    }
-    return OracleResult(per_node=per_node, explored_path_count=sum(explored), wall_clock=wall)
+    return best_score, best_path, explored
 
 
 def compare(oracle: OracleResult, rollout: RolloutResult) -> ComparisonReport:

@@ -41,7 +41,7 @@ from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
 from .model import ModelParams, copy_params, edge_scores, encode, init_params, save_checkpoint
 from .numcore import AdamState, Tape, adam_step
-from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare
+from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare, exceeds_cap
 from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
 
 DATASET_MODES = ("fixed", "resampled")
@@ -270,7 +270,7 @@ def timings_to_csv(metrics: Sequence[EpochMetrics], total_seconds: float) -> str
 class EvalResult:
     graph_index: int
     greedy_reward: float
-    report: ComparisonReport | None  # None when the graph exceeds the oracle cap
+    report: ComparisonReport | None  # None without the oracle, or above the `sum` search's cap
 
 
 def evaluate(
@@ -281,14 +281,14 @@ def evaluate(
     with_oracle: bool = True,
 ) -> list[EvalResult]:
     """Greedy rewards on held-out graphs, each compared against the
-    oracle when the graph is within the brute-force cap."""
+    oracle; a ``sum`` graph above the node cap skips the comparison."""
     results = []
     for i, graph in enumerate(eval_graphs):
         rolled = decode_all(
             graph, params, graph.start_index, mode="greedy", score_config=score_config
         )
         report = None
-        if with_oracle and graph.num_nodes <= node_cap:
+        if with_oracle and not exceeds_cap(graph, score_config, node_cap):
             oracle_result = brute_force_scores(graph, score_config, node_cap=node_cap)
             report = compare(oracle_result, rolled)
         results.append(EvalResult(graph_index=i, greedy_reward=rolled.reward, report=report))

@@ -10,7 +10,6 @@ against, so keep them dumb.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from typing import Sequence
@@ -57,10 +56,15 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> floa
 
 
 def simple_paths(graph: WeightedGraph, end: int):
-    """Every simple start->end path, by brute permutation enumeration.
+    """Every simple start->end path, by permutation enumeration.
 
-    Every ordering of every subset of intermediate nodes is generated and
-    filtered for path validity. Exponential, fine for n <= 8.
+    Orderings of intermediate nodes grow one node at a time, and one is
+    dropped as soon as its last step is not an edge, since no longer
+    ordering with that prefix is a path either. What is left is exactly
+    what filtering every ordering of every subset would keep (checked
+    against that filter in test_oracle.py). The cost grows with the
+    number of simple paths; fine for the sparse graphs up to n = 14 that
+    the tests use.
     """
     start = graph.start_index
     if end == start:
@@ -68,11 +72,15 @@ def simple_paths(graph: WeightedGraph, end: int):
         return
     neighbors = graph.neighbors
     others = [v for v in range(graph.num_nodes) if v != start and v != end]
-    for k in range(len(others) + 1):
-        for middle in itertools.permutations(others, k):
-            path = (start, *middle, end)
-            if all(path[i + 1] in neighbors[path[i]] for i in range(len(path) - 1)):
-                yield path
+
+    def grow(prefix):
+        if end in neighbors[prefix[-1]]:
+            yield (*prefix, end)
+        for v in others:
+            if v not in prefix and v in neighbors[prefix[-1]]:
+                yield from grow((*prefix, v))
+
+    yield from grow((start,))
 
 
 def permutation_best_score(graph: WeightedGraph, end: int, aggregator: str) -> float:

@@ -3,9 +3,12 @@ import re
 
 import pytest
 
+from apgf import cli
 from apgf.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
-from apgf.graphgen import load_graph, save_graph, generate_random_graph
+from apgf.graphgen import graph_to_json, load_graph, save_graph, generate_random_graph
 from apgf.model import init_params, save_checkpoint
+
+from helpers import build_graph
 
 
 def run(argv):
@@ -249,7 +252,8 @@ def test_compare_cap_refusal(tmp_path, capsys):
     ckpt = tmp_path / "c.json"
     save_checkpoint(params, ckpt)
     code = run(
-        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "o")]
+        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt),
+         "--out-dir", str(tmp_path / "o"), "--aggregator", "sum"]
     )
     assert code == EXIT_CAP
     assert "--cap" in capsys.readouterr().err
@@ -391,11 +395,10 @@ def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ckpt.json", "graph.json"]
 
 
-def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache):
-    return run(
-        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
-         "--out-dir", str(tmp_path / "o"), "--oracle-cache", str(cache)]
-    )
+def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache, out_dir=None):
+    argv = ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
+            "--out-dir", str(out_dir or tmp_path / "o")]
+    return run(argv + (["--oracle-cache", str(cache)] if cache else []))
 
 
 def test_compare_non_object_oracle_cache_is_recomputed(tmp_path, compare_inputs):
@@ -445,6 +448,59 @@ def test_compare_broken_oracle_cache_names_file_and_field(
     assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(cache) in err and field in err
+
+
+def test_compare_reports_oracle_work_in_stdout_and_manifest(tmp_path, compare_inputs, capsys):
+    graph_path, ckpt_path = compare_inputs
+    cache = tmp_path / "oracle_cache.json"
+    for phase, hit in (("cold", False), ("warm", True)):
+        out_dir = tmp_path / phase
+        assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache, out_dir) == EXIT_OK
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle:")]
+        stats = json.loads((out_dir / "manifest.json").read_text())["oracle"]
+        assert stats["cache_hit"] is hit
+        cached = json.loads(cache.read_text())
+        assert stats["explored_path_count"] == cached["explored_path_count"] == 10  # 1 + 9 edges
+        assert stats["wall_clock"] == cached["wall_clock"]
+        assert lines == [
+            f"oracle: 10 paths explored in {stats['wall_clock']:.6f}s "
+            f"(cache {'hit' if hit else 'miss'})"
+        ]
+
+
+def test_compare_reads_a_dfs_era_product_cache(tmp_path, monkeypatch):
+    """A cache written by the exhaustive product search stays a hit: its
+    tie paths and path counts differ from Dijkstra's but are valid."""
+    graph = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [1.0] * 5, start=2)
+    graph_path, ckpt_path = tmp_path / "cycle.json", tmp_path / "ckpt.json"
+    save_graph(graph, graph_path)
+    save_checkpoint(init_params(5, embed_dim=8, num_heads=2, ff_dim=8), ckpt_path)
+    cold = tmp_path / "cold"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, None, cold) == EXIT_OK
+
+    cache = tmp_path / "dfs_cache.json"
+    paths = {0: [2, 1, 0], 1: [2, 1], 2: [2], 3: [2, 1, 0, 4, 3], 4: [2, 1, 0, 4]}
+    counts = {0: 2, 1: 2, 2: 1, 3: 2, 4: 2}
+    cache.write_text(json.dumps({
+        "version": 1,
+        "digest": cli._oracle_digest(graph_to_json(load_graph(graph_path)), "product"),
+        "entries": {
+            str(v): {"score": 1.0, "path": paths[v], "explored_paths": counts[v]} for v in range(5)
+        },
+        "explored_path_count": 9,
+        "wall_clock": 0.000125,
+    }))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the oracle searched despite a valid cache")
+
+    monkeypatch.setattr(cli, "brute_force_scores", no_search)
+    warm = tmp_path / "warm"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache, warm) == EXIT_OK
+    assert json.loads((warm / "manifest.json").read_text())["oracle"] == {
+        "explored_path_count": 9, "wall_clock": 0.000125, "cache_hit": True
+    }
+    assert (warm / "comparison.csv").read_bytes() == (cold / "comparison.csv").read_bytes()
 
 
 def test_golden_comparison_fixture(tmp_path):

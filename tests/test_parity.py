@@ -33,9 +33,12 @@ def test_parity_against_head_passes_at_a_tiny_config(git_checkout):
     assert report["verdict"] == "pass"
     checks = report["checks"]
     assert set(checks) == {
-        "reward_columns", "mean_loss", "checkpoint", "reruns", "walks", "gradients", "golden"
+        "reward_columns", "mean_loss", "checkpoint", "reruns", "walks", "gradients", "golden",
+        "oracle",
     }
     assert checks["walks"]["graphs"] == 4 and checks["reward_columns"]["runs"] == 1
+    assert checks["oracle"]["graphs"] == 4
+    assert checks["oracle"]["differing_graphs"] == {"product": 0, "sum": 0}
     lines = report["src_lines"]  # reported, not a check
     assert set(lines) == {"this", "against"} and min(lines.values()) > 0
 

@@ -7,7 +7,7 @@ from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import copy_params, edge_scores, encode, init_params
 from apgf.numcore import AdamState, Tape, adam_step
-from apgf.rollout import decode_all, walk
+from apgf.rollout import ScoreConfig, decode_all, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
 
 from helpers import (
@@ -321,6 +321,6 @@ def test_evaluate_single_node_graph_ratio_is_one():
 def test_evaluate_skips_oracle_above_cap():
     g = generate_random_graph(12, 14, seed=3)
     params = init_params(2, embed_dim=4, num_heads=1, ff_dim=4)
-    (result,) = evaluate(params, [g], node_cap=10)
+    (result,) = evaluate(params, [g], ScoreConfig(aggregator="sum"), node_cap=10)
     assert result.report is None
     assert np.isfinite(result.greedy_reward)

@@ -34,6 +34,10 @@ Checks, each with its worst difference:
   equal SHA-256 digests on both.
 - ``reruns``: on each tree a second run of the first seed writes a
   byte-identical ``metrics.csv`` and byte-identical checkpoints.
+- ``oracle``: ``brute_force_scores`` on the ``walks`` graphs, under both
+  aggregators, gives bit-equal per-node scores on both trees. Each
+  tree's total ``explored_path_count`` per aggregator is reported, not
+  gated: the searches may count differently.
 
 The verdict also reports ``src_lines``, each tree's package source line
 count; it is not a check.
@@ -82,6 +86,7 @@ def probe(out: Path, epochs: int, seeds: list[int], walks: int) -> None:
         ("walks", _probe_walks),
         ("gradients", _probe_gradients),
         ("golden", _probe_golden),
+        ("oracle", _probe_oracle),
     ):
         try:
             section(out, tree, epochs=epochs, seeds=seeds, walks=walks)
@@ -204,6 +209,21 @@ def _probe_golden(out: Path, tree: Path, **_) -> None:
     (out / "digests.json").write_text(json.dumps(digests))
 
 
+def _probe_oracle(out: Path, tree: Path, walks: int, **_) -> None:
+    from apgf.graphgen import generate_random_graph
+    from apgf.oracle import brute_force_scores
+    from apgf.rollout import ScoreConfig
+
+    found = {"product": [], "sum": []}
+    for k in range(walks):
+        graph = generate_random_graph(WALK_NODES, WALK_EDGES + k % 16, seed=k)
+        for aggregator, results in found.items():
+            result = brute_force_scores(graph, ScoreConfig(aggregator=aggregator))
+            scores = [result.per_node[v].score for v in range(graph.num_nodes)]
+            results.append({"scores": scores, "explored": result.explored_path_count})
+    (out / "oracle.json").write_text(json.dumps(found))
+
+
 # -- the comparison ------------------------------------------------------------
 
 
@@ -301,6 +321,24 @@ def _check_golden(this: Path, that: Path) -> dict:
     }
 
 
+def _check_oracle(this: Path, that: Path) -> dict:
+    a = json.loads((this / "oracle.json").read_text())
+    b = json.loads((that / "oracle.json").read_text())
+    differing = {
+        agg: sum(x["scores"] != y["scores"] for x, y in zip(a[agg], b[agg])) for agg in a
+    }
+    same_graphs = all(len(a[agg]) == len(b[agg]) for agg in a)
+    return {
+        "pass": same_graphs and not any(differing.values()),
+        "graphs": len(a["product"]),
+        "differing_graphs": differing,
+        "explored_path_count": {
+            side: {agg: sum(r["explored"] for r in doc[agg]) for agg in doc}
+            for side, doc in (("this", a), ("against", b))
+        },
+    }
+
+
 def _check_reruns(this: Path, that: Path, seed: int) -> dict:
     def same(out: Path) -> bool:
         first, rerun = out / f"seed{seed}", out / "rerun"
@@ -328,6 +366,8 @@ def verdict(this: Path, that: Path, seeds: list[int]) -> dict:
         checks["gradients"] = _check_gradients(this, that)
     if "golden" not in failed:
         checks["golden"] = _check_golden(this, that)
+    if "oracle" not in failed:
+        checks["oracle"] = _check_oracle(this, that)
     for side, errs in errors.items():
         for name, message in errs.items():
             checks[f"{name}_error_{side}"] = {"pass": False, "error": message}
