@@ -106,9 +106,11 @@ def _train_config_from_file(path: Path) -> TrainConfig:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config {path}: not UTF-8 text: {exc}") from exc
     try:
-        return _train_config_from_doc(json.loads(text))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ValidationError(f"config {path}: not valid JSON: {exc}") from exc
+    try:
+        return _train_config_from_doc(doc)
     except ValidationError as exc:
         raise ValidationError(f"config {path}: {exc}") from exc
 
@@ -218,7 +220,7 @@ def _load_oracle_cache(
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(doc, dict) or doc.get("version") != 1 or doc.get("digest") != digest:
         return None

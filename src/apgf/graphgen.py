@@ -211,7 +211,7 @@ def _is_int(value) -> bool:
 def graph_from_json(text: str) -> WeightedGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be an object")

@@ -22,7 +22,6 @@ float64 embeddings, the decoder one ``[E]`` array of edge scores.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -228,13 +227,25 @@ def edge_scores(
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    blobs = {}
+    """Write ``params`` as a checkpoint: the bytes of ``json.dumps(doc) + "\n"``
+    for the document ``{"version", "hyper", "params"}``, with ``params``
+    in ``param_spec`` order, each entry ``{"shape", "values"}``."""
+    atomic_write_text(path, _checkpoint_chunks(params))
+
+
+def _checkpoint_chunks(params: ModelParams):
+    """The checkpoint text, one parameter per chunk, each encoded by
+    json's C encoder; the whole text at once would need several times
+    its size in transient memory."""
+    head = json.dumps({"version": CHECKPOINT_VERSION, "hyper": params.hyper()})
+    yield head[:-1] + ', "params": {'
+    separator = ""
     for name in param_spec(params.embed_dim, params.num_heads, params.ff_dim):
         t = params.tensors[name]
-        blobs[name] = {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
-    doc = {"version": CHECKPOINT_VERSION, "hyper": params.hyper(), "params": blobs}
-    # Streamed chunk by chunk: the whole text at once would double peak memory.
-    atomic_write_text(path, itertools.chain(json.JSONEncoder().iterencode(doc), ["\n"]))
+        blob = {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
+        yield f"{separator}{json.dumps(name)}: {json.dumps(blob)}"
+        separator = ", "
+    yield "}}\n"
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -247,7 +258,7 @@ def load_checkpoint(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # the latter: nested too deeply
             raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     try:
         return _params_from_doc(doc)

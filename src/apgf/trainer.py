@@ -163,7 +163,8 @@ def train(
     """Run the full training loop; returns the policy and per-epoch metrics.
 
     With ``out_dir`` set, a checkpoint is written at every baseline sync
-    and at the end, alongside ``metrics.csv`` and ``timings.csv``.
+    and at the end, alongside ``metrics.csv`` and ``timings.csv``. When
+    the last epoch syncs, the final checkpoint is a copy of its file.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -238,7 +239,15 @@ def train(
 
     total_seconds = time.perf_counter() - train_started
     if out_path is not None:
-        save_checkpoint(policy, out_path / "checkpoint_final.json")
+        final = out_path / "checkpoint_final.json"
+        if metrics and metrics[-1].synced_baseline:
+            # no step ran since the last sync's checkpoint: copy its text in
+            # 64 KiB chunks rather than encode the same parameters again
+            last_sync = out_path / f"checkpoint_epoch_{config.epochs:04d}.json"
+            with open(last_sync, encoding="utf-8") as fh:
+                atomic_write_text(final, iter(lambda: fh.read(1 << 16), ""))
+        else:
+            save_checkpoint(policy, final)
         atomic_write_text(out_path / "metrics.csv", metrics_to_csv(metrics))
         atomic_write_text(out_path / "timings.csv", timings_to_csv(metrics, total_seconds))
     return policy, metrics

@@ -395,6 +395,25 @@ def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ckpt.json", "graph.json"]
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion limit
+
+
+@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
+def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+    graph_path, ckpt_path = compare_inputs
+    config_path = tmp_path / "cfg.json"
+    bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
+    bad.write_text(DEEP_JSON)
+    if kind == "config":
+        argv = ["train", "--config", config_path, "--out-dir", tmp_path / "out"]
+    else:
+        argv = ["compare", "--graph", graph_path, "--checkpoint", ckpt_path]
+        argv += ["--out-dir", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == EXIT_VALIDATION
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache, out_dir=None):
     argv = ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt_path),
             "--out-dir", str(out_dir or tmp_path / "o")]
@@ -409,6 +428,17 @@ def test_compare_non_object_oracle_cache_is_recomputed(tmp_path, compare_inputs)
     assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, broken) == EXIT_OK
     # wall_clock differs between runs; every other field is recomputed exactly
     a, b = json.loads(fresh.read_text()), json.loads(broken.read_text())
+    del a["wall_clock"], b["wall_clock"]
+    assert a == b
+
+
+def test_compare_deeply_nested_oracle_cache_is_recomputed(tmp_path, compare_inputs):
+    graph_path, ckpt_path = compare_inputs
+    fresh, deep = tmp_path / "fresh.json", tmp_path / "deep.json"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, fresh) == EXIT_OK
+    deep.write_text(DEEP_JSON)
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, deep) == EXIT_OK
+    a, b = json.loads(fresh.read_text()), json.loads(deep.read_text())
     del a["wall_clock"], b["wall_clock"]
     assert a == b
 

@@ -420,6 +420,46 @@ def test_checkpoint_bytes_are_pinned(tmp_path, kwargs, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+_stored_floats = st.sampled_from([-0.0, 5e-324, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_heads=st.integers(1, 3),
+    head_dim=st.integers(1, 2),
+    ff_dim=st.integers(1, 3),
+    score_clip=st.sampled_from([5e-324, 1e300]) | st.floats(0.0, 1e300, exclude_min=True),
+    data=st.data(),
+)
+def test_checkpoint_is_json_dumps_of_the_document(
+    tmp_path_factory, num_heads, head_dim, ff_dim, score_clip, data
+):
+    # the writer frames its chunks by hand; they must add up to the
+    # document the loader reads, as json.dumps writes it
+    params = init_params(0, num_heads * head_dim, num_heads, ff_dim, score_clip)
+    for name, t in params.tensors.items():
+        values = data.draw(st.lists(_stored_floats, min_size=t.size, max_size=t.size), label=name)
+        params.tensors[name] = np.array(values, dtype=np.float64).reshape(t.shape)
+    doc = {
+        "version": 1,
+        "hyper": {
+            "embed_dim": num_heads * head_dim,
+            "num_heads": num_heads,
+            "ff_dim": ff_dim,
+            "score_clip": score_clip,
+        },
+        "params": {
+            name: {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
+            for name, t in params.tensors.items()
+        },
+    }
+    path = tmp_path_factory.mktemp("frame") / "ckpt.json"
+    save_checkpoint(params, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+
+
 def test_failed_save_leaves_existing_checkpoint_intact(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(small_params(seed=1), path)

@@ -39,6 +39,7 @@ def test_parity_against_head_passes_at_a_tiny_config(git_checkout):
     assert checks["walks"]["graphs"] == 4 and checks["reward_columns"]["runs"] == 1
     assert checks["oracle"]["graphs"] == 4
     assert checks["oracle"]["differing_graphs"] == {"product": 0, "sum": 0}
+    assert checks["checkpoint"] == {"gated": False, "worst_abs": 0.0, "byte_equal": True}
     lines = report["src_lines"]  # reported, not a check
     assert set(lines) == {"this", "against"} and min(lines.values()) > 0
 

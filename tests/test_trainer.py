@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from apgf import trainer
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import copy_params, edge_scores, encode, init_params
+from apgf.model import copy_params, edge_scores, encode, init_params, save_checkpoint
 from apgf.numcore import AdamState, Tape, adam_step
 from apgf.rollout import ScoreConfig, decode_all, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
@@ -201,6 +202,27 @@ def test_checkpoints_written_at_sync_epochs(tmp_path):
         "checkpoint_final.json",
     ]
     assert (tmp_path / "timings.csv").exists()
+
+
+@pytest.mark.parametrize("epochs, saves", [(20, 2), (15, 2), (0, 1)])
+def test_final_checkpoint_is_the_returned_policy_encoded_once(
+    tmp_path, monkeypatch, epochs, saves
+):
+    calls = []
+
+    def counted(params, path):
+        calls.append(path)
+        save_checkpoint(params, path)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counted)
+    policy, _ = train(tiny_config(epochs=epochs, baseline_sync_period=10), out_dir=tmp_path / "run")
+    save_checkpoint(policy, tmp_path / "fresh.json")
+    final = (tmp_path / "run" / "checkpoint_final.json").read_bytes()
+    assert final == (tmp_path / "fresh.json").read_bytes()
+    # a final epoch that syncs has already written these bytes: they are copied, not re-encoded
+    assert len(calls) == saves
+    if epochs == 20:
+        assert final == (tmp_path / "run" / "checkpoint_epoch_0020.json").read_bytes()
 
 
 def test_single_node_training_writes_zero_loss(tmp_path):

@@ -19,8 +19,10 @@ Checks, each with its worst difference:
   ``metrics.csv`` but ``mean_loss`` is byte-identical.
 - ``mean_loss``: within ``LOSS_RTOL`` relative, row by row.
 - ``checkpoint``: the largest absolute difference between the final
-  checkpoints' values. Reported, not gated: Adam magnifies rounding noise
-  in gradients that are zero in exact arithmetic.
+  checkpoints' values, and ``byte_equal``: whether every trained
+  ``checkpoint_*.json`` is byte-identical on both trees. Reported, not
+  gated: Adam magnifies rounding noise in gradients that are zero in
+  exact arithmetic.
 - ``walks``: greedy and sampled walks of ``--walks`` seeded 20-node
   graphs have the same visit order and reward, and the graphs the same
   ``neighbors``; the largest decoder score difference at the graphs'
@@ -250,7 +252,7 @@ def _rel(a: float, b: float) -> float:
 def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, dict]:
     rewards = {"pass": True, "runs": len(seeds), "differing_rows": 0}
     loss = {"pass": True, "tolerance": LOSS_RTOL, "worst_rel": 0.0}
-    checkpoint = {"gated": False, "worst_abs": 0.0}
+    checkpoint = {"gated": False, "worst_abs": 0.0, "byte_equal": True}
     for s in seeds:
         a = _csv_columns(this / f"seed{s}" / "metrics.csv")
         b = _csv_columns(that / f"seed{s}" / "metrics.csv")
@@ -265,11 +267,17 @@ def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, 
             rewards["differing_rows"] += sum(x != y for x, y in zip(col_a, col_b))
         for x, y in zip(a["mean_loss"], b["mean_loss"]):
             loss["worst_rel"] = max(loss["worst_rel"], _rel(float(x), float(y)))
-        va = _checkpoint_values(this / f"seed{s}" / "checkpoint_final.json")
-        vb = _checkpoint_values(that / f"seed{s}" / "checkpoint_final.json")
+        run_a, run_b = this / f"seed{s}", that / f"seed{s}"
+        va = _checkpoint_values(run_a / "checkpoint_final.json")
+        vb = _checkpoint_values(run_b / "checkpoint_final.json")
         for name in va.keys() & vb.keys():
             diff = max((abs(x - y) for x, y in zip(va[name], vb[name])), default=0.0)
             checkpoint["worst_abs"] = max(checkpoint["worst_abs"], diff)
+        files = sorted(p.name for p in run_a.glob("checkpoint_*.json"))
+        same = files == sorted(p.name for p in run_b.glob("checkpoint_*.json")) and all(
+            (run_a / f).read_bytes() == (run_b / f).read_bytes() for f in files
+        )
+        checkpoint["byte_equal"] = checkpoint["byte_equal"] and same
     rewards["pass"] = rewards["pass"] and rewards["differing_rows"] == 0
     loss["pass"] = loss["worst_rel"] <= LOSS_RTOL
     return rewards, loss, checkpoint
