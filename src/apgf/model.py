@@ -15,9 +15,10 @@ so every score lands in [-clip, +clip], and scores only the moves a
 walk can make: one score per directed edge, in the CSR order of the
 batch's disjoint union, so its cost too grows with the number of edges.
 A temperature softmax turns the scores of the unvisited neighbors into
-move probabilities. Both take a batch of equal-size graphs, a single
-graph being a batch of one: the encoder returns ``[B, n, embed_dim]``
-float64 embeddings, the decoder one ``[E]`` array of edge scores.
+move probabilities. Both take a batch of graphs of any sizes, a single
+graph being a batch of one: the encoder returns the union's
+``[N, embed_dim]`` float64 embeddings, one row per node, the decoder one
+``[E]`` array of edge scores.
 """
 
 from __future__ import annotations
@@ -112,10 +113,11 @@ def copy_params(params: ModelParams) -> ModelParams:
 def encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
 ) -> np.ndarray:
-    """Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
-    array, entry b for ``graphs[b]``; a single graph is a batch of one.
+    """Embed every node of the graphs: one ``[N, embed_dim]`` array for
+    their disjoint union, whose nodes are the graphs' nodes in batch
+    order, N in all; a single graph is a batch of one.
 
-    The batch runs as one disjoint union of its graphs, on an edge list:
+    The batch runs as one disjoint union on an edge list:
     every directed edge plus a self-loop per node, grouped by source node.
     Per attention layer, all heads at once: project the nodes with the
     heads' weights side by side, score each edge i -> j per head with a
@@ -127,17 +129,11 @@ def encode(
     """
     if not graphs:
         raise ValidationError("encode needs at least one graph")
-    n = graphs[0].num_nodes
-    for g in graphs:
-        if g.num_nodes != n:
-            raise ValidationError(
-                f"encode needs graphs of one size, got {n} and {g.num_nodes} nodes"
-            )
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
     dim, heads = params.embed_dim, params.num_heads
     head_dim = dim // heads
-    total = len(graphs) * n
+    total = sum(g.num_nodes for g in graphs)
     rows, cols = _union_edges(graphs)
     segments = Segments(np.bincount(rows, minlength=total))  # the edges of each source node
     neighbours = RowIndex(cols, total)
@@ -168,7 +164,7 @@ def encode(
         tape.add(tape.matmul(h, p["encoder.ff_in_weight"]), p["encoder.ff_in_bias"]), LEAKY_SLOPE
     )
     ff = tape.add(tape.matmul(inner, p["encoder.ff_out_weight"]), p["encoder.ff_out_bias"])
-    return tape.reshape(tape.add(h, ff), (len(graphs), n, dim))
+    return tape.add(h, ff)
 
 
 def directed_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
@@ -176,6 +172,8 @@ def directed_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndar
     union, whose nodes are the graphs' nodes in batch order: the graphs'
     CSR targets, shifted by each graph's first node, so sorted by source,
     then target."""
+    if not graphs:
+        raise ValidationError("directed_edges needs at least one graph")
     sizes = [g.num_nodes for g in graphs]
     firsts = np.repeat(np.cumsum(sizes) - sizes, [g.indices.size for g in graphs])
     cols = np.concatenate([g.indices for g in graphs]) + firsts
@@ -204,24 +202,24 @@ def edge_scores(
     the move along directed edge e of ``directed_edges(graphs)``, from its
     source to its target, and lies in [-clip, +clip].
 
-    ``emb[b]`` embeds ``graphs[b]``. Only the edges are scored, each as
-    the dot product of its source's query and its target's key, so work
-    and memory grow with the number of edges. The inputs are fixed for a
-    whole rollout, so a rollout scores its graph once and reads each
-    decision from the current node's CSR slice.
+    ``emb`` embeds the graphs' union, as ``encode(graphs, ...)`` does.
+    Only the edges are scored, each as the dot product of its source's
+    query and its target's key, so work and memory grow with the number
+    of edges. The inputs are fixed for a whole rollout, so a rollout
+    scores its graph once and reads each decision from the current
+    node's CSR slice.
     """
-    batch, n, _ = emb.shape
-    if len(graphs) != batch or any(g.num_nodes != n for g in graphs):
+    rows, cols = directed_edges(graphs)
+    total = sum(g.num_nodes for g in graphs)
+    if emb.ndim != 2 or emb.shape[0] != total:
         raise ValidationError(
             f"embeddings {emb.shape} do not match graphs of {[g.num_nodes for g in graphs]} nodes"
         )
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
-    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [B, n, embed_dim]
-    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [B, n, embed_dim]
-    rows, cols = directed_edges(graphs)
-    # source row b*n + i and target column j are entry (b, i, j) of query @ keys^T
-    raw = tape.edge_dot(query, keys, rows * n + cols % n)
+    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [N, embed_dim]
+    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [N, embed_dim]
+    raw = tape.edge_dot(query, keys, RowIndex(rows, total), RowIndex(cols, total))
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
     return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
 

@@ -13,8 +13,8 @@ Sparse structure is plain index data: a ``RowIndex`` names the rows a
 and ``Segments`` split the leading axis of an array into consecutive
 runs, such as a node's edges in the encoder or a move's candidates in
 the loss, for ``segment_softmax`` and ``segment_sum``. ``edge_dot``
-computes chosen entries of a batched product, such as one per edge of a
-graph, without the dense whole. ``segment_softmax`` is the one taped
+computes chosen entries of a product ``a @ b.T``, such as one per edge
+of a graph, without the dense whole. ``segment_softmax`` is the one taped
 softmax; the plain ``softmax`` serves untaped code.
 
 All arithmetic is float64 and fully deterministic: the same inputs and
@@ -55,10 +55,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _swap_last(arr: np.ndarray) -> np.ndarray:
-    return np.swapaxes(arr, -1, -2)
-
-
 def softmax(values: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of a plain array, stabilized by
     subtracting the max before exponentiation."""
@@ -79,12 +75,16 @@ class RowIndex:
     __slots__ = ("rows", "num_rows", "_flat")
 
     def __init__(self, rows: Sequence[int] | np.ndarray, num_rows: int):
-        idx = np.asarray(rows, dtype=np.intp)
-        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= num_rows)):
+        idx = np.asarray(rows)
+        if (
+            idx.ndim != 1
+            or (idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= num_rows))
+        ):
             raise ValidationError(
-                f"gather_rows needs 1-d row indices in [0, {num_rows}), got {idx}"
+                f"row indices, as gather_rows and edge_dot take, must be 1-d integers "
+                f"in [0, {num_rows}), got {idx}"
             )
-        self.rows = idx
+        self.rows = idx.astype(np.intp, copy=False)
         self.num_rows = num_rows
         self._flat: dict[int, np.ndarray] = {}
 
@@ -145,25 +145,12 @@ class Tape:
     # -- primitive forward ops -------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``[n, k] @ [k, m]``, or per batch entry ``[B, n, k] @ [k, m]``
-        (one shared right operand) and ``[B, n, k] @ [B, k, m]``."""
-        if (
-            a.ndim not in (2, 3)
-            or b.ndim not in (2, a.ndim)
-            or a.shape[-1] != b.shape[-2]
-            or (b.ndim == 3 and a.shape[0] != b.shape[0])
-        ):
+        """``[n, k] @ [k, m]``."""
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValidationError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         out = a @ b
         _check_finite(out, "matmul")
-
-        def rule(g):
-            if b.ndim == a.ndim:
-                return g @ _swap_last(b), _swap_last(a) @ g
-            # a shared right operand's gradient sums over the batch
-            return g @ b.T, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-        self._record(out, (a, b), rule)
+        self._record(out, (a, b), lambda g: (g @ b.T, a.T @ g))
         return out
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,11 +219,11 @@ class Tape:
         return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
-        """Swap the last two axes of a 2-d or 3-d array."""
-        if a.ndim not in (2, 3):
-            raise ValidationError(f"transpose needs a 2-d or 3-d array, got shape {a.shape}")
-        out = _swap_last(a).copy()
-        self._record(out, (a,), lambda g: (_swap_last(g),))
+        """``[n, m]`` to ``[m, n]``."""
+        if a.ndim != 2:
+            raise ValidationError(f"transpose needs a 2-d array, got shape {a.shape}")
+        out = a.T.copy()
+        self._record(out, (a,), lambda g: (g.T,))
         return out
 
     def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -265,32 +252,33 @@ class Tape:
         self._record(out, (a,), lambda g: (index.scatter(g),))
         return out
 
-    def edge_dot(self, a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Entries ``index`` of the batched product ``a @ swap(b)`` of two
-        ``[B, n, k]`` arrays, without forming its ``[B, n, n]`` whole: flat
-        position ``(s * n + i) * n + j`` is row i of ``a[s]`` dotted with
-        row j of ``b[s]``, e.g. the source and target of an edge. The
-        forward works per entry; the backward scatters the ``[E]`` adjoint
-        into ``[B, n, n]`` and runs two batched matmuls."""
-        index = np.asarray(index, dtype=np.intp)
-        batch, n, k = a.shape if a.ndim == 3 else (0, 0, 0)
+    def edge_dot(self, a: np.ndarray, b: np.ndarray, rows: RowIndex, cols: RowIndex) -> np.ndarray:
+        """Entries ``(rows[e], cols[e])`` of ``a @ b.T`` for two ``[N, k]``
+        arrays, without forming its ``[N, N]`` whole: entry e is row
+        ``rows[e]`` of ``a`` dotted with row ``cols[e]`` of ``b``, e.g. the
+        source and target of an edge. The backward scales the gathered
+        rows by the ``[E]`` adjoint and scatters them through the two
+        indices."""
         if (
-            b.shape != a.shape
-            or not n
-            or index.ndim != 1
-            or (index.size and (index.min() < 0 or index.max() >= batch * n * n))
+            a.ndim != 2
+            or b.shape != a.shape
+            or (rows.num_rows, cols.num_rows) != (a.shape[0],) * 2
+            or rows.rows.size != cols.rows.size
         ):
             raise ValidationError(
-                f"edge_dot needs two equal [B, n, k] arrays and entries of their [B, n, n] "
-                f"product, got {a.shape}, {b.shape} and {index.shape} entries"
+                f"edge_dot needs two equal [N, k] arrays and two equal-length indices into their "
+                f"N rows, got {a.shape}, {b.shape}, {rows.rows.size} rows into {rows.num_rows} "
+                f"and {cols.rows.size} into {cols.num_rows}"
             )
-        rows, cols = index // n, index // (n * n) * n + index % n
-        out = np.einsum("ek,ek->e", a.reshape(-1, k)[rows], b.reshape(-1, k)[cols])
+        out = np.einsum("ek,ek->e", a[rows.rows], b[cols.rows])
         _check_finite(out, "edge_dot")
 
         def rule(g):
-            adjoint = np.bincount(index, weights=g, minlength=batch * n * n).reshape(batch, n, n)
-            return adjoint @ b, _swap_last(adjoint) @ a
+            # scaled in place: an [E, k] array is costly to allocate
+            grad_a, grad_b = b[cols.rows], a[rows.rows]
+            grad_a *= g[:, None]
+            grad_b *= g[:, None]
+            return rows.scatter(grad_a), cols.scatter(grad_b)
 
         self._record(out, (a, b), rule)
         return out

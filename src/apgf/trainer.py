@@ -14,7 +14,7 @@ The baseline network is never touched by gradients; every
 policy. Runs are bit-reproducible from the config seed.
 
 An epoch is one batched computation: the policy encodes and scores all
-of the epoch's graphs (they share one size) in one taped pass, every
+of the epoch's graphs, as one disjoint union, in one taped pass, every
 rollout walks its graph's slice of the resulting edge scores, and one
 loss expression and one backward pass cover all rollouts. The
 baseline's scores of the training graphs change only when the baseline

@@ -247,11 +247,12 @@ def masked_softmax(tape: Tape, a: np.ndarray, mask) -> np.ndarray:
 def dense_encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
 ) -> np.ndarray:
-    """The encoder as it was before the edge-list form, kept verbatim as a
-    reference: dense ``[n, n]`` attention, one head at a time.
+    """The encoder as it was before the edge-list form, kept as a
+    reference: dense ``[n, n]`` attention, one graph and one head at a
+    time, on 2-d ops only.
 
-    Embed every node of equal-size graphs: one ``[B, num_nodes, embed_dim]``
-    array, entry b for ``graphs[b]``; a single graph is a batch of one.
+    Embed every node of the graphs: one ``[N, embed_dim]`` array, the
+    graphs' node rows in batch order; a single graph is a batch of one.
 
     Per attention layer and head: score each neighborhood edge (self-loop
     included) with a LeakyReLU of the learned attention form, normalize
@@ -261,21 +262,18 @@ def dense_encode(
     """
     if not graphs:
         raise ValidationError("encode needs at least one graph")
-    n = graphs[0].num_nodes
-    for g in graphs:
-        if g.num_nodes != n:
-            raise ValidationError(
-                f"encode needs graphs of one size, got {n} and {g.num_nodes} nodes"
-            )
     tape = tape if tape is not None else ForwardTape()
-    p = params.tensors
-    mask = np.stack([np.eye(n, dtype=bool)] * len(graphs))
-    for b, g in enumerate(graphs):
-        for u, v in g.edges:
-            mask[b, u, v] = mask[b, v, u] = True
+    return tape.concat([_dense_encode_one(g, params, tape) for g in graphs], axis=0)
 
-    weights_col = np.stack([g.node_weights.reshape(n, 1) for g in graphs])
-    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [B, n, embed_dim]
+
+def _dense_encode_one(graph: WeightedGraph, params: ModelParams, tape: Tape) -> np.ndarray:
+    p = params.tensors
+    n = graph.num_nodes
+    mask = np.eye(n, dtype=bool)
+    for u, v in graph.edges:
+        mask[u, v] = mask[v, u] = True
+
+    h = tape.matmul(graph.node_weights.reshape(n, 1), p["encoder.input_lift"])  # [n, embed_dim]
 
     for li in range(NUM_LAYERS):
         head_outputs = []
@@ -283,17 +281,17 @@ def dense_encode(
             weight = p[f"encoder.layer{li}.head{hi}.weight"]
             attn = p[f"encoder.layer{li}.head{hi}.attn"]
             head_dim = weight.shape[1]
-            projected = tape.matmul(h, weight)  # [B, n, head_dim]
+            projected = tape.matmul(h, weight)  # [n, head_dim]
             attn_src = tape.gather_rows(attn, range(head_dim))
             attn_dst = tape.gather_rows(attn, range(head_dim, 2 * head_dim))
-            score_src = tape.matmul(projected, attn_src)  # [B, n, 1]
-            score_dst = tape.matmul(projected, attn_dst)  # [B, n, 1]
+            score_src = tape.matmul(projected, attn_src)  # [n, 1]
+            score_dst = tape.matmul(projected, attn_dst)  # [n, 1]
             # pairwise scores: row i, column j = src score of i + dst score of j
             pair = tape.add(score_src, tape.transpose(score_dst))
             pair = tape.leaky_relu(pair, LEAKY_SLOPE)
             coeff = masked_softmax(tape, pair, mask)
             head_outputs.append(tape.matmul(coeff, projected))
-        h = tape.add(h, tape.concat(head_outputs, axis=-1))
+        h = tape.add(h, tape.concat(head_outputs, axis=1))
 
     inner = tape.leaky_relu(
         tape.add(tape.matmul(h, p["encoder.ff_in_weight"]), p["encoder.ff_in_bias"]), LEAKY_SLOPE
@@ -303,23 +301,26 @@ def dense_encode(
 
 
 def dense_score_matrix(emb: np.ndarray, params: ModelParams, tape: Tape | None = None) -> np.ndarray:
-    """The decoder as it was before the edge-list form, kept verbatim as a
-    reference: the scores of every pair of nodes, edge or not.
+    """The decoder as it was before the edge-list form, kept as a
+    reference: the scores of every pair of one graph's nodes, edge or not.
 
-    Decoder scores of every move as one ``[B, num_nodes, num_nodes]`` array.
-
-    Entry b, row i, column j scores moving from node i to node j in graph
-    b; every entry lies in [-clip, +clip]. The inputs are fixed for a
-    whole rollout, so a rollout computes the matrix once and reads each
-    decision from it.
+    ``emb`` is one graph's ``[num_nodes, embed_dim]`` embeddings; the
+    result is ``[num_nodes, num_nodes]``, row i, column j scoring the
+    move from node i to node j, every entry in [-clip, +clip].
     """
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
-    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [B, n, embed_dim]
-    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [B, n, embed_dim]
-    raw = tape.matmul(query, tape.transpose(keys))  # [B, n, n]
+    query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [n, embed_dim]
+    keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [n, embed_dim]
+    raw = tape.matmul(query, tape.transpose(keys))  # [n, n]
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
     return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
+
+
+def node_rows(graphs: Sequence[WeightedGraph]) -> list[range]:
+    """Each graph's rows of its batch's ``[N, ...]`` node arrays."""
+    ends = np.cumsum([g.num_nodes for g in graphs]).tolist()
+    return [range(end - g.num_nodes, end) for g, end in zip(graphs, ends)]
 
 
 def at_edges(graph: WeightedGraph, matrix: np.ndarray) -> np.ndarray:

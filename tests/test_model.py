@@ -20,7 +20,7 @@ from apgf.model import (
     save_checkpoint,
 )
 from apgf.numcore import ForwardTape, Tape, softmax
-from apgf.rollout import decode_all, walk
+from apgf.rollout import decode_all, move_log_probs, walk
 
 from helpers import (
     at_edges,
@@ -30,6 +30,7 @@ from helpers import (
     dense_score_matrix,
     identity_model,
     max_relative_error,
+    node_rows,
     path_graph,
     recorded_log_probs,
     star_graph,
@@ -56,7 +57,7 @@ def test_single_node_graph():
     params = small_params()
     p = params.tensors
     emb = encode([g], params)
-    assert emb.shape == (1, 1, params.embed_dim)
+    assert emb.shape == (1, params.embed_dim)
     # self-attention over one node has coefficient 1, so the first layer
     # output is exactly lift + concat(projected lift)
     h0 = g.node_weights.reshape(1, 1) @ p["encoder.input_lift"]
@@ -67,7 +68,7 @@ def test_single_node_graph():
     inner = h2 @ p["encoder.ff_in_weight"] + p["encoder.ff_in_bias"]
     inner = np.where(inner > 0, inner, 0.2 * inner)
     expected = h2 + inner @ p["encoder.ff_out_weight"] + p["encoder.ff_out_bias"]
-    np.testing.assert_allclose(emb[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(emb, expected, rtol=1e-12)
 
 
 def test_zero_weight_matrices_leave_only_lifted_inputs():
@@ -78,7 +79,7 @@ def test_zero_weight_matrices_leave_only_lifted_inputs():
             params.tensors[name] = np.zeros_like(t)
     emb = encode([g], params)
     lifted = g.node_weights.reshape(-1, 1) @ params.tensors["encoder.input_lift"]
-    np.testing.assert_array_equal(emb[0], lifted)
+    np.testing.assert_array_equal(emb, lifted)
 
 
 def test_permutation_equivariance():
@@ -94,20 +95,31 @@ def test_permutation_equivariance():
         start=int(perm[g.start_index]),
     )
     params = small_params(seed=9)
-    v = encode([g], params)[0]
-    v_perm = encode([relabeled], params)[0]
+    v = encode([g], params)
+    v_perm = encode([relabeled], params)
     np.testing.assert_allclose(v_perm[perm], v, atol=1e-10, rtol=0)
 
 
 def test_batched_scores_equal_single_graph_scores_bit_for_bit():
-    graphs = [generate_random_graph(20, 25, seed=300 + s) for s in range(16)]
     params = init_params(17)
-    batched = edge_scores(encode(graphs, params), graphs, params)
-    assert batched.shape == (16 * 50,)
-    for b, g in enumerate(graphs):
-        single = edge_scores(encode([g], params), [g], params)
-        assert single.shape == (50,)
-        np.testing.assert_array_equal(batched[50 * b : 50 * (b + 1)], single)
+    equal = [generate_random_graph(20, 25, seed=300 + s) for s in range(16)]
+    # graphs of any sizes batch together; a one-node graph alone is a
+    # one-row product, which BLAS rounds apart from a row of a larger one,
+    # so the reference tests cover it
+    sizes = [(2, 1), (60, 70), (7, 9), (400, 450), (33, 40)]
+    mixed = [generate_random_graph(n, e, seed=320 + n) for n, e in sizes]
+    for graphs in (equal, mixed):
+        emb = encode(graphs, params)
+        batched = edge_scores(emb, graphs, params)
+        assert emb.shape == (sum(g.num_nodes for g in graphs), params.embed_dim)
+        assert batched.shape == (sum(2 * g.num_edges for g in graphs),)
+        first_edge = 0
+        for g, rows in zip(graphs, node_rows(graphs)):
+            single_emb = encode([g], params)
+            single = edge_scores(single_emb, [g], params)
+            np.testing.assert_array_equal(emb[rows], single_emb)
+            np.testing.assert_array_equal(batched[first_edge : first_edge + single.size], single)
+            first_edge += single.size
 
 
 def _reference_cases():
@@ -118,6 +130,7 @@ def _reference_cases():
         "one-node": [build_graph(1, [], [0.4])],
         "star-tree": [generate_random_graph(40, 52, seed=22, tree_mode="star")],
         "batch": [generate_random_graph(20, 25, seed=40 + s) for s in range(6)],
+        "mixed": [generate_random_graph(n, n - 1 + n // 4, seed=50 + n) for n in (1, 7, 20, 33)],
     }
 
 
@@ -181,12 +194,14 @@ def test_forward_encode_memory_grows_with_edges_not_nodes_squared():
     assert peak < 32 * 2**20
 
 
-def test_encode_rejects_mixed_sizes():
-    graphs = [generate_random_graph(6, 7, seed=1), generate_random_graph(9, 10, seed=2)]
-    with pytest.raises(ValidationError, match="6 and 9"):
-        encode(graphs, small_params())
+def test_an_empty_batch_is_rejected():
+    params = small_params()
     with pytest.raises(ValidationError, match="at least one graph"):
-        encode([], small_params())
+        encode([], params)
+    with pytest.raises(ValidationError, match="at least one graph"):
+        edge_scores(np.zeros((0, params.embed_dim)), [], params)
+    with pytest.raises(ValidationError, match="at least one graph"):
+        move_log_probs(np.zeros(0), [], [], 1.0, Tape())
 
 
 def complete_graph(n):
@@ -194,7 +209,7 @@ def complete_graph(n):
 
 
 def test_decoder_zero_projections_give_zero_scores():
-    emb = np.random.default_rng(0).normal(size=(1, 4, 3))
+    emb = np.random.default_rng(0).normal(size=(4, 3))
     dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
     scores = edge_scores(emb, [complete_graph(4)], dec)
     assert scores.shape == (12,)
@@ -202,7 +217,7 @@ def test_decoder_zero_projections_give_zero_scores():
 
 
 def test_decoder_one_dimensional_case():
-    emb = np.array([[[1.0], [1.0]]])
+    emb = np.array([[1.0], [1.0]])
     dec = decoder_params([[1.0]], [[1.0]])
     scores = edge_scores(emb, [complete_graph(2)], dec)  # 0 -> 1, then 1 -> 0
     assert scores[0] == pytest.approx(10.0 * math.tanh(1.0), rel=1e-12)
@@ -212,7 +227,7 @@ def test_decoder_one_dimensional_case():
 
 def test_decoder_scores_bounded_by_clip():
     rng = np.random.default_rng(2)
-    emb = rng.normal(size=(1, 6, 4)) * 50
+    emb = rng.normal(size=(6, 4)) * 50
     dec = decoder_params(rng.normal(size=(4, 4)) * 50, rng.normal(size=(4, 4)) * 50)
     scores = edge_scores(emb, [complete_graph(6)], dec)
     assert scores.shape == (30,)
@@ -221,11 +236,14 @@ def test_decoder_scores_bounded_by_clip():
 
 
 def test_decoder_rejects_embeddings_of_other_graphs():
-    emb = np.zeros((2, 4, 3))
     dec = decoder_params(np.zeros((3, 3)), np.zeros((3, 3)))
-    for graphs in ([complete_graph(4)], [complete_graph(4), complete_graph(5)]):
+    for shape, graphs in [
+        ((8, 3), [complete_graph(4)]),
+        ((8, 3), [complete_graph(4), complete_graph(5)]),
+        ((2, 4, 3), [complete_graph(4), complete_graph(4)]),  # one row per node, not per graph
+    ]:
         with pytest.raises(ValidationError, match="do not match graphs"):
-            edge_scores(emb, graphs, dec)
+            edge_scores(np.zeros(shape), graphs, dec)
 
 
 @pytest.mark.parametrize("size", sorted(MODEL_SIZES))
@@ -234,9 +252,13 @@ def test_edge_scores_equal_the_dense_reference_at_every_edge(case, size):
     graphs = _reference_cases()[case]
     params = init_params(29, **MODEL_SIZES[size])
     emb = encode(graphs, params)
-    dense = dense_score_matrix(emb, params)
     scores = edge_scores(emb, graphs, params)
-    reference = np.concatenate([at_edges(g, m) for g, m in zip(graphs, dense)])
+    reference = np.concatenate(
+        [
+            at_edges(g, dense_score_matrix(emb[rows], params))
+            for g, rows in zip(graphs, node_rows(graphs))
+        ]
+    )
     assert scores.shape == reference.shape == (sum(2 * g.num_edges for g in graphs),)
     assert np.max(np.abs(scores - reference), initial=0.0) <= 1e-15
 
@@ -246,10 +268,17 @@ def test_edge_decoder_gradients_agree_with_dense_reference(size):
     graphs = _reference_cases()["batch"]
     params = init_params(30, **MODEL_SIZES[size])
     weighting = np.random.default_rng(31).normal(size=len(graphs) * 50)
-    # the same weighting on the dense matrices: the edges' weights, 0 elsewhere
+    # the same weighting on the dense matrices, graph after graph: the
+    # edges' weights, 0 elsewhere
     rows, cols = directed_edges(graphs)
     dense_weighting = np.zeros((len(graphs) * 20, 20))
     dense_weighting[rows, cols % 20] = weighting
+
+    def dense_decoder(t, emb):
+        matrices = [
+            dense_score_matrix(t.gather_rows(emb, rows), params, t) for rows in node_rows(graphs)
+        ]
+        return t.concat(matrices, axis=0)
 
     def gradients(decoder, weights):
         t = Tape()
@@ -257,9 +286,7 @@ def test_edge_decoder_gradients_agree_with_dense_reference(size):
         return t.backward(t.sum(t.mul(scores, weights)), params.tensors)
 
     ours = gradients(lambda t, emb: edge_scores(emb, graphs, params, t), weighting)
-    dense = gradients(
-        lambda t, emb: dense_score_matrix(emb, params, t), dense_weighting.reshape(-1, 20, 20)
-    )
+    dense = gradients(dense_decoder, dense_weighting)
     for name, g in dense.items():
         assert np.max(np.abs(ours[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 

@@ -120,12 +120,15 @@ OP_CASES = {
         ),
         [(2, 4)],
     ),
-    # entries (0,0,0), (0,1,2), (0,2,1), (1,1,0), (1,2,2) and (0,1,2) again of a @ swap(b)
-    "edge_dot": (lambda t, a, b: t.edge_dot(a, b, [0, 5, 7, 12, 17, 5]), [(2, 3, 4), (2, 3, 4)]),
-    # batched forms: a leading batch axis of 2
-    "matmul_batch_shared": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (4, 2)]),
-    "matmul_batch": (lambda t, a, b: t.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
-    "transpose_batch": (lambda t, a: t.transpose(a), [(2, 3, 5)]),
+    # entries (0,0), (1,2), (2,1), (1,0), (3,3) and (1,2) again of a @ b.T: rows and
+    # columns repeat
+    "edge_dot": (
+        lambda t, a, b: t.edge_dot(
+            a, b, RowIndex([0, 1, 2, 1, 3, 1], 4), RowIndex([0, 2, 1, 0, 3, 2], 4)
+        ),
+        [(4, 3), (4, 3)],
+    ),
+    # forms the dense reference encoder uses on ops that broadcast (tests/helpers.py)
     "masked_softmax_batch": (
         lambda t, a: masked_softmax(
             t,
@@ -237,25 +240,14 @@ def test_shape_mismatch_rejected():
 
 
 def test_batched_matmul_shape_mismatch_rejected():
+    # products are 2-d only: a batch is the rows of one [N, k] array
     t = Tape()
-    for a, b in [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 3, 2)), ((3, 4), (2, 4, 2))]:
+    for a, b in [((2, 3, 4), (4, 2)), ((2, 3, 4), (2, 4, 2)), ((3, 4), (2, 4, 2)), ((4,), (4, 2))]:
         with pytest.raises(ValidationError, match="matmul shape mismatch"):
             t.matmul(np.ones(a), np.ones(b))
-    with pytest.raises(ValidationError, match="transpose"):
-        t.transpose(np.ones((2, 2, 2, 2)))
-
-
-def test_batched_matmul_equals_per_entry_matmul():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 5, 6))
-    shared = rng.normal(size=(6, 3))
-    per_entry = rng.normal(size=(4, 6, 3))
-    t = Tape()
-    with_shared = t.matmul(a, shared)
-    with_per_entry = t.matmul(a, per_entry)
-    for i in range(4):
-        np.testing.assert_array_equal(with_shared[i], a[i] @ shared)
-        np.testing.assert_array_equal(with_per_entry[i], a[i] @ per_entry[i])
+    for shape in [(2, 3, 5), (3,)]:
+        with pytest.raises(ValidationError, match="transpose needs a 2-d array"):
+            t.transpose(np.ones(shape))
 
 
 def test_fully_masked_row_rejected():
@@ -360,27 +352,46 @@ def test_segment_ops_reject_inputs_of_another_size():
 
 
 def test_edge_dot_reads_entries_of_the_batched_product():
+    # a batch is one [N, k] union, so its entries are those of one a @ b.T
     rng = np.random.default_rng(12)
-    a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
-    index = rng.permutation(75)[:20]
-    product = np.einsum("snk,smk->snm", a, b).reshape(-1)
-    np.testing.assert_allclose(Tape().edge_dot(a, b, index), product[index], rtol=1e-14)
+    a, b = rng.normal(size=(15, 4)), rng.normal(size=(15, 4))
+    rows, cols = rng.integers(15, size=40), rng.integers(15, size=40)
+    out = Tape().edge_dot(a, b, RowIndex(rows, 15), RowIndex(cols, 15))
+    np.testing.assert_allclose(out, (a @ b.T)[rows, cols], rtol=1e-14)
 
 
 @pytest.mark.parametrize(
-    "a, b, index",
+    "a, b, rows, cols, num_rows",
     [
-        ((2, 3, 4), (2, 3, 4), [18]),
-        ((2, 3, 4), (2, 3, 4), [-1]),
-        ((2, 3, 4), (2, 3, 5), [0]),
-        ((6, 4), (6, 4), [0]),
-        ((2, 3, 4), (2, 3, 4), [[0, 1]]),
+        ((6, 4), (6, 4), [6], [0], 6),
+        ((6, 4), (6, 4), [-1], [0], 6),
+        ((6, 4), (6, 5), [0], [0], 6),
+        ((2, 3, 4), (2, 3, 4), [0], [0], 2),
+        ((6, 4), (6, 4), [[0, 1]], [[0, 1]], 6),
+        ((6, 4), (6, 4), [0, 1], [0], 6),
+        ((6, 4), (6, 4), [0], [0], 7),
     ],
-    ids=["past-the-end", "negative", "other-width", "2-d", "2-d-index"],
+    ids=[
+        "past-the-end", "negative", "other-width", "3-d", "2-d-index", "other-lengths",
+        "other-row-count",
+    ],
 )
-def test_edge_dot_rejects_bad_shapes_and_entries(a, b, index):
+def test_edge_dot_rejects_bad_shapes_and_entries(a, b, rows, cols, num_rows):
     with pytest.raises(ValidationError, match="edge_dot"):
-        Tape().edge_dot(np.zeros(a), np.zeros(b), index)
+        Tape().edge_dot(
+            np.zeros(a), np.zeros(b), RowIndex(rows, num_rows), RowIndex(cols, num_rows)
+        )
+
+
+def test_row_index_rejects_non_integer_indices():
+    a = np.arange(12.0).reshape(4, 3)
+    for indices in ([0.7, 2.9], np.array([True, False]), np.array([1.0])):
+        with pytest.raises(ValidationError, match="integer"):
+            Tape().gather_rows(a, indices)
+        with pytest.raises(ValidationError, match="integer"):
+            RowIndex(indices, 4)
+    assert Tape().gather_rows(a, []).shape == (0, 3)
+    assert RowIndex(np.array([], dtype=np.uint8), 4).rows.dtype == np.intp
 
 
 def test_tape_consumed_once():

@@ -271,7 +271,7 @@ def test_step_log_probs_match_per_step_reference(seed):
         graph, params, graph.start_index, temperature=temperature, rng=np.random.default_rng(seed)
     )
     expected = reference_step_log_probs(
-        encode([graph], params)[0],
+        encode([graph], params),
         params.tensors["decoder.query_proj"],
         params.tensors["decoder.key_proj"],
         params.score_clip,
