@@ -222,7 +222,9 @@ def _load_oracle_cache(
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError):
         return None
-    if not isinstance(doc, dict) or doc.get("version") != 1 or doc.get("digest") != digest:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    # a JSON integer only: true and 1.0 compare equal to 1
+    if type(version) is not int or version != 1 or doc.get("digest") != digest:
         return None
 
     def bad(where):

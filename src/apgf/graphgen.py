@@ -217,7 +217,7 @@ def graph_from_json(text: str) -> WeightedGraph:
         raise GraphFormatError("top level must be an object")
 
     version = doc.get("version")
-    if version != GRAPH_FILE_VERSION or isinstance(version, bool):
+    if not _is_int(version) or version != GRAPH_FILE_VERSION:  # not true or 1.0
         raise GraphFormatError(f"unsupported version {version!r} (expected {GRAPH_FILE_VERSION})")
 
     num_nodes = doc.get("num_nodes")

@@ -23,6 +23,7 @@ graph being a batch of one: the encoder returns the union's
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, replace
@@ -35,7 +36,7 @@ from .files import atomic_write_text
 from .graphgen import WeightedGraph
 from .numcore import ForwardTape, RowIndex, Segments, Tape
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # the version written; version 1 is still read
 
 LEAKY_SLOPE = 0.2  # standard GAT negative slope
 NUM_LAYERS = 2
@@ -226,31 +227,37 @@ def edge_scores(
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write ``params`` as a checkpoint: the bytes of ``json.dumps(doc) + "\n"``
-    for the document ``{"version", "hyper", "params"}``, with ``params``
-    in ``param_spec`` order, each entry ``{"shape", "values"}``."""
+    for the version 2 document ``{"version", "hyper", "params"}``, with
+    ``params`` in ``param_spec`` order, each entry ``{"shape", "data"}``:
+    its shape, and the base64 of its little-endian float64 bytes in
+    row-major order, so every value round-trips bit for bit."""
     atomic_write_text(path, _checkpoint_chunks(params))
 
 
 def _checkpoint_chunks(params: ModelParams):
-    """The checkpoint text, one parameter per chunk, each encoded by
-    json's C encoder; the whole text at once would need several times
-    its size in transient memory."""
+    """The checkpoint text as chunks: the header, then one chunk per
+    parameter, its base64 ``data`` beside its shape, each encoded by
+    json's C encoder, so the whole text is never held at once."""
     head = json.dumps({"version": CHECKPOINT_VERSION, "hyper": params.hyper()})
     yield head[:-1] + ', "params": {'
     separator = ""
     for name in param_spec(params.embed_dim, params.num_heads, params.ff_dim):
         t = params.tensors[name]
-        blob = {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
-        yield f"{separator}{json.dumps(name)}: {json.dumps(blob)}"
+        data = base64.b64encode(np.asarray(t, dtype="<f8").tobytes()).decode("ascii")
+        yield f"{separator}{json.dumps(name)}: {json.dumps({'shape': list(t.shape), 'data': data})}"
         separator = ", "
     yield "}}\n"
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild ModelParams from a checkpoint file.
+    """Rebuild ModelParams from a checkpoint file of version 2, or of
+    version 1, whose entries hold a JSON list of numbers, ``"values"``,
+    in place of ``"data"``.
 
-    The hyperparameter header must agree with every stored parameter
-    shape. Malformed content raises ValidationError naming the file and
+    Both versions share every check but the decoding of one parameter:
+    the hyperparameter header must agree with every stored parameter
+    shape, no parameter may be missing or extra, and every value must be
+    finite. Malformed content raises ValidationError naming the file and
     the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -268,8 +275,10 @@ def _params_from_doc(doc) -> ModelParams:
     if not isinstance(doc, dict):
         raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported version {version!r} (expected {CHECKPOINT_VERSION})")
+    # a JSON integer only: true and 1.0 compare equal to 1
+    if type(version) is not int or version not in _PAYLOADS:
+        raise ValidationError(f"unsupported version {version!r} (expected 1 or 2)")
+    payload, decode = _PAYLOADS[version]
     hyper = doc.get("hyper")
     if not isinstance(hyper, dict):
         raise ValidationError("field 'hyper' is missing or not an object")
@@ -294,7 +303,11 @@ def _params_from_doc(doc) -> ModelParams:
             raise ValidationError(
                 f"parameter {name!r} has shape {blob.get('shape')!r}, header implies {list(shape)}"
             )
-        params.tensors[name] = _values_array(name, blob.get("values"), shape)
+        field = f"field 'params.{name}.{payload}'"
+        flat = decode(blob.get(payload), math.prod(shape), field)
+        if not np.all(np.isfinite(flat)):
+            raise ValidationError(f"{field} holds non-finite numbers")
+        params.tensors[name] = flat.reshape(shape)
     extra = sorted(set(blobs) - set(spec))
     if extra:
         raise ValidationError(f"unexpected parameters: {extra}")
@@ -314,14 +327,29 @@ def _header_number(hyper: dict, key: str):
     raise ValidationError(f"field 'hyper.{key}' must be {what}, got {value!r}")
 
 
-def _values_array(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
-    size = math.prod(shape)
+def _values_array(values, size: int, field: str) -> np.ndarray:
+    """Version 1: a JSON list of ``size`` numbers, as a float64 array."""
     try:
         arr = np.array(values) if isinstance(values, list) else None
     except (ValueError, TypeError, OverflowError):
         arr = None
     if arr is None or arr.dtype.kind not in "fi" or arr.shape != (size,):
-        raise ValidationError(f"field 'params.{name}.values' must be a list of {size} numbers")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"field 'params.{name}.values' holds non-finite numbers")
-    return arr.astype(np.float64, copy=False).reshape(shape)
+        raise ValidationError(f"{field} must be a list of {size} numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def _data_array(data, size: int, field: str) -> np.ndarray:
+    """Version 2: the base64 of ``size`` little-endian float64s, as a
+    writable float64 array."""
+    if not isinstance(data, str):
+        raise ValidationError(f"{field} must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValidationError(f"{field} is not valid base64: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise ValidationError(f"{field} holds {len(raw)} bytes, its shape needs {8 * size}")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
+
+
+_PAYLOADS = {1: ("values", _values_array), 2: ("data", _data_array)}  # version -> entry decoder

@@ -315,7 +315,14 @@ def test_directory_as_input_file_exits_2_naming_it(tmp_path, compare_inputs, cap
 
 def _drop_first_values(path):
     doc = json.loads(path.read_text())
-    del next(iter(doc["params"].values()))["values"]
+    del next(iter(doc["params"].values()))["data"]
+    path.write_text(json.dumps(doc))
+
+
+def _truncate_first_data(path):
+    doc = json.loads(path.read_text())
+    blob = next(iter(doc["params"].values()))
+    blob["data"] = blob["data"][:-4]  # valid base64, 3 bytes short
     path.write_text(json.dumps(doc))
 
 
@@ -326,8 +333,9 @@ def _drop_first_values(path):
         lambda p: p.write_text("not json"),
         _drop_first_values,
         lambda p: p.write_text("[1, 2]"),
+        _truncate_first_data,
     ],
-    ids=["no-hyper", "not-json", "no-values", "array"],
+    ids=["no-hyper", "not-json", "no-values", "array", "short-data"],
 )
 def test_compare_malformed_checkpoint(tmp_path, compare_inputs, capsys, corrupt):
     graph_path, ckpt_path = compare_inputs
@@ -430,6 +438,24 @@ def test_compare_non_object_oracle_cache_is_recomputed(tmp_path, compare_inputs)
     a, b = json.loads(fresh.read_text()), json.loads(broken.read_text())
     del a["wall_clock"], b["wall_clock"]
     assert a == b
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_compare_oracle_cache_version_not_the_integer_1_is_a_miss(
+    tmp_path, compare_inputs, capsys, version
+):
+    # true and 1.0 compare equal to 1 in Python, but are not the version
+    graph_path, ckpt_path = compare_inputs
+    cache = tmp_path / "cache.json"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_OK
+    doc = json.loads(cache.read_text())
+    doc["version"] = version
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_OK
+    assert "(cache miss)" in capsys.readouterr().out
+    version = json.loads(cache.read_text())["version"]
+    assert type(version) is int and version == 1  # the recomputed cache
 
 
 def test_compare_deeply_nested_oracle_cache_is_recomputed(tmp_path, compare_inputs):

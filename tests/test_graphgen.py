@@ -190,6 +190,8 @@ def test_malformed_file_errors_name_the_field():
         )
     with pytest.raises(GraphFormatError, match="version"):
         graph_from_json('{"version": true, "num_nodes": 1, "start_index": 0, ' + one_node)
+    with pytest.raises(GraphFormatError, match="version"):
+        graph_from_json('{"version": 1.0, "num_nodes": 1, "start_index": 0, ' + one_node)
     with pytest.raises(GraphFormatError, match="weights"):
         graph_from_json('{"version": 1, "num_nodes": 2, "start_index": 0, "weights": [0.1]}')
     with pytest.raises(GraphFormatError, match="edges"):

@@ -1,7 +1,9 @@
+import base64
 import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,11 +433,11 @@ def test_decoder_gradients_match_finite_differences():
 @pytest.mark.parametrize(
     "kwargs, size, digest",
     [
-        ({}, 724_676, "1cb3146eedbbf944901c82b8854176091928d1f6907104ed621d708dc8bf1d89"),
+        ({}, 356_527, "661f9e7709fe72c0cc82417c5a4892e57212f7a61b543bae838dedd47321fdcf"),
         (
             dict(embed_dim=8, num_heads=2, ff_dim=6, score_clip=3.0),
-            9_572,
-            "d49926adff678c4c8b2085d0f6f41d8ecaf701905bd3979cfc1e2bf0ed33928f",
+            5_325,
+            "423b29874e6ddbeda2c9783310ae3e49b90be33cb53389578497730cdf4d1259",
         ),
     ],
 )
@@ -447,9 +449,35 @@ def test_checkpoint_bytes_are_pinned(tmp_path, kwargs, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-_stored_floats = st.sampled_from([-0.0, 5e-324, 1e300]) | st.floats(
-    allow_nan=False, allow_infinity=False
-)
+_EDGE_FLOATS = (-0.0, 5e-324, 1e300)  # signed zero, the smallest subnormal, a huge value
+_stored_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _b64(values) -> str:
+    """Version 2's ``data``: the base64 of the values' little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _document(params, version=2) -> dict:
+    """The checkpoint document of ``params``, as version 1 or 2 spells it."""
+    def entry(t):
+        if version == 1:
+            return {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
+        return {"shape": list(t.shape), "data": _b64(t)}
+
+    return {
+        "version": version,
+        "hyper": params.hyper(),
+        "params": {name: entry(t) for name, t in params.tensors.items()},
+    }
+
+
+def _assert_same_bits(a, b):
+    assert a.hyper() == b.hyper()
+    assert list(a.tensors) == list(b.tensors)
+    for name, t in a.tensors.items():
+        assert t.dtype == b.tensors[name].dtype == np.float64
+        np.testing.assert_array_equal(t.view(np.uint64), b.tensors[name].view(np.uint64), name)
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,27 +492,32 @@ def test_checkpoint_is_json_dumps_of_the_document(
     tmp_path_factory, num_heads, head_dim, ff_dim, score_clip, data
 ):
     # the writer frames its chunks by hand; they must add up to the
-    # document the loader reads, as json.dumps writes it
+    # document the loader reads, as json.dumps writes it, and the loader
+    # must give back every value bit for bit
     params = init_params(0, num_heads * head_dim, num_heads, ff_dim, score_clip)
     for name, t in params.tensors.items():
         values = data.draw(st.lists(_stored_floats, min_size=t.size, max_size=t.size), label=name)
         params.tensors[name] = np.array(values, dtype=np.float64).reshape(t.shape)
-    doc = {
-        "version": 1,
-        "hyper": {
-            "embed_dim": num_heads * head_dim,
-            "num_heads": num_heads,
-            "ff_dim": ff_dim,
-            "score_clip": score_clip,
-        },
-        "params": {
-            name: {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
-            for name, t in params.tensors.items()
-        },
-    }
+    params.tensors["decoder.key_proj"].flat[: len(_EDGE_FLOATS)] = _EDGE_FLOATS
     path = tmp_path_factory.mktemp("frame") / "ckpt.json"
     save_checkpoint(params, path)
-    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+    assert path.read_text(encoding="utf-8") == json.dumps(_document(params)) + "\n"
+    _assert_same_bits(load_checkpoint(path), params)
+
+
+@pytest.mark.parametrize("source", ["small", "fixture"])
+def test_version_1_and_version_2_load_to_the_same_bits(tmp_path, source):
+    if source == "fixture":
+        params = load_checkpoint(Path(__file__).parent / "fixtures" / "fixture_checkpoint.json")
+    else:
+        params = small_params(seed=7)
+        params.tensors["decoder.key_proj"].flat[: len(_EDGE_FLOATS)] = _EDGE_FLOATS
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(_document(params, version=1)) + "\n")
+    save_checkpoint(params, v2)
+    assert json.loads(v2.read_text())["version"] == 2
+    _assert_same_bits(load_checkpoint(v1), load_checkpoint(v2))
+    _assert_same_bits(load_checkpoint(v2), params)
 
 
 def test_failed_save_leaves_existing_checkpoint_intact(tmp_path):
@@ -500,26 +533,42 @@ def test_failed_save_leaves_existing_checkpoint_intact(tmp_path):
 
 
 _DELETE = object()
+_BIAS = "params/encoder.ff_in_bias"  # small_params' [1, 12] bias
 
 
 @pytest.mark.parametrize(
-    "key, value, message",
+    "version, key, value, message",
     [
-        ("version", 2, "version"),
-        ("hyper/num_heads", 3, "divisible"),
-        ("hyper/score_clip", "10", "hyper.score_clip"),
-        ("params/decoder.key_proj", _DELETE, "missing parameter 'decoder.key_proj'"),
-        ("params/decoder.bias", {"shape": [1], "values": [0.0]}, "unexpected parameters"),
-        ("params/encoder.ff_in_bias/shape", [12, 1], "encoder.ff_in_bias.*shape"),
-        ("params/encoder.ff_in_bias/values", [0.0], "params.encoder.ff_in_bias.values"),
-        ("params/encoder.ff_in_bias/values", None, "params.encoder.ff_in_bias.values"),
+        (2, "version", 3, "version 3"),
+        (2, "hyper/num_heads", 3, "divisible"),
+        (2, "hyper/score_clip", "10", "hyper.score_clip"),
+        (2, "params/decoder.key_proj", _DELETE, "missing parameter 'decoder.key_proj'"),
+        (2, "params/decoder.bias", {"shape": [1], "data": _b64([0.0])}, "unexpected parameters"),
+        (2, _BIAS + "/shape", [12, 1], "encoder.ff_in_bias.*shape"),
+        (1, _BIAS + "/values", [0.0], "params.encoder.ff_in_bias.values"),
+        (1, _BIAS + "/values", None, "params.encoder.ff_in_bias.values"),
+        (1, _BIAS + "/values", [0.0] * 11 + [math.nan], "ff_in_bias.values' holds non-finite"),
+        (2, "version", "2", "version '2'"),
+        (1, "version", True, "version True"),
+        (1, "version", 1.0, "version 1.0"),
+        (2, "version", 2.0, "version 2.0"),
+        (2, _BIAS + "/data", [0.0] * 12, "ff_in_bias.data' must be a base64 string"),
+        (2, _BIAS + "/data", "*" + _b64([0.0] * 12), "ff_in_bias.data' is not valid base64"),
+        (2, _BIAS + "/data", _b64([0.0] * 12)[:-1], "ff_in_bias.data' is not valid base64"),
+        (2, _BIAS + "/data", _b64([0.0] * 11), "ff_in_bias.data' holds 88 bytes"),
+        (2, _BIAS + "/data", _b64([0.0] * 11 + [math.nan]), "ff_in_bias.data' holds non-finite"),
+        (2, _BIAS + "/data", _b64([0.0] * 11 + [math.inf]), "ff_in_bias.data' holds non-finite"),
     ],
-    ids=["version", "divisible", "header-type", "missing", "extra", "shape", "count", "values"],
+    ids=[
+        "version", "divisible", "header-type", "missing", "extra", "shape", "count", "values",
+        "values-nan", "version-string", "version-true", "version-float", "version-float-2",
+        "data-not-string", "data-not-base64", "data-bad-padding", "data-byte-count", "data-nan",
+        "data-inf",
+    ],
 )
-def test_checkpoint_rejects_each_malformed_field(tmp_path, key, value, message):
+def test_checkpoint_rejects_each_malformed_field(tmp_path, version, key, value, message):
     path = tmp_path / "ckpt.json"
-    save_checkpoint(small_params(seed=1), path)
-    doc = json.loads(path.read_text())
+    doc = _document(small_params(seed=1), version)
     *parents, last = key.split("/")
     target = doc
     for part in parents:
@@ -544,18 +593,12 @@ _json_values = st.recursive(
 
 @st.composite
 def _checkpoint_docs(draw):
-    """Arbitrary JSON, or a valid tiny checkpoint with one field replaced by it."""
+    """Arbitrary JSON, or a valid tiny version 1 or 2 checkpoint with one
+    field replaced by it."""
     if draw(st.booleans()):
         return draw(_json_values)
     params = init_params(0, embed_dim=2, num_heads=1, ff_dim=1)
-    doc = {
-        "version": 1,
-        "hyper": params.hyper(),
-        "params": {
-            name: {"shape": list(t.shape), "values": t.reshape(-1).tolist()}
-            for name, t in params.tensors.items()
-        },
-    }
+    doc = _document(params, version=draw(st.sampled_from([1, 2])))
     holders = [doc, doc["hyper"], doc["params"]] + list(doc["params"].values())
     holder = draw(st.sampled_from(holders))
     holder[draw(st.sampled_from(sorted(holder)))] = draw(_json_values)

@@ -18,11 +18,12 @@ Checks, each with its worst difference:
   train config) for ``--epochs`` epochs per seed; every column of
   ``metrics.csv`` but ``mean_loss`` is byte-identical.
 - ``mean_loss``: within ``LOSS_RTOL`` relative, row by row.
-- ``checkpoint``: the largest absolute difference between the final
-  checkpoints' values, and ``byte_equal``: whether every trained
-  ``checkpoint_*.json`` is byte-identical on both trees. Reported, not
-  gated: Adam magnifies rounding noise in gradients that are zero in
-  exact arithmetic.
+- ``checkpoint``: the largest absolute difference between the values of
+  the trained ``checkpoint_*.json`` files, each read by its own tree's
+  ``load_checkpoint``, so trees that write different checkpoint formats
+  compare by value; and ``byte_equal``: whether every such file is
+  byte-identical on both trees. Reported, not gated: Adam magnifies
+  rounding noise in gradients that are zero in exact arithmetic.
 - ``walks``: greedy and sampled walks of ``--walks`` seeded 20-node
   graphs have the same visit order and reward, and the graphs the same
   ``neighbors``; the largest decoder score difference at the graphs'
@@ -32,8 +33,11 @@ Checks, each with its worst difference:
   of that parameter's largest entry.
 - ``golden``: ``apgf compare`` on the committed fixture pair reproduces
   ``tests/fixtures/golden_comparison.csv`` byte for byte on both trees,
-  and the checkpoints of ``init_params(0)`` at two pinned sizes have
-  equal SHA-256 digests on both.
+  and the checkpoints of ``init_params(0)`` at two pinned sizes, each
+  saved and loaded back by its own tree, give equal SHA-256 digests of
+  their float64 bytes in ``param_spec`` order on both. Whether the files'
+  own digests are equal is reported, not gated: a new checkpoint format
+  changes them on purpose.
 - ``reruns``: on each tree a second run of the first seed writes a
   byte-identical ``metrics.csv`` and byte-identical checkpoints.
 - ``oracle``: ``brute_force_scores`` on the ``walks`` graphs, under both
@@ -98,7 +102,10 @@ def probe(out: Path, epochs: int, seeds: list[int], walks: int) -> None:
 
 
 def _probe_train(out: Path, tree: Path, epochs: int, seeds: list[int], **_) -> None:
+    import numpy as np
+
     from apgf.cli import main
+    from apgf.model import load_checkpoint
 
     runs = [(f"seed{s}", s) for s in seeds] + [("rerun", seeds[0])]
     for name, seed in runs:
@@ -107,6 +114,8 @@ def _probe_train(out: Path, tree: Path, epochs: int, seeds: list[int], **_) -> N
         code = main(["train", "--config", str(config), "--out-dir", str(out / name)])
         if code != 0:
             raise RuntimeError(f"apgf train exited {code} for seed {seed}")
+        for path in (out / name).glob("checkpoint_*.json"):
+            np.savez(path.with_suffix(".npz"), **load_checkpoint(path).tensors)
 
 
 def _array(scores):
@@ -192,8 +201,10 @@ def _probe_gradients(out: Path, tree: Path, **_) -> None:
 
 
 def _probe_golden(out: Path, tree: Path, **_) -> None:
+    import numpy as np
+
     from apgf.cli import main
-    from apgf.model import init_params, save_checkpoint
+    from apgf.model import init_params, load_checkpoint, param_spec, save_checkpoint
 
     fixtures = tree / "tests" / "fixtures"
     code = main(
@@ -203,11 +214,16 @@ def _probe_golden(out: Path, tree: Path, **_) -> None:
     )
     if code != 0:
         raise RuntimeError(f"apgf compare exited {code} on the fixture pair")
-    digests = []
+    digests = {"bytes": [], "values": []}
     for kwargs in PINNED_SIZES:
         path = out / "pinned.json"
         save_checkpoint(init_params(seed=0, **kwargs), path)
-        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        digests["bytes"].append(hashlib.sha256(path.read_bytes()).hexdigest())
+        loaded = load_checkpoint(path)
+        values = hashlib.sha256()
+        for name in param_spec(loaded.embed_dim, loaded.num_heads, loaded.ff_dim):
+            values.update(np.ascontiguousarray(loaded.tensors[name], "<f8").tobytes())
+        digests["values"].append(values.hexdigest())
     (out / "digests.json").write_text(json.dumps(digests))
 
 
@@ -240,16 +256,14 @@ def _csv_columns(path: Path) -> dict[str, list[str]]:
     return {name: [row.split(",")[i] for row in rows] for i, name in enumerate(names)}
 
 
-def _checkpoint_values(path: Path) -> dict[str, list[float]]:
-    return {k: b["values"] for k, b in json.loads(path.read_text())["params"].items()}
-
-
 def _rel(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale else 0.0
 
 
 def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, dict]:
+    import numpy as np
+
     rewards = {"pass": True, "runs": len(seeds), "differing_rows": 0}
     loss = {"pass": True, "tolerance": LOSS_RTOL, "worst_rel": 0.0}
     checkpoint = {"gated": False, "worst_abs": 0.0, "byte_equal": True}
@@ -268,11 +282,12 @@ def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, 
         for x, y in zip(a["mean_loss"], b["mean_loss"]):
             loss["worst_rel"] = max(loss["worst_rel"], _rel(float(x), float(y)))
         run_a, run_b = this / f"seed{s}", that / f"seed{s}"
-        va = _checkpoint_values(run_a / "checkpoint_final.json")
-        vb = _checkpoint_values(run_b / "checkpoint_final.json")
-        for name in va.keys() & vb.keys():
-            diff = max((abs(x - y) for x, y in zip(va[name], vb[name])), default=0.0)
-            checkpoint["worst_abs"] = max(checkpoint["worst_abs"], diff)
+        both = {p.name for p in run_a.glob("*.npz")} & {p.name for p in run_b.glob("*.npz")}
+        for arrays in sorted(both):
+            va, vb = np.load(run_a / arrays), np.load(run_b / arrays)
+            for name in set(va.files) & set(vb.files):
+                diff = np.abs(va[name] - vb[name]).max(initial=0.0)
+                checkpoint["worst_abs"] = max(checkpoint["worst_abs"], float(diff))
         files = sorted(p.name for p in run_a.glob("checkpoint_*.json"))
         same = files == sorted(p.name for p in run_b.glob("checkpoint_*.json")) and all(
             (run_a / f).read_bytes() == (run_b / f).read_bytes() for f in files
@@ -321,11 +336,13 @@ def _check_golden(this: Path, that: Path) -> dict:
         side: (out / "golden" / "comparison.csv").read_bytes() == golden
         for side, out in (("this", this), ("against", that))
     }
-    digests_equal = (this / "digests.json").read_text() == (that / "digests.json").read_text()
+    a = json.loads((this / "digests.json").read_text())
+    b = json.loads((that / "digests.json").read_text())
     return {
-        "pass": all(reproduced.values()) and digests_equal,
+        "pass": all(reproduced.values()) and a["values"] == b["values"],
         "comparison_csv": reproduced,
-        "checkpoint_digests_equal": digests_equal,
+        "checkpoint_value_digests_equal": a["values"] == b["values"],
+        "checkpoint_digests_equal": a["bytes"] == b["bytes"],
     }
 
 
