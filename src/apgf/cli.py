@@ -2,8 +2,9 @@
 
 Every command is seed-deterministic and drops a RunManifest next to its
 outputs with the fully resolved configuration, enough to reproduce them
-bit-exactly. Exit codes: 0 success, 2 validation error, 3 numeric
-failure, 4 brute-force cap refusal (the ``sum`` oracle only).
+bit-exactly. Exit codes: 0 success, 2 validation error or sizes too
+large to allocate, 3 numeric failure, 4 brute-force cap refusal (the
+``sum`` oracle only).
 """
 
 from __future__ import annotations
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:  # a missing or unreadable path, or a directory given as a file
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # sizes in a config or a file too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -27,7 +27,8 @@ import base64
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,6 +112,77 @@ def copy_params(params: ModelParams) -> ModelParams:
     return replace(params, tensors=tensors)
 
 
+class GraphBatch(tuple):
+    """A batch of graphs, held as a tuple, and the index of their disjoint
+    union, whose nodes are the graphs' nodes in batch order.
+
+    Each part of the index is built the first time it is used and kept,
+    and with it the flat scatter indices its ``RowIndex``es build, so a
+    batch that is encoded, scored and differentiated many times, as a
+    training run's graphs are every epoch, builds its index once.
+    ``encode``, ``edge_scores`` and ``move_log_probs`` take a batch, or a
+    plain sequence of graphs, which they wrap in one.
+    """
+
+    def __new__(cls, graphs: Iterable[WeightedGraph]):
+        batch = super().__new__(cls, graphs)
+        if not batch:
+            raise ValidationError("a graph batch needs at least one graph")
+        return batch
+
+    @classmethod
+    def of(cls, graphs: Sequence[WeightedGraph]) -> GraphBatch:
+        """``graphs`` itself when it is a batch, else a new batch of them."""
+        return graphs if isinstance(graphs, cls) else cls(graphs)
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        return [g.num_nodes for g in self]
+
+    @cached_property
+    def num_nodes(self) -> int:
+        """N, the nodes of the union."""
+        return sum(self.sizes)
+
+    @cached_property
+    def firsts(self) -> np.ndarray:
+        """Each graph's first node in the union."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def edges(self) -> tuple[RowIndex, RowIndex]:
+        """Source and target of every directed edge of the union: the
+        graphs' CSR targets, shifted by each graph's first node, so sorted
+        by source, then target."""
+        firsts = np.repeat(self.firsts, [g.indices.size for g in self])
+        cols = np.concatenate([g.indices for g in self]) + firsts
+        # every edge is listed in both directions, so the sources in CSR
+        # order are the targets, sorted
+        return RowIndex(np.sort(cols), self.num_nodes), RowIndex(cols, self.num_nodes)
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """``source * N + target`` of every directed edge, ascending."""
+        sources, targets = self.edges
+        return sources.rows * self.num_nodes + targets.rows
+
+    @cached_property
+    def attention(self) -> tuple[Segments, RowIndex]:
+        """The encoder's edge list, the directed edges plus a self-loop per
+        node, sorted by source, then target: its split into each source
+        node's edges, and its targets."""
+        total = self.num_nodes
+        loops = np.arange(total)
+        keys = np.concatenate([self.edge_keys, loops * total + loops])
+        rows, cols = np.divmod(np.sort(keys), total)
+        return Segments(np.bincount(rows, minlength=total)), RowIndex(cols, total)
+
+    @cached_property
+    def node_weights(self) -> np.ndarray:
+        """The union's ``[N, 1]`` node weights."""
+        return np.concatenate([g.node_weights for g in self]).reshape(self.num_nodes, 1)
+
+
 def encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
 ) -> np.ndarray:
@@ -128,22 +200,17 @@ def encode(
     with its own residual follows the second attention layer. Work and
     memory grow with the number of edges, not with num_nodes squared.
     """
-    if not graphs:
-        raise ValidationError("encode needs at least one graph")
+    batch = GraphBatch.of(graphs)
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
     dim, heads = params.embed_dim, params.num_heads
     head_dim = dim // heads
-    total = sum(g.num_nodes for g in graphs)
-    rows, cols = _union_edges(graphs)
-    segments = Segments(np.bincount(rows, minlength=total))  # the edges of each source node
-    neighbours = RowIndex(cols, total)
+    segments, neighbours = batch.attention  # the edges of each source node, and their targets
     # row r of a [embed_dim, .] weight belongs to head r // head_dim, as position r % head_dim
     within = np.arange(dim) % head_dim
     own_head = np.repeat(np.eye(heads), head_dim, axis=0)  # [embed_dim, heads]
 
-    weights_col = np.concatenate([g.node_weights for g in graphs]).reshape(total, 1)
-    h = tape.matmul(weights_col, p["encoder.input_lift"])  # [total, embed_dim]
+    h = tape.matmul(batch.node_weights, p["encoder.input_lift"])  # [total, embed_dim]
 
     for li in range(NUM_LAYERS):
         names = [f"encoder.layer{li}.head{hi}" for hi in range(heads)]
@@ -168,31 +235,6 @@ def encode(
     return tape.add(h, ff)
 
 
-def directed_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target of every directed edge of the graphs' disjoint
-    union, whose nodes are the graphs' nodes in batch order: the graphs'
-    CSR targets, shifted by each graph's first node, so sorted by source,
-    then target."""
-    if not graphs:
-        raise ValidationError("directed_edges needs at least one graph")
-    sizes = [g.num_nodes for g in graphs]
-    firsts = np.repeat(np.cumsum(sizes) - sizes, [g.indices.size for g in graphs])
-    cols = np.concatenate([g.indices for g in graphs]) + firsts
-    # every edge is listed in both directions, so the sources in CSR order
-    # are the targets, sorted
-    return np.sort(cols), cols
-
-
-def _union_edges(graphs: Sequence[WeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """``directed_edges`` plus a self-loop per node, sorted by source, then
-    target."""
-    total = sum(g.num_nodes for g in graphs)
-    rows, cols = directed_edges(graphs)
-    loops = np.arange(total)
-    keys = np.concatenate([rows, loops]) * total + np.concatenate([cols, loops])
-    return np.divmod(np.sort(keys), total)
-
-
 def edge_scores(
     emb: np.ndarray,
     graphs: Sequence[WeightedGraph],
@@ -200,8 +242,8 @@ def edge_scores(
     tape: Tape | None = None,
 ) -> np.ndarray:
     """Decoder scores of every move as one ``[E]`` array: entry e scores
-    the move along directed edge e of ``directed_edges(graphs)``, from its
-    source to its target, and lies in [-clip, +clip].
+    the move along directed edge e of ``GraphBatch(graphs).edges``, from
+    its source to its target, and lies in [-clip, +clip].
 
     ``emb`` embeds the graphs' union, as ``encode(graphs, ...)`` does.
     Only the edges are scored, each as the dot product of its source's
@@ -210,17 +252,14 @@ def edge_scores(
     scores its graph once and reads each decision from the current
     node's CSR slice.
     """
-    rows, cols = directed_edges(graphs)
-    total = sum(g.num_nodes for g in graphs)
-    if emb.ndim != 2 or emb.shape[0] != total:
-        raise ValidationError(
-            f"embeddings {emb.shape} do not match graphs of {[g.num_nodes for g in graphs]} nodes"
-        )
+    batch = GraphBatch.of(graphs)
+    if emb.ndim != 2 or emb.shape[0] != batch.num_nodes:
+        raise ValidationError(f"embeddings {emb.shape} do not match graphs of {batch.sizes} nodes")
     tape = tape if tape is not None else ForwardTape()
     p = params.tensors
     query = tape.matmul(emb, tape.transpose(p["decoder.query_proj"]))  # [N, embed_dim]
     keys = tape.matmul(emb, tape.transpose(p["decoder.key_proj"]))  # [N, embed_dim]
-    raw = tape.edge_dot(query, keys, RowIndex(rows, total), RowIndex(cols, total))
+    raw = tape.edge_dot(query, keys, *batch.edges)
     scaled = tape.mul_scalar(raw, 1.0 / math.sqrt(params.embed_dim))
     return tape.mul_scalar(tape.tanh(scaled), params.score_clip)
 

@@ -14,8 +14,8 @@ and ``Segments`` split the leading axis of an array into consecutive
 runs, such as a node's edges in the encoder or a move's candidates in
 the loss, for ``segment_softmax`` and ``segment_sum``. ``edge_dot``
 computes chosen entries of a product ``a @ b.T``, such as one per edge
-of a graph, without the dense whole. ``segment_softmax`` is the one taped
-softmax; the plain ``softmax`` serves untaped code.
+of a graph, without the dense whole. ``segment_softmax`` is the one
+softmax.
 
 All arithmetic is float64 and fully deterministic: the same inputs and
 op sequence produce bit-identical outputs.
@@ -53,13 +53,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
-
-
-def softmax(values: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis of a plain array, stabilized by
-    subtracting the max before exponentiation."""
-    e = np.exp(values - values.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # A record is (output, inputs, rule); rule maps the output adjoint to the inputs' adjoints.

@@ -30,6 +30,7 @@ attention uses.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -39,8 +40,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphgen import WeightedGraph
-from .model import ModelParams, directed_edges, edge_scores, encode
-from .numcore import Segments, Tape, softmax
+from .model import GraphBatch, ModelParams, edge_scores, encode
+from .numcore import Segments, Tape
 
 _FOLDS = {"product": operator.mul, "sum": operator.add}
 AGGREGATORS = tuple(_FOLDS)
@@ -117,7 +118,8 @@ def decode_all(
     untaped, so nothing is recorded in either mode. To differentiate the
     result, pass it to ``move_log_probs`` with taped scores.
     """
-    scores = edge_scores(encode([graph], params), [graph], params)
+    batch = GraphBatch([graph])
+    scores = edge_scores(encode(batch, params), batch, params)
     return walk(graph, scores, start, mode, temperature, rng, score_config)
 
 
@@ -138,9 +140,9 @@ def walk(
     the current node's CSR slice: ``mode="greedy"`` takes the highest
     (the lowest index on ties);
     ``mode="sample"`` takes the first candidate whose running softmax
-    probability at ``temperature`` exceeds the move's uniform, one of
-    n - 1 drawn from ``rng`` at once. A lone candidate is taken without a
-    softmax: its probability is exactly 1.
+    probability at ``temperature``, on Python floats, exceeds the move's
+    uniform, one of n - 1 drawn from ``rng`` at once. A lone candidate is
+    taken without a softmax: its probability is exactly 1.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
@@ -183,22 +185,14 @@ def walk(
             nxt = options[0]
         else:
             stack.append(current)
-            first = firsts[current]  # the current node's CSR slice lines up with its neighbors
-            option_scores = [
-                values[first + k] for k, j in enumerate(neighbors[current]) if not visited[j]
-            ]
+            # the current node's CSR slice lines up with its neighbors
+            own = values[firsts[current] : firsts[current + 1]]
+            option_scores = [s for j, s in zip(neighbors[current], own) if not visited[j]]
             if mode == "greedy":
-                # max keeps the first maximum, so the lowest index wins ties
-                nxt = options[max(range(len(options)), key=option_scores.__getitem__)]
+                # index finds the first maximum, so the lowest index wins ties
+                nxt = options[option_scores.index(max(option_scores))]
             else:
-                probs = softmax(np.array(option_scores) * inv_temperature).tolist()
-                nxt = options[-1]  # guard against accumulated rounding
-                acc = 0.0
-                for j, p in zip(options, probs):
-                    acc += p
-                    if draws[move] < acc:
-                        nxt = j
-                        break
+                nxt = _sample(options, option_scores, inv_temperature, draws[move])
 
         visited[nxt] = True
         visit_order.append(nxt)
@@ -214,6 +208,23 @@ def walk(
         selected=selected,
         candidates=candidates,
     )
+
+
+def _sample(options: list[int], scores: list[float], inv_temperature: float, u: float) -> int:
+    """The first of ``options`` whose running softmax probability exceeds
+    the uniform ``u``, the softmax taken over ``scores`` scaled by
+    ``inv_temperature``, stabilized by subtracting their max, on Python
+    floats."""
+    scaled = [s * inv_temperature for s in scores]
+    peak = max(scaled)
+    weights = [math.exp(x - peak) for x in scaled]
+    total = sum(weights)
+    acc = 0.0
+    for j, w in zip(options, weights):
+        acc += w / total
+        if u < acc:
+            return j
+    return options[-1]  # guard against accumulated rounding
 
 
 def _check_temperature(temperature: float) -> None:
@@ -241,17 +252,16 @@ def move_log_probs(
     _check_temperature(temperature)
     if len(walks) != len(graphs):
         raise ValidationError(f"{len(walks)} walks but {len(graphs)} graphs")
-    rows, cols = directed_edges(graphs)
-    if scores.shape != rows.shape:
-        raise ValidationError(f"{rows.size} directed edges but scores of shape {scores.shape}")
+    batch = GraphBatch.of(graphs)
+    keys, total = batch.edge_keys, batch.num_nodes
+    if scores.shape != keys.shape:
+        raise ValidationError(f"{keys.size} directed edges but scores of shape {scores.shape}")
     steps = [len(w.selected) for w in walks]
     moves = sum(steps)
     if not moves:
         return None
-    sizes = [g.num_nodes for g in graphs]
-    total = sum(sizes)
     counts = [len(c) for w in walks for c in w.candidates]
-    firsts = np.repeat(np.cumsum(sizes) - sizes, steps)  # each move's graph's first node
+    firsts = np.repeat(batch.firsts, steps)  # each move's graph's first node
     sources = np.repeat(firsts + [v for w in walks for v in w.selected], counts)
     targets = np.repeat(firsts, counts) + [j for w in walks for c in w.candidates for j in c]
     nexts = np.repeat(firsts + [v for w in walks for v in w.visit_order[1:]], counts)
@@ -259,7 +269,7 @@ def move_log_probs(
     if chosen.size != moves:
         raise ValidationError("a recorded move's next node is not among its candidates")
     # directed edges are sorted by source, then target, so a search finds each candidate's
-    keys, wanted = rows * total + cols, sources * total + targets
+    wanted = sources * total + targets
     at = np.searchsorted(keys, wanted)
     if at.max() >= keys.size or not np.array_equal(keys[at], wanted):
         raise ValidationError("a recorded move's candidate is not a neighbor of its node")

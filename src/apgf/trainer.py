@@ -16,8 +16,10 @@ policy. Runs are bit-reproducible from the config seed.
 An epoch is one batched computation: the policy encodes and scores all
 of the epoch's graphs, as one disjoint union, in one taped pass, every
 rollout walks its graph's slice of the resulting edge scores, and one
-loss expression and one backward pass cover all rollouts. The
-baseline's scores of the training graphs change only when the baseline
+loss expression and one backward pass cover all rollouts. A set of
+graphs is one ``GraphBatch``, so the index of their union is built once
+per set: once per run in ``fixed`` mode, once per epoch in
+``resampled``. The baseline's scores of the training graphs change only when the baseline
 is synced or the graphs are resampled, so they are computed once, on a
 ``ForwardTape``, and reused until then; in ``fixed`` mode that is once
 per sync period.
@@ -39,7 +41,8 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph, generate_random_graph
-from .model import ModelParams, copy_params, edge_scores, encode, init_params, save_checkpoint
+from .model import GraphBatch, ModelParams, copy_params, edge_scores, encode, init_params
+from .model import save_checkpoint
 from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare, exceeds_cap
 from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
@@ -141,13 +144,12 @@ def reinforce_loss(
     return tape.reshape(tape.sum(tape.mul(log_probs, coef)), (1,))
 
 
-def _training_graphs(config: TrainConfig, rng: np.random.Generator) -> list[WeightedGraph]:
-    return [
-        generate_random_graph(
-            config.num_nodes, config.num_edges, seed=int(rng.integers(2**63))
-        )
+def _training_graphs(config: TrainConfig, rng: np.random.Generator) -> GraphBatch:
+    """One set of training graphs, as the batch every pass over them shares."""
+    return GraphBatch(
+        generate_random_graph(config.num_nodes, config.num_edges, seed=int(rng.integers(2**63)))
         for _ in range(config.graphs_per_epoch)
-    ]
+    )
 
 
 def _per_graph(scores: np.ndarray, graphs: Sequence[WeightedGraph]) -> list[np.ndarray]:

@@ -102,6 +102,21 @@ def test_train_zero_epochs_header_only(tmp_path):
     assert (out_dir / "manifest.json").exists()
 
 
+def test_train_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys):
+    # stands in for numpy's allocation failure on, e.g., an embed_dim of 4e9
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 119. EiB for an array with shape (4000000000, 64)")
+
+    monkeypatch.setattr("apgf.trainer.init_params", too_large)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    code = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg)

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from apgf.errors import ApgfError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import (
+    GraphBatch,
     copy_params,
-    directed_edges,
     edge_scores,
     encode,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from apgf.numcore import ForwardTape, Tape, softmax
+from apgf.numcore import ForwardTape, Tape
 from apgf.rollout import decode_all, move_log_probs, walk
 
 from helpers import (
@@ -124,6 +124,26 @@ def test_batched_scores_equal_single_graph_scores_bit_for_bit():
             first_edge += single.size
 
 
+def test_a_graph_batch_gives_a_plain_lists_results_bit_for_bit():
+    graphs = _reference_cases()["mixed"]  # 1, 7, 20 and 33 nodes
+    params = init_params(35)
+    ends = np.cumsum([g.indices.size for g in graphs])[:-1]
+    batch = GraphBatch(graphs)
+    results = []
+    # the batch twice: the second pass reuses the index the first built
+    for given in (list(graphs), batch, batch):
+        tape = Tape()
+        scores = edge_scores(encode(given, params, tape), given, params, tape)
+        per_graph = np.split(scores, ends)
+        walks = [walk(g, own, g.start_index, "greedy") for g, own in zip(graphs, per_graph)]
+        log_probs = move_log_probs(scores, given, walks, 0.7, tape)
+        grads = tape.backward(tape.sum(log_probs), params.tensors)
+        results.append([scores, log_probs, *grads.values()])
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            np.testing.assert_array_equal(a, b)
+
+
 def _reference_cases():
     rng = np.random.default_rng(21)
     return {
@@ -199,6 +219,8 @@ def test_forward_encode_memory_grows_with_edges_not_nodes_squared():
 def test_an_empty_batch_is_rejected():
     params = small_params()
     with pytest.raises(ValidationError, match="at least one graph"):
+        GraphBatch([])
+    with pytest.raises(ValidationError, match="at least one graph"):
         encode([], params)
     with pytest.raises(ValidationError, match="at least one graph"):
         edge_scores(np.zeros((0, params.embed_dim)), [], params)
@@ -272,7 +294,7 @@ def test_edge_decoder_gradients_agree_with_dense_reference(size):
     weighting = np.random.default_rng(31).normal(size=len(graphs) * 50)
     # the same weighting on the dense matrices, graph after graph: the
     # edges' weights, 0 elsewhere
-    rows, cols = directed_edges(graphs)
+    rows, cols = (index.rows for index in GraphBatch(graphs).edges)
     dense_weighting = np.zeros((len(graphs) * 20, 20))
     dense_weighting[rows, cols % 20] = weighting
 
@@ -359,10 +381,12 @@ def test_candidate_probs_temperature_must_be_positive():
     shift=st.floats(min_value=-50, max_value=50),
 )
 def test_argmax_invariant_under_constant_shift(scores, shift):
-    # the softmax that turns a move's candidate scores into probabilities
-    p0 = softmax(np.array(scores))
-    p1 = softmax(np.array(scores) + shift)
-    assert np.argmax(p0) == np.argmax(p1)
+    # the greedy move from the centre of a star, whose leaves 1..k score
+    # `scores`, is the first maximum, shifted or not
+    star = star_graph([0.5] * (len(scores) + 1))
+    edges = np.concatenate([scores, np.zeros(len(scores))])  # then each leaf's move back
+    for s in (edges, edges + shift):
+        assert walk(star, s, 0, "greedy").visit_order[1] == 1 + int(np.argmax(scores))
 
 
 def test_checkpoint_round_trip(tmp_path):

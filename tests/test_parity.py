@@ -37,6 +37,8 @@ def test_parity_against_head_passes_at_a_tiny_config(git_checkout):
         "oracle",
     }
     assert checks["walks"]["graphs"] == 4 and checks["reward_columns"]["runs"] == 1
+    # greedy, then sampled at three temperatures
+    assert checks["walks"]["walks_per_graph"] == 4 and checks["walks"]["differing_walks"] == 0
     assert checks["oracle"]["graphs"] == 4
     assert checks["oracle"]["differing_graphs"] == {"product": 0, "sum": 0}
     assert checks["checkpoint"] == {"gated": False, "worst_abs": 0.0, "byte_equal": True}

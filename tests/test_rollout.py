@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -206,13 +207,13 @@ def test_sampled_walk_draws_one_uniform_per_move(n, e):
 
 
 def test_forced_moves_skip_the_softmax(monkeypatch):
-    calls, softmax = [], apgf.rollout.softmax
+    calls, sample = [], apgf.rollout._sample
 
-    def spy(values):
-        calls.append(len(values))
-        return softmax(values)
+    def spy(options, scores, inv_temperature, u):
+        calls.append(len(scores))
+        return sample(options, scores, inv_temperature, u)
 
-    monkeypatch.setattr(apgf.rollout, "softmax", spy)
+    monkeypatch.setattr(apgf.rollout, "_sample", spy)
     graph = path_graph([0.9, 0.5, 0.7, 0.2, 0.4])
     for mode in ("sample", "greedy"):
         result = walk(graph, np.zeros(8), 0, mode, rng=np.random.default_rng(0))
@@ -223,6 +224,25 @@ def test_forced_moves_skip_the_softmax(monkeypatch):
     star = star_graph([0.5, 0.1, 0.2, 0.3, 0.4])
     walk(star, np.zeros(8), 0, rng=np.random.default_rng(0))
     assert calls == [4, 3, 2]
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 1e3])
+def test_extreme_temperatures_sample_without_overflow(temperature):
+    graph = generate_random_graph(20, 40, seed=3)
+    scores = np.linspace(-10.0, 10.0, graph.indices.size)  # distinct, spanning [-clip, clip]
+    greedy = walk(graph, scores, graph.start_index, "greedy")
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        result = walk(graph, scores, graph.start_index, "sample", temperature, rng)
+        assert sorted(result.visit_order) == list(range(20))
+        assert math.isfinite(result.reward)
+        if temperature < 1:  # the scores' gaps are worth exp(-250) and less: greedy
+            assert result.visit_order == greedy.visit_order
+    # cold: the highest of three whatever the uniform; hot: near uniform
+    assert apgf.rollout._sample([4, 5, 6], [9.9, 10.0, -10.0], 1 / temperature, 0.999) == (
+        5 if temperature < 1 else 6
+    )
+    assert apgf.rollout._sample([4, 5, 6], [9.9, 10.0, -10.0], 1 / temperature, 0.5) == 5
 
 
 def test_sum_aggregator_reward():

@@ -6,7 +6,7 @@ import pytest
 from apgf import trainer
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
-from apgf.model import copy_params, edge_scores, encode, init_params, save_checkpoint
+from apgf.model import GraphBatch, copy_params, edge_scores, encode, init_params, save_checkpoint
 from apgf.numcore import AdamState, Tape, adam_step
 from apgf.rollout import ScoreConfig, decode_all, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
@@ -281,6 +281,22 @@ def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
     assert passes.count(("policy", 3)) == 10
     assert passes.count(("baseline", 3)) == baseline_passes
     assert len(passes) == 10 + baseline_passes
+
+
+@pytest.mark.parametrize("dataset_mode, builds", [("fixed", 1), ("resampled", 10)])
+def test_each_graph_set_builds_its_union_index_once(monkeypatch, dataset_mode, builds):
+    # every part of a batch's index starts from its directed edges; the
+    # baseline pass, the policy pass and the loss all share one build
+    edges = GraphBatch.__dict__["edges"]
+    built, build = [], edges.func
+
+    def spy(batch):
+        built.append(len(batch))
+        return build(batch)
+
+    monkeypatch.setattr(edges, "func", spy)
+    train(tiny_config(epochs=10, baseline_sync_period=5, dataset_mode=dataset_mode))
+    assert built == [3] * builds
 
 
 def test_a_paper_config_epoch_records_only_new_float64_arrays(monkeypatch):

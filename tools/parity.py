@@ -24,10 +24,13 @@ Checks, each with its worst difference:
   compare by value; and ``byte_equal``: whether every such file is
   byte-identical on both trees. Reported, not gated: Adam magnifies
   rounding noise in gradients that are zero in exact arithmetic.
-- ``walks``: greedy and sampled walks of ``--walks`` seeded 20-node
-  graphs have the same visit order and reward, and the graphs the same
-  ``neighbors``; the largest decoder score difference at the graphs'
-  directed edges, the moves a walk can make, is reported.
+- ``walks``: the greedy walk and one sampled walk at each of
+  ``SAMPLE_TEMPERATURES`` of ``--walks`` seeded 20-node graphs have the
+  same visit order and reward, and the graphs the same ``neighbors``;
+  the largest decoder score difference at the graphs' directed edges,
+  the moves a walk can make, is reported. The temperatures either side
+  of 1 scale the scores before the sampler's softmax, so its arithmetic
+  is compared on more than one set of inputs.
 - ``gradients``: one paper-config epoch's policy gradients at
   temperature ``GRAD_TEMPERATURE``, per parameter within ``GRAD_RTOL``
   of that parameter's largest entry.
@@ -68,6 +71,7 @@ LOSS_RTOL = 1e-8
 GRAD_RTOL = 1e-8
 GRAD_TEMPERATURE = 0.7  # not the train default of 1, so the loss's temperature is exercised
 WALK_NODES, WALK_EDGES = 20, 25
+SAMPLE_TEMPERATURES = (0.3, 1.0, 3.0)
 PINNED_SIZES = ({}, {"embed_dim": 8, "num_heads": 2, "ff_dim": 6, "score_clip": 3.0})
 
 
@@ -160,15 +164,15 @@ def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
     for k in range(walks):
         graph = generate_random_graph(WALK_NODES, WALK_EDGES + k % 16, seed=k)
         (own,), _ = _decoder([graph], init_params(k))
-        greedy = walk(graph, own, graph.start_index, "greedy")
-        rng = np.random.default_rng(k)
-        sampled = walk(graph, own, graph.start_index, "sample", 1.0, rng)
+        rolled = {"greedy": walk(graph, own, graph.start_index, "greedy")}
+        for t in SAMPLE_TEMPERATURES:
+            rng = np.random.default_rng(k)
+            rolled[f"sampled_t{t}"] = walk(graph, own, graph.start_index, "sample", t, rng)
         scores.extend(_at_edges(graph, own))
         facts.append(
             {
                 "neighbors": graph.neighbors,
-                "greedy": [greedy.visit_order, repr(greedy.reward)],
-                "sampled": [sampled.visit_order, repr(sampled.reward)],
+                "walks": {name: [r.visit_order, repr(r.reward)] for name, r in rolled.items()},
             }
         )
     np.save(out / "walk_scores.npy", np.array(scores))
@@ -303,7 +307,9 @@ def _check_walks(this: Path, that: Path) -> dict:
 
     a = json.loads((this / "walks.json").read_text())
     b = json.loads((that / "walks.json").read_text())
-    differing = sum(x[mode] != y[mode] for x, y in zip(a, b) for mode in ("greedy", "sampled"))
+    differing = sum(
+        x["walks"][name] != y["walks"].get(name) for x, y in zip(a, b) for name in x["walks"]
+    )
     neighbors_equal = all(x["neighbors"] == y["neighbors"] for x, y in zip(a, b))
     scores_a, scores_b = np.load(this / "walk_scores.npy"), np.load(that / "walk_scores.npy")
     same_edges = scores_a.shape == scores_b.shape
@@ -311,6 +317,7 @@ def _check_walks(this: Path, that: Path) -> dict:
     return {
         "pass": differing == 0 and neighbors_equal and same_edges and len(a) == len(b),
         "graphs": len(a),
+        "walks_per_graph": len(a[0]["walks"]) if a else 0,
         "differing_walks": differing,
         "neighbors_equal": neighbors_equal,
         "worst_score_abs": float(score_diff.max(initial=0.0)),
