@@ -2,15 +2,16 @@
 
 Every command is seed-deterministic and drops a RunManifest next to its
 outputs with the fully resolved configuration, enough to reproduce them
-bit-exactly. Exit codes: 0 success, 2 validation error or sizes too
-large to allocate, 3 numeric failure, 4 brute-force cap refusal (the
-``sum`` oracle only).
+bit-exactly. Exit codes: 0 success, 2 usage or validation error or
+sizes too large to allocate, 3 numeric failure, 4 brute-force cap
+refusal (the ``sum`` oracle only).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -359,7 +360,12 @@ def cmd_compare(args) -> int:
 # -- wiring ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and reused by every
+    ``main`` call: ``parse_args`` leaves it unchanged and returns a fresh
+    namespace. It holds no command function; ``main`` picks the command
+    by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="apgf",
         description="Attack-path inference on weighted graphs: generate, train, compare.",
@@ -374,12 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--star", action="store_true", help="star topology instead of a random-attachment tree"
     )
-    gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="train the policy with REINFORCE")
     tr.add_argument("--config", required=True, help="train config JSON file")
     tr.add_argument("--out-dir", required=True, help="output directory")
-    tr.set_defaults(func=cmd_train)
 
     cmp_ = sub.add_parser("compare", help="greedy rollout vs the exact oracle on one graph")
     cmp_.add_argument("--graph", required=True, help="graph file from `apgf gen`")
@@ -396,14 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cmp_.add_argument("--aggregator", choices=AGGREGATORS, default="product")
-    cmp_.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one ``apgf`` command, parsed by the process's one parser, and
+    return its exit code. A usage error returns 2 and ``--help`` returns
+    0, after argparse's own output, rather than raising ``SystemExit``."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    command = {"gen": cmd_gen, "train": cmd_train, "compare": cmd_compare}[args.command]
+    try:
+        return command(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -121,16 +121,18 @@ class Tape:
     """Ordered record of primitive ops for one forward pass.
 
     Records are appended in topological order by construction; ``backward``
-    may run once per tape. A tape is single-threaded; run independent
-    tapes for concurrent work.
+    may run once per tape, and releases each record as it replays it. A
+    tape is single-threaded; run independent tapes for concurrent work.
     """
 
     def __init__(self):
         self._records: list[tuple[np.ndarray, tuple[np.ndarray, ...], _Rule]] = []
+        self._replayed = 0
         self._consumed = False
 
     def __len__(self) -> int:
-        return len(self._records)
+        """The number of records the forward pass made, also after ``backward``."""
+        return self._replayed + len(self._records)
 
     def _record(self, out: np.ndarray, inputs: tuple[np.ndarray, ...], rule: _Rule) -> None:
         self._records.append((out, inputs, rule))
@@ -186,10 +188,14 @@ class Tape:
         return out
 
     def leaky_relu(self, a: np.ndarray, slope: float = 0.2) -> np.ndarray:
-        out = np.where(a > 0, a, slope * a)
+        """``a`` where positive, else ``slope * a``: for a slope in [0, 1]
+        that is ``max(a, slope * a)``, bit for bit, without a branch per
+        entry. The backward builds its factor only when it runs."""
+        if not 0.0 <= slope <= 1.0:  # also false for NaN
+            raise ValidationError(f"leaky_relu slope must be in [0, 1], got {slope}")
+        out = np.maximum(a, slope * a)
         _check_finite(out, "leaky_relu")
-        factor = np.where(a > 0, 1.0, slope)
-        self._record(out, (a,), lambda g: (g * factor,))
+        self._record(out, (a,), lambda g: (g * (slope + (1.0 - slope) * (a > 0)),))
         return out
 
     def tanh(self, a: np.ndarray) -> np.ndarray:
@@ -335,7 +341,12 @@ class Tape:
     ) -> dict[str, np.ndarray]:
         """d(loss)/d(x) for every array ``x`` of ``wrt``, under its name; zeros
         where the loss does not reach. The loss must be a single-element
-        array produced on this tape; a tape backpropagates only once."""
+        array produced on this tape; a tape backpropagates only once.
+
+        Each record is removed from the tape as its rule runs, so an
+        intermediate array, its rule and its adjoint are freed once the
+        records that read them are replayed, and later adjoints can reuse
+        their memory; ``len`` still counts them."""
         if self._consumed:
             raise ValidationError("tape already consumed by a previous backward pass")
         if loss.size != 1:
@@ -345,7 +356,10 @@ class Tape:
         self._consumed = True
 
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
-        for out, inputs, rule in reversed(self._records):
+        records = self._records
+        while records:
+            out, inputs, rule = records.pop()
+            self._replayed += 1
             g = adjoints.pop(id(out), None)
             if g is None:
                 continue

@@ -19,10 +19,12 @@ rollout walks its graph's slice of the resulting edge scores, and one
 loss expression and one backward pass cover all rollouts. A set of
 graphs is one ``GraphBatch``, so the index of their union is built once
 per set: once per run in ``fixed`` mode, once per epoch in
-``resampled``. The baseline's scores of the training graphs change only when the baseline
-is synced or the graphs are resampled, so they are computed once, on a
-``ForwardTape``, and reused until then; in ``fixed`` mode that is once
-per sync period.
+``resampled``. The baseline's scores of the training graphs change only
+when the baseline is synced or the graphs are resampled, so they are
+computed once and reused until then. In the first epoch and the epoch
+after each sync the baseline's parameters equal the policy's, so its
+scores are the policy's taped ones; otherwise they take one untaped
+pass. In ``fixed`` mode the baseline never needs a pass of its own.
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def train(
 
     metrics: list[EpochMetrics] = []
     baseline_scores = None  # the baseline's per-graph edge scores until the next sync or resample
+    baseline_is_policy = True  # until the first Adam step, and again after each sync
     train_started = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         epoch_started = time.perf_counter()
@@ -197,12 +200,12 @@ def train(
 
         tape = Tape()
         try:
-            if baseline_scores is None:
-                baseline_scores = _per_graph(
-                    edge_scores(encode(graphs, baseline), graphs, baseline), graphs
-                )
             scores = edge_scores(encode(graphs, policy, tape), graphs, policy, tape)
             per_graph = _per_graph(scores, graphs)
+            if baseline_scores is None:
+                baseline_scores = per_graph if baseline_is_policy else _per_graph(
+                    edge_scores(encode(graphs, baseline), graphs, baseline), graphs
+                )
             sampled, baseline_rewards = [], []
             for graph, own, baseline_own in zip(graphs, per_graph, baseline_scores):
                 start = int(rng.integers(graph.num_nodes))
@@ -221,7 +224,7 @@ def train(
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
-        synced = epoch % config.baseline_sync_period == 0
+        synced = baseline_is_policy = epoch % config.baseline_sync_period == 0
         if synced:
             baseline = copy_params(policy)
             baseline_scores = None

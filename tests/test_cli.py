@@ -588,3 +588,76 @@ def test_golden_comparison_fixture(tmp_path):
     assert code == EXIT_OK
     expected = (fixtures / "golden_comparison.csv").read_bytes()
     assert (out_dir / "comparison.csv").read_bytes() == expected
+
+
+# -- one parser per process ------------------------------------------------
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def run_session(work, monkeypatch, fresh_parser):
+    """gen, train, compare, a usage error and compare again, in ``work``
+    with relative paths; the parser is rebuilt before each call when
+    ``fresh_parser`` is set. Returns the exit codes and every file made
+    but timings.csv, with timestamps and the oracle's wall clock dropped."""
+    work.mkdir()
+    monkeypatch.chdir(work)
+    write_config(work / "cfg.json")
+    compare_argv = ["compare", "--graph", "g.json", "--checkpoint", "run/checkpoint_final.json"]
+    codes = []
+    for argv in (
+        ["gen", "--nodes", "8", "--edges", "9", "--seed", "3", "--out", "g.json"],
+        ["train", "--config", "cfg.json", "--out-dir", "run"],
+        compare_argv + ["--out-dir", "cmp1", "--oracle-cache", "oracle.json"],
+        ["compare", "--graph", "g.json", "--cap", "many"],
+        compare_argv + ["--out-dir", "cmp2", "--oracle-cache", "oracle.json"],
+    ):
+        if fresh_parser:
+            cli.build_parser.cache_clear()
+        codes.append(run(argv))
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if path.is_file() and path.name != "timings.csv":
+            data = path.read_bytes()
+            if path.name.endswith(("manifest.json", "oracle.json")):
+                doc = json.loads(data)
+                for part in (doc, doc.get("oracle", {})):
+                    for key in ("started_at", "finished_at", "wall_clock"):
+                        part.pop(key, None)
+                data = json.dumps(doc)
+            files[str(path.relative_to(work))] = data
+    return codes, files
+
+
+def test_calls_in_one_process_match_calls_on_fresh_parsers(tmp_path, monkeypatch, capsys):
+    def printed():
+        out, err = capsys.readouterr()
+        return re.sub(r"explored in [0-9.]+s", "explored in …s", out), err
+
+    reused = run_session(tmp_path / "reused", monkeypatch, fresh_parser=False)
+    reused_printed = printed()
+    fresh = run_session(tmp_path / "fresh", monkeypatch, fresh_parser=True)
+    assert reused[0] == [EXIT_OK, EXIT_OK, EXIT_OK, 2, EXIT_OK]
+    assert fresh == reused and printed() == reused_printed
+    assert "invalid int value: 'many'" in reused_printed[1]
+
+
+def test_help_and_usage_errors_return_their_codes(capsys):
+    assert run(["--help"]) == EXIT_OK
+    first = capsys.readouterr()
+    assert run(["--help"]) == EXIT_OK
+    assert capsys.readouterr() == first and first.out.startswith("usage: apgf")
+    assert run([]) == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
+    assert run(["compare", "--graph", "g.json"]) == 2
+    assert "required: --checkpoint, --out-dir" in capsys.readouterr().err
+
+
+def test_a_command_patched_after_the_first_call_takes_effect(monkeypatch, capsys):
+    assert run(["--help"]) == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compare", lambda args: seen.append(args.graph) or 7)
+    assert run(["compare", "--graph", "g.json", "--checkpoint", "c.json", "--out-dir", "o"]) == 7
+    assert seen == ["g.json"]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,27 @@ def test_tanh_and_leaky_relu_points():
     assert t.tanh(np.array([0.0]))[0] == 0.0
     assert t.leaky_relu(np.array([-1.0]), 0.2)[0] == pytest.approx(-0.2, abs=0)
     assert t.leaky_relu(np.array([3.0]), 0.2)[0] == 3.0
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
+def test_leaky_relu_is_the_branching_definition_bit_for_bit(slope):
+    # magnitudes from subnormal to 1e300, both signs, and both zeros
+    rng = np.random.default_rng(0)
+    a = 10.0 ** rng.uniform(-310, 300, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    a[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-320]
+    t = Tape()
+    out = t.leaky_relu(a, slope)
+    grad = t.backward(t.sum(out), {"a": a})["a"]  # the rule's factor, times ones
+    expected = np.where(a > 0, a, slope * a)
+    np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+    factor = np.where(a > 0, 1.0, slope)
+    np.testing.assert_array_equal(grad.view(np.int64), factor.view(np.int64))
+
+
+def test_leaky_relu_slope_must_be_in_unit_interval():
+    for slope in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValidationError, match="slope"):
+            Tape().leaky_relu(np.array([1.0, -1.0]), slope)
 
 
 def test_backward_sum_gives_ones():
@@ -399,6 +422,21 @@ def test_tape_consumed_once():
     w = np.array([1.0])
     loss = t.sum(w)
     t.backward(loss, {"w": w})
+    with pytest.raises(ValidationError, match="consumed"):
+        t.backward(loss, {"w": w})
+
+
+def test_backward_frees_intermediates_as_it_replays():
+    t = Tape()
+    w = np.array([0.5, -1.5])
+    hidden = t.tanh(t.mul_scalar(w, 2.0))
+    ref = weakref.ref(hidden)
+    loss = t.sum(hidden)
+    del hidden  # only the tape holds it now
+    assert ref() is not None and len(t) == 3
+    grads = t.backward(loss, {"w": w})
+    assert ref() is None and len(t) == 3
+    np.testing.assert_allclose(grads["w"], 2.0 * (1.0 - np.tanh(2.0 * w) ** 2), rtol=1e-15)
     with pytest.raises(ValidationError, match="consumed"):
         t.backward(loss, {"w": w})
 

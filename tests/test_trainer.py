@@ -262,7 +262,9 @@ def test_numeric_failure_names_the_epoch(monkeypatch):
         train(tiny_config(epochs=1))
 
 
-@pytest.mark.parametrize("dataset_mode, baseline_passes", [("fixed", 2), ("resampled", 10)])
+# in epochs 1 and 6 the baseline was just copied from the policy and
+# takes the policy's scores; fixed graphs then never need its own pass
+@pytest.mark.parametrize("dataset_mode, baseline_passes", [("fixed", 0), ("resampled", 8)])
 def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
     monkeypatch, dataset_mode, baseline_passes
 ):
