@@ -18,7 +18,8 @@ A temperature softmax turns the scores of the unvisited neighbors into
 move probabilities. Both take a batch of graphs of any sizes, a single
 graph being a batch of one: the encoder returns the union's
 ``[N, embed_dim]`` float64 embeddings, one row per node, the decoder one
-``[E]`` array of edge scores.
+``[E]`` array of edge scores. The parameters are one flat float64
+buffer in ``param_spec`` order; a checkpoint stores its slices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import ValidationError
 from .files import atomic_write_text
 from .graphgen import WeightedGraph
-from .numcore import ForwardTape, RowIndex, Segments, Tape
+from .numcore import ForwardTape, ParamBuffer, RowIndex, Segments, Tape
 
 CHECKPOINT_VERSION = 2  # the version written; version 1 is still read
 
@@ -67,27 +68,34 @@ def param_spec(embed_dim: int, num_heads: int, ff_dim: int) -> dict[str, tuple]:
 
 
 @dataclass
-class ModelParams:
-    """Hyperparameters plus one float64 array per ``param_spec`` entry."""
+class ModelParams(ParamBuffer):
+    """Hyperparameters plus every ``param_spec`` entry, as a ``ParamBuffer``:
+    one flat float64 ``buffer`` in spec order, zeros unless given, and
+    ``tensors``, a view of it per name."""
 
     embed_dim: int
     num_heads: int
     ff_dim: int
     score_clip: float
-    tensors: dict[str, np.ndarray]
+    buffer: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if min(self.embed_dim, self.num_heads, self.ff_dim) <= 0:
-            raise ValidationError(f"model sizes must be positive, got {self.hyper()}")
-        if self.embed_dim % self.num_heads != 0:
-            raise ValidationError(
-                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
-            )
-        if not (0 < self.score_clip < math.inf):
-            raise ValidationError(f"score_clip must be finite and positive, got {self.score_clip}")
+        _check_hyper(self.hyper())
+        spec = param_spec(self.embed_dim, self.num_heads, self.ff_dim)
+        ParamBuffer.__init__(self, {name: shape for name, (shape, _) in spec.items()}, self.buffer)
 
     def hyper(self) -> dict:
         return {key: getattr(self, key) for key in HYPER_FIELDS}
+
+
+def _check_hyper(hyper: dict) -> None:
+    embed_dim, num_heads, ff_dim, score_clip = (hyper[key] for key in HYPER_FIELDS)
+    if min(embed_dim, num_heads, ff_dim) <= 0:
+        raise ValidationError(f"model sizes must be positive, got {hyper}")
+    if embed_dim % num_heads != 0:
+        raise ValidationError(f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
+    if not (0 < score_clip < math.inf):
+        raise ValidationError(f"score_clip must be finite and positive, got {score_clip}")
 
 
 def init_params(
@@ -98,18 +106,17 @@ def init_params(
     score_clip: float = 10.0,
 ) -> ModelParams:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization."""
-    params = ModelParams(embed_dim, num_heads, ff_dim, score_clip, tensors={})
+    params = ModelParams(embed_dim, num_heads, ff_dim, score_clip)
     rng = np.random.default_rng(seed)
     for name, (shape, fan_in) in param_spec(embed_dim, num_heads, ff_dim).items():
         bound = 1.0 / math.sqrt(fan_in)
-        params.tensors[name] = rng.uniform(-bound, bound, size=shape)
+        params.tensors[name][...] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
 def copy_params(params: ModelParams) -> ModelParams:
-    """Deep copy, e.g. to freeze a baseline network."""
-    tensors = {name: t.copy() for name, t in params.tensors.items()}
-    return replace(params, tensors=tensors)
+    """Deep copy, one buffer copy, e.g. to freeze a baseline network."""
+    return replace(params, buffer=params.buffer.copy())
 
 
 class GraphBatch(tuple):
@@ -275,16 +282,17 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def _checkpoint_chunks(params: ModelParams):
     """The checkpoint text as chunks: the header, then one chunk per
-    parameter, its base64 ``data`` beside its shape, each encoded by
-    json's C encoder, so the whole text is never held at once."""
+    parameter, the base64 of its slice of the buffer's bytes beside its
+    shape, each encoded by json's C encoder, so the whole text is never
+    held at once."""
     head = json.dumps({"version": CHECKPOINT_VERSION, "hyper": params.hyper()})
     yield head[:-1] + ', "params": {'
-    separator = ""
-    for name in param_spec(params.embed_dim, params.num_heads, params.ff_dim):
-        t = params.tensors[name]
-        data = base64.b64encode(np.asarray(t, dtype="<f8").tobytes()).decode("ascii")
+    raw = memoryview(np.asarray(params.buffer, dtype="<f8")).cast("B")
+    separator, start = "", 0
+    for name, t in params.tensors.items():
+        data = base64.b64encode(raw[start : start + 8 * t.size]).decode("ascii")
         yield f"{separator}{json.dumps(name)}: {json.dumps({'shape': list(t.shape), 'data': data})}"
-        separator = ", "
+        separator, start = ", ", start + 8 * t.size
     yield "}}\n"
 
 
@@ -324,14 +332,16 @@ def _params_from_doc(doc) -> ModelParams:
     blobs = doc.get("params")
     if not isinstance(blobs, dict):
         raise ValidationError("field 'params' is missing or not an object")
-    params = ModelParams(**{key: _header_number(hyper, key) for key in HYPER_FIELDS}, tensors={})
+    hyper = {key: _header_number(hyper, key) for key in HYPER_FIELDS}
+    _check_hyper(hyper)  # before any buffer is sized by the header
     # Every head has its own parameters, so this bounds the spec by the file.
-    if params.num_heads > len(blobs):
+    if hyper["num_heads"] > len(blobs):
         raise ValidationError(
-            f"header has {params.num_heads} heads but 'params' holds only {len(blobs)} entries"
+            f"header has {hyper['num_heads']} heads but 'params' holds only {len(blobs)} entries"
         )
 
-    spec = param_spec(params.embed_dim, params.num_heads, params.ff_dim)
+    spec = param_spec(hyper["embed_dim"], hyper["num_heads"], hyper["ff_dim"])
+    flats = []
     for name, (shape, _) in spec.items():
         if name not in blobs:
             raise ValidationError(f"missing parameter {name!r}")
@@ -344,13 +354,13 @@ def _params_from_doc(doc) -> ModelParams:
             )
         field = f"field 'params.{name}.{payload}'"
         flat = decode(blob.get(payload), math.prod(shape), field)
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise ValidationError(f"{field} holds non-finite numbers")
-        params.tensors[name] = flat.reshape(shape)
+        flats.append(flat)
     extra = sorted(set(blobs) - set(spec))
     if extra:
         raise ValidationError(f"unexpected parameters: {extra}")
-    return params
+    return ModelParams(**hyper, buffer=np.concatenate(flats, dtype=np.float64))
 
 
 def _header_number(hyper: dict, key: str):
@@ -379,7 +389,7 @@ def _values_array(values, size: int, field: str) -> np.ndarray:
 
 def _data_array(data, size: int, field: str) -> np.ndarray:
     """Version 2: the base64 of ``size`` little-endian float64s, as a
-    writable float64 array."""
+    read-only array over the decoded bytes."""
     if not isinstance(data, str):
         raise ValidationError(f"{field} must be a base64 string")
     try:
@@ -388,7 +398,7 @@ def _data_array(data, size: int, field: str) -> np.ndarray:
         raise ValidationError(f"{field} is not valid base64: {exc}") from exc
     if len(raw) != 8 * size:
         raise ValidationError(f"{field} holds {len(raw)} bytes, its shape needs {8 * size}")
-    return np.frombuffer(raw, "<f8").astype(np.float64)
+    return np.frombuffer(raw, "<f8")
 
 
 _PAYLOADS = {1: ("values", _values_array), 2: ("data", _data_array)}  # version -> entry decoder

@@ -4,9 +4,11 @@ Every learnable computation in the package is built from the primitives
 here. A forward op takes and returns float64 ``np.ndarray``s, validates
 shapes, rejects non-finite results, and appends its local gradient rule
 to a ``Tape``; ``Tape.backward`` replays the records in reverse and
-returns the exact chain-rule gradients of the arrays it is asked for,
-which ``adam_step`` consumes. Adjoints are keyed by array identity, so
-an op always returns a new array object, never one of its inputs.
+returns the exact chain-rule gradients of the arrays it is asked for.
+Adjoints are keyed by array identity, so an op always returns a new
+array object, never one of its inputs. Parameters are a ``ParamBuffer``,
+one flat float64 buffer read through a view per name, and ``adam_step``
+updates the whole buffer at once from the gradients ``backward`` returns.
 
 Sparse structure is plain index data: a ``RowIndex`` names the rows a
 ``gather_rows`` reads (its backward scatters through the same index),
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, MutableMapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,13 +38,14 @@ __all__ = [
     "Tape",
     "RowIndex",
     "Segments",
+    "ParamBuffer",
     "AdamState",
     "adam_step",
 ]
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -380,6 +384,32 @@ class ForwardTape(Tape):
         pass
 
 
+class ParamBuffer:
+    """Named float64 arrays held in one flat, C-contiguous ``buffer``:
+    ``tensors`` maps each name of ``shapes``, in order, to a reshaped view
+    of the next slice of it. The mapping is read-only; a value changes by
+    writing into its view, or every value by installing a new buffer.
+    Without a buffer, every value is zero."""
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], buffer: np.ndarray | None = None):
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self.size = sum(map(math.prod, self.shapes.values()))
+        self.install(np.zeros(self.size) if buffer is None else buffer)
+
+    def install(self, buffer: np.ndarray) -> None:
+        """Hold the values in ``buffer`` from now on; the old buffer and
+        its views are left as they are."""
+        if buffer.shape != (self.size,) or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
+            raise ValidationError(
+                f"parameters need a C-contiguous float64 buffer of {self.size} values, "
+                f"got {buffer.dtype} {buffer.shape}"
+            )
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes.values()])
+        parts = zip(self.shapes.items(), np.split(buffer, ends[:-1]))
+        self.buffer = buffer
+        self.tensors = MappingProxyType({name: part.reshape(shape) for (name, shape), part in parts})
+
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -387,31 +417,35 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus the shared step counter."""
+    """The shared step counter and the moment estimates, each one
+    ``ParamBuffer`` laid out as the parameters are. The moments and the
+    step's two scratch buffers are made at the first step and reused."""
 
     learning_rate: float = 1e-3
     step: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    first_moment: ParamBuffer | None = None
+    second_moment: ParamBuffer | None = None
+    _scratch: tuple[ParamBuffer, np.ndarray] | None = field(default=None, repr=False)
 
 
-def adam_step(
-    params: MutableMapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    state: AdamState,
-) -> None:
-    """One bias-corrected Adam update of ``params`` and ``state``, in place.
+def adam_step(params: ParamBuffer, grads: Mapping[str, np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``.
 
-    Each parameter gets its own effective step size from its moment
-    estimates. A new array replaces ``params[name]``; the old one is kept.
+    Each parameter entry gets its own effective step size from its moment
+    estimates. The gradients are gathered into one buffer and checked
+    before anything changes, the moments are updated in place, and the
+    new values are one new buffer that ``params`` installs, so the old
+    buffer and its views are kept. Every op is elementwise, so the whole
+    buffer rounds exactly as one array per parameter would.
     """
     if not 0 < state.learning_rate < math.inf:  # also false for NaN
         raise ValidationError(f"learning_rate must be positive and finite, got {state.learning_rate}")
-    state.step += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
-    for name, p in params.items():
+    if state._scratch is None:
+        state.first_moment = ParamBuffer(params.shapes)
+        state.second_moment = ParamBuffer(params.shapes)
+        state._scratch = ParamBuffer(params.shapes), np.empty(params.size)
+    gathered, work = state._scratch
+    for name, p in params.tensors.items():
         if name not in grads:
             raise ValidationError(f"missing gradient for parameter {name!r}")
         g = np.asarray(grads[name], dtype=np.float64)
@@ -419,17 +453,22 @@ def adam_step(
             raise ValidationError(
                 f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}"
             )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        m = state.first_moment.get(name)
-        v = state.second_moment.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / bias1
-        v_hat = v / bias2
-        params[name] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        gathered.tensors[name][...] = g
+    g = gathered.buffer
+    if not np.isfinite(g).all():
+        name = next(name for name, t in gathered.tensors.items() if not np.isfinite(t).all())
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
+    state.step += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m, v = state.first_moment.buffer, state.second_moment.buffer
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=work)
+    v *= b2
+    v += np.multiply(np.multiply(g, 1.0 - b2, out=work), g, out=work)
+    # lr * (m / bias1) / (sqrt(v / bias2) + eps), in the order the ops round
+    np.sqrt(np.divide(v, 1.0 - b2**state.step, out=work), out=work)
+    work += ADAM_EPS
+    np.divide(m, 1.0 - b1**state.step, out=g)
+    g *= state.learning_rate
+    g /= work
+    params.install(params.buffer - g)

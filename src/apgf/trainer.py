@@ -10,8 +10,8 @@ averaged over the epoch's graphs, with one Adam step on the gradients
 ``Tape.backward`` returns. Rollouts are plain data; the loss
 differentiates them through ``move_log_probs`` on the policy's scores.
 The baseline network is never touched by gradients; every
-``baseline_sync_period`` epochs it is overwritten with a copy of the
-policy. Runs are bit-reproducible from the config seed.
+``baseline_sync_period`` epochs it is overwritten with the policy.
+Runs are bit-reproducible from the config seed.
 
 An epoch is one batched computation: the policy encodes and scores all
 of the epoch's graphs, as one disjoint union, in one taped pass, every
@@ -24,7 +24,8 @@ when the baseline is synced or the graphs are resampled, so they are
 computed once and reused until then. In the first epoch and the epoch
 after each sync the baseline's parameters equal the policy's, so its
 scores are the policy's taped ones; otherwise they take one untaped
-pass. In ``fixed`` mode the baseline never needs a pass of its own.
+pass. In ``fixed`` mode the baseline never needs a pass of its own, so
+only ``resampled`` mode keeps a copy of its parameters.
 """
 
 from __future__ import annotations
@@ -167,8 +168,7 @@ def train(
     """Run the full training loop; returns the policy and per-epoch metrics.
 
     With ``out_dir`` set, a checkpoint is written at every baseline sync
-    and at the end, alongside ``metrics.csv`` and ``timings.csv``. When
-    the last epoch syncs, the final checkpoint is a copy of its file.
+    and at the end, alongside ``metrics.csv`` and ``timings.csv``.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -179,8 +179,8 @@ def train(
         ff_dim=config.ff_dim,
         score_clip=config.score_clip,
     )
-    baseline = copy_params(policy)
-    params = policy.tensors
+    resampled = config.dataset_mode == "resampled"
+    baseline = copy_params(policy) if resampled else None
     adam = AdamState(learning_rate=config.learning_rate)
 
     graphs = _training_graphs(config, rng)
@@ -194,7 +194,7 @@ def train(
     train_started = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         epoch_started = time.perf_counter()
-        if config.dataset_mode == "resampled":
+        if resampled:
             graphs = _training_graphs(config, rng)
             baseline_scores = None
 
@@ -220,13 +220,13 @@ def train(
             mean_loss_t = reinforce_loss(
                 scores, graphs, sampled, baseline_rewards, config.temperature, tape
             )
-            adam_step(params, tape.backward(mean_loss_t, params), adam)
+            adam_step(policy, tape.backward(mean_loss_t, policy.tensors), adam)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
         synced = baseline_is_policy = epoch % config.baseline_sync_period == 0
         if synced:
-            baseline = copy_params(policy)
+            baseline = copy_params(policy) if resampled else None
             baseline_scores = None
             if out_path is not None:
                 save_checkpoint(policy, out_path / f"checkpoint_epoch_{epoch:04d}.json")
@@ -244,15 +244,7 @@ def train(
 
     total_seconds = time.perf_counter() - train_started
     if out_path is not None:
-        final = out_path / "checkpoint_final.json"
-        if metrics and metrics[-1].synced_baseline:
-            # no step ran since the last sync's checkpoint: copy its text in
-            # 64 KiB chunks rather than encode the same parameters again
-            last_sync = out_path / f"checkpoint_epoch_{config.epochs:04d}.json"
-            with open(last_sync, encoding="utf-8") as fh:
-                atomic_write_text(final, iter(lambda: fh.read(1 << 16), ""))
-        else:
-            save_checkpoint(policy, final)
+        save_checkpoint(policy, out_path / "checkpoint_final.json")
         atomic_write_text(out_path / "metrics.csv", metrics_to_csv(metrics))
         atomic_write_text(out_path / "timings.csv", timings_to_csv(metrics, total_seconds))
     return policy, metrics

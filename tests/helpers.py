@@ -19,7 +19,7 @@ import numpy as np
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import WeightedGraph
 from apgf.model import LEAKY_SLOPE, NUM_LAYERS, ModelParams, edge_scores, encode
-from apgf.numcore import ForwardTape, Tape
+from apgf.numcore import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ForwardTape, Tape
 from apgf.rollout import RolloutResult, move_log_probs
 
 
@@ -53,6 +53,33 @@ def central_difference(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> float:
     denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom))
+
+
+class ReferenceAdam:
+    """Bias-corrected Adam one named array at a time, each parameter with
+    its own pair of moment arrays: the per-name loop the flat
+    ``adam_step`` must match bit for bit."""
+
+    def __init__(self, learning_rate: float = 1e-3):
+        self.learning_rate = learning_rate
+        self.step = 0
+        self.first_moment: dict[str, np.ndarray] = {}
+        self.second_moment: dict[str, np.ndarray] = {}
+
+    def update(self, params: dict[str, np.ndarray], grads) -> None:
+        """Replace every ``params[name]`` by its updated array."""
+        self.step += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for name, p in params.items():
+            g = np.asarray(grads[name], dtype=np.float64)
+            m = self.first_moment.get(name, np.zeros_like(p))
+            v = self.second_moment.get(name, np.zeros_like(p))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            self.first_moment[name], self.second_moment[name] = m, v
+            m_hat = m / (1.0 - b1**self.step)
+            v_hat = v / (1.0 - b2**self.step)
+            params[name] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def simple_paths(graph: WeightedGraph, end: int):
@@ -126,13 +153,9 @@ def identity_model(score_clip: float = 10.0):
     moving from i to j is clip * tanh(w_i * w_j): a heavier candidate
     always scores higher. Handy for rigging deterministic choices.
     """
-    from apgf.model import init_params
-
-    params = init_params(0, embed_dim=1, num_heads=1, ff_dim=1, score_clip=score_clip)
-    for name, t in params.tensors.items():
-        params.tensors[name] = np.zeros_like(t)
+    params = ModelParams(embed_dim=1, num_heads=1, ff_dim=1, score_clip=score_clip)  # all zeros
     for name in ("encoder.input_lift", "decoder.query_proj", "decoder.key_proj"):
-        params.tensors[name] = np.array([[1.0]])
+        params.tensors[name][...] = 1.0
     return params
 
 

@@ -14,11 +14,13 @@ from apgf.errors import ApgfError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import (
     GraphBatch,
+    ModelParams,
     copy_params,
     edge_scores,
     encode,
     init_params,
     load_checkpoint,
+    param_spec,
     save_checkpoint,
 )
 from apgf.numcore import ForwardTape, Tape
@@ -49,8 +51,8 @@ def small_params(seed=0, embed_dim=8, num_heads=2, ff_dim=12, score_clip=10.0):
 def decoder_params(query_proj, key_proj, score_clip=10.0):
     """A model whose decoder projections are the given square matrices."""
     params = init_params(0, embed_dim=len(query_proj), num_heads=1, ff_dim=1, score_clip=score_clip)
-    params.tensors["decoder.query_proj"] = np.array(query_proj, dtype=np.float64)
-    params.tensors["decoder.key_proj"] = np.array(key_proj, dtype=np.float64)
+    params.tensors["decoder.query_proj"][...] = query_proj
+    params.tensors["decoder.key_proj"][...] = key_proj
     return params
 
 
@@ -78,7 +80,7 @@ def test_zero_weight_matrices_leave_only_lifted_inputs():
     params = small_params()
     for name, t in params.tensors.items():
         if name != "encoder.input_lift":
-            params.tensors[name] = np.zeros_like(t)
+            t[...] = 0.0
     emb = encode([g], params)
     lifted = g.node_weights.reshape(-1, 1) @ params.tensors["encoder.input_lift"]
     np.testing.assert_array_equal(emb, lifted)
@@ -433,6 +435,24 @@ def test_copy_params_is_decoupled():
     assert frozen.hyper() == params.hyper()
 
 
+def test_parameters_are_views_of_one_buffer_in_spec_order(tmp_path):
+    params = small_params(seed=9)
+    save_checkpoint(params, tmp_path / "ckpt.json")
+    copied, loaded = copy_params(params), load_checkpoint(tmp_path / "ckpt.json")
+    spec = [(name, shape) for name, (shape, _) in param_spec(8, 2, 12).items()]
+    for p in (params, copied, loaded):
+        assert p.buffer.dtype == np.float64 and p.buffer.flags.c_contiguous
+        assert [(name, t.shape) for name, t in p.tensors.items()] == spec
+        p.buffer[:] = np.arange(p.buffer.size)  # every view sees it, in spec order
+        flat = np.concatenate([t.reshape(-1) for t in p.tensors.values()])
+        np.testing.assert_array_equal(flat, np.arange(p.buffer.size))
+        with pytest.raises(TypeError):  # a value changes through its view, never by rebinding
+            p.tensors["encoder.input_lift"] = np.zeros((1, 8))
+    assert not np.shares_memory(copied.buffer, params.buffer)
+    with pytest.raises(ValidationError, match=r"buffer of 13 values, got float64 \(3,\)"):
+        ModelParams(1, 1, 1, 10.0, buffer=np.zeros(3))
+
+
 def test_decoder_gradients_match_finite_differences():
     g = generate_random_graph(6, 7, seed=14)
     params = small_params(seed=15, embed_dim=4, num_heads=2, ff_dim=6)
@@ -521,7 +541,7 @@ def test_checkpoint_is_json_dumps_of_the_document(
     params = init_params(0, num_heads * head_dim, num_heads, ff_dim, score_clip)
     for name, t in params.tensors.items():
         values = data.draw(st.lists(_stored_floats, min_size=t.size, max_size=t.size), label=name)
-        params.tensors[name] = np.array(values, dtype=np.float64).reshape(t.shape)
+        t[...] = np.array(values, dtype=np.float64).reshape(t.shape)
     params.tensors["decoder.key_proj"].flat[: len(_EDGE_FLOATS)] = _EDGE_FLOATS
     path = tmp_path_factory.mktemp("frame") / "ckpt.json"
     save_checkpoint(params, path)

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
-from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step
+from apgf.model import init_params
+from apgf.numcore import AdamState, ParamBuffer, RowIndex, Segments, Tape, adam_step
 
-from helpers import CheckedTape, central_difference, masked_softmax, max_relative_error
+from helpers import (
+    CheckedTape,
+    ReferenceAdam,
+    central_difference,
+    masked_softmax,
+    max_relative_error,
+)
 
 
 def rand_signed(rng, shape):
@@ -445,36 +452,40 @@ def test_backward_frees_intermediates_as_it_replays():
 
 
 def make_params(*arrays):
-    return {f"p{i}": a for i, a in enumerate(arrays)}
+    """A ``ParamBuffer`` holding ``arrays`` as p0, p1, ..."""
+    flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64)
+    return ParamBuffer({f"p{i}": np.shape(a) for i, a in enumerate(arrays)}, flat)
 
 
 def test_adam_zero_grads_leave_params_unchanged():
     params = make_params(np.array([1.0, -2.0]), np.array([[0.5]]))
-    before = {k: p.copy() for k, p in params.items()}
+    before = params.buffer.copy()
     state = AdamState()
     for _ in range(3):
-        adam_step(params, {k: np.zeros_like(p) for k, p in params.items()}, state)
-    for k, p in params.items():
-        np.testing.assert_array_equal(p, before[k])
+        adam_step(params, {k: np.zeros_like(p) for k, p in params.tensors.items()}, state)
+    np.testing.assert_array_equal(params.buffer, before)
     assert state.step == 3
 
 
 def test_adam_replaces_each_parameter_and_leaves_the_old_array_alone():
-    old = np.array([1.0, -2.0])
-    params = {"p0": old}
+    params = make_params(np.array([1.0, -2.0]))
+    old, old_buffer = params.tensors["p0"], params.buffer
     adam_step(params, {"p0": np.array([0.5, 0.5])}, AdamState())
-    assert params["p0"] is not old
-    assert not np.array_equal(params["p0"], old)
+    assert params.tensors["p0"] is not old
+    assert params.buffer is not old_buffer
+    assert np.shares_memory(params.tensors["p0"], params.buffer)
+    assert not np.array_equal(params.tensors["p0"], old)
     np.testing.assert_array_equal(old, [1.0, -2.0])
+    np.testing.assert_array_equal(old_buffer, [1.0, -2.0])
 
 
 def test_adam_moments_decay_after_grads_vanish():
     params = make_params(np.array([1.0]))
     state = AdamState()
     adam_step(params, {"p0": np.array([2.0])}, state)
-    m1 = state.first_moment["p0"].copy()
+    m1 = state.first_moment.tensors["p0"].copy()
     adam_step(params, {"p0": np.array([0.0])}, state)
-    assert abs(state.first_moment["p0"][0]) < abs(m1[0])
+    assert abs(state.first_moment.tensors["p0"][0]) < abs(m1[0])
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
@@ -483,7 +494,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
         params = make_params(np.array([1.0]))
         state = AdamState(learning_rate=1e-3)
         adam_step(params, {"p0": np.array([g])}, state)
-        delta = params["p0"][0] - 1.0
+        delta = params.tensors["p0"][0] - 1.0
         expected = -1e-3 * g / (abs(g) + 1e-8)
         assert delta == pytest.approx(expected, rel=1e-12)
         assert abs(delta) == pytest.approx(1e-3, rel=1e-6)
@@ -495,21 +506,46 @@ def test_adam_per_parameter_step_sizes_differ():
     # second step with unequal grad histories gives unequal effective steps
     adam_step(params, {"p0": np.array([1.0]), "p1": np.array([100.0])}, state)
     adam_step(params, {"p0": np.array([0.5]), "p1": np.array([1.0])}, state)
-    step0 = params["p0"][0]
-    step1 = params["p1"][0]
+    step0 = params.tensors["p0"][0]
+    step1 = params.tensors["p1"][0]
     assert step0 != step1
 
 
 def test_adam_rejects_bad_grads():
-    params = make_params(np.array([1.0, 2.0]))
+    params = make_params(np.array([1.0, 2.0]), np.array([3.0]))
     state = AdamState()
     with pytest.raises(ValidationError, match="shape"):
-        adam_step(params, {"p0": np.zeros((3,))}, state)
-    with pytest.raises(NumericError):
-        adam_step(params, {"p0": np.array([np.nan, 0.0])}, state)
-    with pytest.raises(ValidationError, match="missing"):
-        adam_step(params, {}, state)
+        adam_step(params, {"p0": np.zeros((3,)), "p1": np.zeros(1)}, state)
+    with pytest.raises(NumericError, match="'p1'"):
+        adam_step(params, {"p0": np.zeros(2), "p1": np.array([np.nan])}, state)
+    with pytest.raises(ValidationError, match="missing.*'p1'"):
+        adam_step(params, {"p0": np.zeros(2)}, state)
     for learning_rate in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="learning_rate"):
             adam_step(params, {"p0": np.zeros(2)}, AdamState(learning_rate=learning_rate))
-    np.testing.assert_array_equal(params["p0"], [1.0, 2.0])
+    np.testing.assert_array_equal(params.buffer, [1.0, 2.0, 3.0])
+    assert state.step == 0 and not state.first_moment.buffer.any()
+
+
+@pytest.mark.parametrize("sizes", [dict(), dict(embed_dim=2, num_heads=1, ff_dim=3)])
+def test_flat_adam_matches_the_per_name_loop_bit_for_bit(sizes):
+    # the paper config's 33,280 parameters, and a tiny model's
+    params = init_params(seed=3, **sizes)
+    reference = dict(params.tensors)
+    state, reference_state = AdamState(learning_rate=1e-3), ReferenceAdam(learning_rate=1e-3)
+    rng = np.random.default_rng(4)
+    for step in range(24):
+        # gradients of varied scale, some entries exactly zero
+        grads = {
+            name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-6, 4) * (rng.random(t.shape) > 0.1)
+            for name, t in params.tensors.items()
+        }
+        adam_step(params, grads, state)
+        reference_state.update(reference, grads)
+        for name, t in params.tensors.items():
+            for a, b in [
+                (t, reference[name]),
+                (state.first_moment.tensors[name], reference_state.first_moment[name]),
+                (state.second_moment.tensors[name], reference_state.second_moment[name]),
+            ]:
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), f"{step} {name}")

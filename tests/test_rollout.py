@@ -107,7 +107,7 @@ def test_trace_with_tied_scores_falls_to_index_order():
     # tie-break reproduces the same trace
     graph = fig10_graph(weights=[0.5] * 6)
     params = identity_model()
-    params.tensors["decoder.query_proj"] = np.array([[0.0]])
+    params.tensors["decoder.query_proj"][...] = 0.0
     result = decode_all(graph, params, start=0, mode="greedy")
     assert_matches_expected_trace(result)
 

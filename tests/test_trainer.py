@@ -98,7 +98,7 @@ def test_positive_advantage_raises_probability_of_taken_action():
     tape = Tape()
     scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
     loss = reinforce_loss(scores, [graph], [rolled], [rolled.reward - 1.0], 1.0, tape)
-    adam_step(params.tensors, tape.backward(loss, params.tensors), AdamState(learning_rate=1e-3))
+    adam_step(params, tape.backward(loss, params.tensors), AdamState(learning_rate=1e-3))
 
     prob_after = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
     # step 1 chose between two leaves: its probability must strictly rise
@@ -204,7 +204,7 @@ def test_checkpoints_written_at_sync_epochs(tmp_path):
     assert (tmp_path / "timings.csv").exists()
 
 
-@pytest.mark.parametrize("epochs, saves", [(20, 2), (15, 2), (0, 1)])
+@pytest.mark.parametrize("epochs, saves", [(20, 3), (15, 2), (0, 1)])
 def test_final_checkpoint_is_the_returned_policy_encoded_once(
     tmp_path, monkeypatch, epochs, saves
 ):
@@ -219,7 +219,7 @@ def test_final_checkpoint_is_the_returned_policy_encoded_once(
     save_checkpoint(policy, tmp_path / "fresh.json")
     final = (tmp_path / "run" / "checkpoint_final.json").read_bytes()
     assert final == (tmp_path / "fresh.json").read_bytes()
-    # a final epoch that syncs has already written these bytes: they are copied, not re-encoded
+    # one save per sync, and one of the final policy, even when the last epoch syncs
     assert len(calls) == saves
     if epochs == 20:
         assert final == (tmp_path / "run" / "checkpoint_epoch_0020.json").read_bytes()
@@ -278,11 +278,15 @@ def test_one_policy_pass_per_epoch_and_baseline_passes_per_sync(
         passes.append(("policy" if type(tape) is Tape else "baseline", len(graphs)))
         return real_encode(graphs, params, tape)
 
+    copies = []
     monkeypatch.setattr(trainer_mod, "encode", spy)
+    monkeypatch.setattr(trainer_mod, "copy_params", lambda p: copies.append(p) or copy_params(p))
     train(tiny_config(epochs=10, baseline_sync_period=5, dataset_mode=dataset_mode))
     assert passes.count(("policy", 3)) == 10
     assert passes.count(("baseline", 3)) == baseline_passes
     assert len(passes) == 10 + baseline_passes
+    # only resampled mode reads the baseline's own parameters: copied at the start and each sync
+    assert len(copies) == (3 if dataset_mode == "resampled" else 0)
 
 
 @pytest.mark.parametrize("dataset_mode, builds", [("fixed", 1), ("resampled", 10)])
