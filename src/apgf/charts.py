@@ -7,8 +7,11 @@ same in-memory data can be cross-checked exactly.
 
 from __future__ import annotations
 
+import html
+from functools import partial
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
+
+_escape = partial(html.escape, quote=False)  # &, < and >, all that XML text needs
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -19,7 +22,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 48, 56
 def _series_desc(xs: Sequence[float], series: Mapping[str, Sequence[float]]) -> str:
     parts = ["x=" + ",".join(repr(float(x)) for x in xs)]
     for label in series:
-        parts.append(escape(label) + "=" + ",".join(repr(float(y)) for y in series[label]))
+        parts.append(_escape(label) + "=" + ",".join(repr(float(y)) for y in series[label]))
     return ";".join(parts)
 
 
@@ -39,11 +42,11 @@ def _frame(title: str, x_label: str, y_label: str, body: str, desc: str) -> str:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif">\n'
         f"<desc>{desc}</desc>\n"
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
-        f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>\n'
+        f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>\n'
         f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="12">'
-        f"{escape(x_label)}</text>\n"
+        f"{_escape(x_label)}</text>\n"
         f'<text x="16" y="{_HEIGHT / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {_HEIGHT / 2})">{escape(y_label)}</text>\n'
+        f'transform="rotate(-90 16 {_HEIGHT / 2})">{_escape(y_label)}</text>\n'
         f"{body}"
         "</svg>\n"
     )
@@ -110,7 +113,7 @@ def line_chart(
         body.append(
             f'<line x1="{_WIDTH - _MARGIN_R - 150}" y1="{ly - 4}" x2="{_WIDTH - _MARGIN_R - 126}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>\n'
-            f'<text x="{_WIDTH - _MARGIN_R - 120}" y="{ly}" font-size="11">{escape(label)}</text>\n'
+            f'<text x="{_WIDTH - _MARGIN_R - 120}" y="{ly}" font-size="11">{_escape(label)}</text>\n'
         )
     return _frame(title, x_label, y_label, "".join(body), _series_desc(xs, series))
 
@@ -156,14 +159,14 @@ def grouped_bar_chart(
         body.append(
             f'<rect x="{_WIDTH - _MARGIN_R - 150}" y="{ly - 10}" width="12" height="10" '
             f'fill="{color}"/>\n'
-            f'<text x="{_WIDTH - _MARGIN_R - 132}" y="{ly}" font-size="11">{escape(label)}</text>\n'
+            f'<text x="{_WIDTH - _MARGIN_R - 132}" y="{ly}" font-size="11">{_escape(label)}</text>\n'
         )
     step = max(1, n_cat // 20)
     for c in range(0, n_cat, step):
         cx = _MARGIN_L + c * slot + slot / 2
         body.append(
             f'<text x="{cx:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-size="11">{escape(str(categories[c]))}</text>\n'
+            f'font-size="11">{_escape(str(categories[c]))}</text>\n'
         )
     body.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '

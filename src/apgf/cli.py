@@ -4,7 +4,11 @@ Every command is seed-deterministic and drops a RunManifest next to its
 outputs with the fully resolved configuration, enough to reproduce them
 bit-exactly. Exit codes: 0 success, 2 usage or validation error or
 sizes too large to allocate, 3 numeric failure, 4 brute-force cap
-refusal (the ``sum`` oracle only).
+refusal (the ``sum`` oracle only). Every input file, a graph, a
+checkpoint, a train config or an oracle cache, is read by ``files``' one
+JSON reader, so a malformed one exits 2 and names the file and the
+field; an oracle cache that cannot be read or parsed, or is for another
+graph, is recomputed instead.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ import functools
 import hashlib
 import json
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .charts import grouped_bar_chart, line_chart
 from .errors import CapExceededError, NumericError, ValidationError
-from .files import atomic_write_text
+from .files import atomic_write_text, json_value, read_json, reading
 from .graphgen import WeightedGraph, generate_random_graph, graph_to_json, load_graph, save_graph
 from .model import load_checkpoint
 from .oracle import DEFAULT_NODE_CAP, EndNodeBest, OracleResult, brute_force_scores, compare
@@ -92,58 +97,33 @@ def cmd_gen(args) -> int:
 
 # -- train -------------------------------------------------------------
 
-# TrainConfig field annotation (a string, as trainer.py postpones annotations)
-# -> (accepted JSON types, noun, converter)
-_FIELD_KINDS = {
-    "int": (int, "an integer", int),
-    "float": ((int, float), "a number", float),
-    "str": (str, "a string", str),
-}
+_CONFIG_KINDS = typing.get_type_hints(TrainConfig)  # each field's type, resolved once
 
 
 def _train_config_from_file(path: Path) -> TrainConfig:
     """Parse and validate a train config; errors are prefixed ``config <path>:``."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"config {path}: not UTF-8 text: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
-        raise ValidationError(f"config {path}: not valid JSON: {exc}") from exc
-    try:
-        return _train_config_from_doc(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"config {path}: {exc}") from exc
+    with reading("config", path):
+        return _train_config_from_doc(read_json(path))
 
 
 def _train_config_from_doc(doc) -> TrainConfig:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-
     problems = []
     kwargs = {}
-    field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    for key in sorted(doc):
-        value = doc[key]
-        if key not in field_types:
+    for key, value in sorted(json_value(doc, dict, "top level").items()):
+        if key not in _CONFIG_KINDS:
             problems.append(f"unknown config field {key!r}")
-        elif key == "score_config" and not isinstance(value, dict):
-            problems.append(f"score_config must be an object, got {value!r}")
-        elif key == "score_config":
-            known = {f.name for f in dataclasses.fields(ScoreConfig)}
-            for sub in sorted(set(value) - known):
-                problems.append(f"unknown score_config field {sub!r}")
-            try:
+            continue
+        try:
+            if key == "score_config":
+                value = json_value(value, dict, key)
+                known = {f.name for f in dataclasses.fields(ScoreConfig)}
+                for sub in sorted(set(value) - known):
+                    problems.append(f"unknown score_config field {sub!r}")
                 kwargs[key] = ScoreConfig(**{k: value[k] for k in known & value.keys()})
-            except ValidationError as exc:
-                problems.append(str(exc))
-        else:
-            kinds, noun, convert = _FIELD_KINDS[field_types[key]]
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                problems.append(f"{key} must be {noun}, got {value!r}")
             else:
-                kwargs[key] = convert(value)
+                kwargs[key] = json_value(value, _CONFIG_KINDS[key], key)
+        except ValidationError as exc:
+            problems.append(str(exc))
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -221,8 +201,8 @@ def _load_oracle_cache(
     anything else is a ValidationError.
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):
+        doc = read_json(path)
+    except (OSError, ValidationError):
         return None
     version = doc.get("version") if isinstance(doc, dict) else None
     # a JSON integer only: true and 1.0 compare equal to 1
@@ -230,43 +210,41 @@ def _load_oracle_cache(
         return None
 
     def bad(where):
-        return ValidationError(f"oracle cache {path}: bad or missing field '{where}'")
+        return ValidationError(f"bad or missing field '{where}'")
 
-    def field(obj, key, kinds, where=""):
+    def field(obj, key, kind, where=""):
         value = obj.get(key) if isinstance(obj, dict) else None
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            raise bad(where + key)
-        return value
+        return json_value(value, kind, f"field '{where}{key}'")
 
-    entries = field(doc, "entries", dict)
-    nodes = [str(v) for v in range(graph.num_nodes)]
-    odd = sorted(set(entries).symmetric_difference(nodes))
-    if odd:
-        raise bad(f"entries.{odd[0]}")
-    per_node = {}
-    for end, key in enumerate(nodes):
-        entry, where = entries[key], f"entries.{key}."
-        route = field(entry, "path", list, where)
-        score = field(entry, "score", float, where)
-        if not (
-            all(type(v) is int and 0 <= v < graph.num_nodes for v in route)
-            and route[:1] == [graph.start_index]
-            and route[-1] == end
-            and len(set(route)) == len(route)
-            and all(v in graph.neighbors[u] for u, v in zip(route, route[1:]))
-        ):
-            raise bad(where + "path")
-        if score != path_score([graph.node_weights[v] for v in route], aggregator):
-            raise bad(where + "score")
-        per_node[end] = EndNodeBest(
-            score=score, path=route, explored_paths=field(entry, "explored_paths", int, where)
-        )
-    explored = field(doc, "explored_path_count", int)
-    if explored != sum(best.explored_paths for best in per_node.values()):
-        raise bad("explored_path_count")
-    return OracleResult(
-        per_node=per_node, explored_path_count=explored, wall_clock=field(doc, "wall_clock", float)
-    )
+    with reading("oracle cache", path):
+        entries = field(doc, "entries", dict)
+        nodes = [str(v) for v in range(graph.num_nodes)]
+        odd = sorted(set(entries).symmetric_difference(nodes))
+        if odd:
+            raise bad(f"entries.{odd[0]}")
+        per_node = {}
+        for end, key in enumerate(nodes):
+            entry, where = entries[key], f"entries.{key}."
+            route = field(entry, "path", list, where)
+            score = field(entry, "score", float, where)
+            if not (
+                all(type(v) is int and 0 <= v < graph.num_nodes for v in route)
+                and route[:1] == [graph.start_index]
+                and route[-1] == end
+                and len(set(route)) == len(route)
+                and all(v in graph.neighbors[u] for u, v in zip(route, route[1:]))
+            ):
+                raise bad(where + "path")
+            if score != path_score([graph.node_weights[v] for v in route], aggregator):
+                raise bad(where + "score")
+            per_node[end] = EndNodeBest(
+                score=score, path=route, explored_paths=field(entry, "explored_paths", int, where)
+            )
+        explored = field(doc, "explored_path_count", int)
+        if explored != sum(best.explored_paths for best in per_node.values()):
+            raise bad("explored_path_count")
+        wall_clock = field(doc, "wall_clock", float)
+    return OracleResult(per_node=per_node, explored_path_count=explored, wall_clock=wall_clock)
 
 
 def _write_oracle_cache(path: Path, digest: str, result: OracleResult) -> None:

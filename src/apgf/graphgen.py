@@ -4,19 +4,22 @@ Graphs are undirected, connected, tree-like (a spanning tree plus a few
 extra edges), carry one uniform-[0,1] weight per node, and designate a
 random start node. Generation is a pure function of the seed: the same
 seed yields a bit-identical graph. Weights are drawn before any edges so
-the weight stream does not shift when the edge count changes.
+the weight stream does not shift when the edge count changes. A graph
+file is JSON, read by ``files``' one JSON reader; ``load_graph`` and
+``graph_from_json`` raise GraphFormatError for any error, naming the
+field.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import GraphFormatError, ValidationError
-from .files import atomic_write_text
+from .files import atomic_write_text, json_value, parse_json, reading
 
 GRAPH_FILE_VERSION = 1
 
@@ -203,72 +206,52 @@ def save_graph(graph: WeightedGraph, path) -> None:
     atomic_write_text(path, graph_to_json(graph))
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; JSON booleans load as Python bools, which are ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def graph_from_json(text: str) -> WeightedGraph:
+def graph_from_json(text: str | bytes) -> WeightedGraph:
+    """Parse a graph file's JSON text, or its UTF-8 bytes; every error,
+    the parser's and ``WeightedGraph``'s too, is a GraphFormatError."""
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError("top level must be an object")
-
-    version = doc.get("version")
-    if not _is_int(version) or version != GRAPH_FILE_VERSION:  # not true or 1.0
-        raise GraphFormatError(f"unsupported version {version!r} (expected {GRAPH_FILE_VERSION})")
-
-    num_nodes = doc.get("num_nodes")
-    if not _is_int(num_nodes) or num_nodes <= 0:
-        raise GraphFormatError(f"num_nodes must be a positive integer, got {num_nodes!r}")
-
-    start = doc.get("start_index")
-    if not _is_int(start) or not (0 <= start < num_nodes):
-        raise GraphFormatError(f"start_index must be in [0, {num_nodes}), got {start!r}")
-
-    weights = doc.get("weights")
-    if not isinstance(weights, list) or len(weights) != num_nodes:
-        raise GraphFormatError(f"weights must be a list of {num_nodes} numbers")
-    for i, w in enumerate(weights):
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise GraphFormatError(f"weights[{i}] is not a number: {w!r}")
-        if not (0.0 <= w <= 1.0):
-            raise GraphFormatError(f"weights[{i}] = {w!r}: weight out of range [0, 1]")
-
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise GraphFormatError("edges must be a list of [u, v] pairs")
-    pairs = []
-    for i, e in enumerate(edges):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(_is_int(x) for x in e)
-        ):
-            raise GraphFormatError(f"edges[{i}] is not an integer pair: {e!r}")
-        pairs.append((e[0], e[1]))
-
-    try:
-        return WeightedGraph(
-            num_nodes=num_nodes,
-            edges=tuple(pairs),
-            node_weights=np.asarray(weights, dtype=np.float64),
-            start_index=start,
-        )
+        return _graph_from_doc(parse_json(text))
     except ValidationError as exc:
         raise GraphFormatError(str(exc)) from exc
 
 
+def _graph_from_doc(doc) -> WeightedGraph:
+    doc = json_value(doc, dict, "top level")
+    version = doc.get("version")
+    if type(version) is not int or version != GRAPH_FILE_VERSION:  # not true or 1.0
+        raise ValidationError(f"unsupported version {version!r} (expected {GRAPH_FILE_VERSION})")
+
+    num_nodes = json_value(doc.get("num_nodes"), int, "num_nodes")
+    if num_nodes <= 0:
+        raise ValidationError(f"num_nodes must be a positive integer, got {num_nodes!r}")
+
+    start = json_value(doc.get("start_index"), int, "start_index")
+    if not (0 <= start < num_nodes):
+        raise ValidationError(f"start_index must be in [0, {num_nodes}), got {start!r}")
+
+    weights = doc.get("weights")
+    if not isinstance(weights, list) or len(weights) != num_nodes:
+        raise ValidationError(f"weights must be a list of {num_nodes} numbers")
+    for i, w in enumerate(weights):
+        if not (0.0 <= json_value(w, float, f"weights[{i}]") <= 1.0):
+            raise ValidationError(f"weights[{i}] = {w!r}: weight out of range [0, 1]")
+
+    edges = json_value(doc.get("edges"), list, "edges")
+    pairs = []
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
+            raise ValidationError(f"edges[{i}] is not an integer pair: {e!r}")
+        pairs.append((e[0], e[1]))
+
+    return WeightedGraph(
+        num_nodes=num_nodes,
+        edges=tuple(pairs),
+        node_weights=np.asarray(weights, dtype=np.float64),
+        start_index=start,
+    )
+
+
 def load_graph(path) -> WeightedGraph:
-    """Read a graph file; format errors are prefixed ``graph <path>:``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"graph {path}: not UTF-8 text: {exc}") from exc
-    try:
-        return graph_from_json(text)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"graph {path}: {exc}") from exc
+    """Read a graph file; every format error is a GraphFormatError prefixed ``graph <path>:``."""
+    with reading("graph", path):
+        return graph_from_json(Path(path).read_bytes())

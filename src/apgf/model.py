@@ -19,7 +19,8 @@ move probabilities. Both take a batch of graphs of any sizes, a single
 graph being a batch of one: the encoder returns the union's
 ``[N, embed_dim]`` float64 embeddings, one row per node, the decoder one
 ``[E]`` array of edge scores. The parameters are one flat float64
-buffer in ``param_spec`` order; a checkpoint stores its slices.
+buffer in ``param_spec`` order; a checkpoint stores its slices, and is
+read by ``files``' one JSON reader, which types its header's fields.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .files import atomic_write_text
+from .files import atomic_write_text, json_value, read_json, reading
 from .graphgen import WeightedGraph
 from .numcore import ForwardTape, ParamBuffer, RowIndex, Segments, Tape
 
@@ -302,37 +303,28 @@ def load_checkpoint(path) -> ModelParams:
     in place of ``"data"``.
 
     Both versions share every check but the decoding of one parameter:
-    the hyperparameter header must agree with every stored parameter
-    shape, no parameter may be missing or extra, and every value must be
-    finite. Malformed content raises ValidationError naming the file and
+    the header's sizes must be JSON integers (``64``, not ``64.0``) and
+    its ``score_clip`` any JSON number, the header must agree with every
+    stored parameter shape, no parameter may be missing or extra, and
+    every value must be finite. Malformed content raises ValidationError naming the file and
     the field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # the latter: nested too deeply
-            raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    try:
-        return _params_from_doc(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"checkpoint {path}: {exc}") from exc
+    with reading("checkpoint", path):
+        return _params_from_doc(read_json(path))
 
 
 def _params_from_doc(doc) -> ModelParams:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("version")
+    version = json_value(doc, dict, "top level").get("version")
     # a JSON integer only: true and 1.0 compare equal to 1
     if type(version) is not int or version not in _PAYLOADS:
         raise ValidationError(f"unsupported version {version!r} (expected 1 or 2)")
     payload, decode = _PAYLOADS[version]
-    hyper = doc.get("hyper")
-    if not isinstance(hyper, dict):
-        raise ValidationError("field 'hyper' is missing or not an object")
-    blobs = doc.get("params")
-    if not isinstance(blobs, dict):
-        raise ValidationError("field 'params' is missing or not an object")
-    hyper = {key: _header_number(hyper, key) for key in HYPER_FIELDS}
+    header = json_value(doc.get("hyper"), dict, "field 'hyper'")
+    blobs = json_value(doc.get("params"), dict, "field 'params'")
+    hyper = {
+        key: json_value(header.get(key), kind, f"field 'hyper.{key}'")
+        for key, kind in zip(HYPER_FIELDS, (int, int, int, float))
+    }
     _check_hyper(hyper)  # before any buffer is sized by the header
     # Every head has its own parameters, so this bounds the spec by the file.
     if hyper["num_heads"] > len(blobs):
@@ -345,9 +337,7 @@ def _params_from_doc(doc) -> ModelParams:
     for name, (shape, _) in spec.items():
         if name not in blobs:
             raise ValidationError(f"missing parameter {name!r}")
-        blob = blobs[name]
-        if not isinstance(blob, dict):
-            raise ValidationError(f"field 'params.{name}' must be an object")
+        blob = json_value(blobs[name], dict, f"field 'params.{name}'")
         if blob.get("shape") != list(shape):
             raise ValidationError(
                 f"parameter {name!r} has shape {blob.get('shape')!r}, header implies {list(shape)}"
@@ -361,19 +351,6 @@ def _params_from_doc(doc) -> ModelParams:
     if extra:
         raise ValidationError(f"unexpected parameters: {extra}")
     return ModelParams(**hyper, buffer=np.concatenate(flats, dtype=np.float64))
-
-
-def _header_number(hyper: dict, key: str):
-    kind = float if key == "score_clip" else int
-    value = hyper.get(key)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if kind(value) == value:
-                return kind(value)
-        except (OverflowError, ValueError):
-            pass
-    what = "an integer" if kind is int else "a number"
-    raise ValidationError(f"field 'hyper.{key}' must be {what}, got {value!r}")
 
 
 def _values_array(values, size: int, field: str) -> np.ndarray:

@@ -4,17 +4,20 @@ The checkers here deliberately avoid the library's own computation
 paths: finite differences instead of the tape, permutation enumeration
 instead of the DFS search, inline weight aggregation instead of
 path_score. They are the ground truth the implementation is judged
-against, so keep them dumb.
+against, so keep them dumb. ``json_values`` and ``fuzzed_docs`` are the
+Hypothesis strategies the input-file fuzz tests draw from.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import WeightedGraph
@@ -355,3 +358,33 @@ def at_edges(graph: WeightedGraph, matrix: np.ndarray) -> np.ndarray:
         dtype=np.float64,
     )
 
+
+# Any JSON value: scalars (NaN and the infinities included, which Python's
+# json reads and writes), and lists and objects of them.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _containers(value):
+    """Every list and object in a JSON value, ``value`` first if it is one."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+@st.composite
+def fuzzed_docs(draw, doc):
+    """Any JSON value, or a copy of the JSON value ``doc`` with one entry
+    of one of its lists or objects, at any depth, replaced by any JSON
+    value."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = copy.deepcopy(doc)
+    holder = draw(st.sampled_from([c for c in _containers(doc) if c]))
+    keys = sorted(holder) if isinstance(holder, dict) else range(len(holder))
+    holder[draw(st.sampled_from(keys))] = draw(json_values)
+    return doc

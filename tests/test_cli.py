@@ -2,13 +2,16 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgf import cli
 from apgf.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
+from apgf.errors import ApgfError
 from apgf.graphgen import graph_to_json, load_graph, save_graph, generate_random_graph
 from apgf.model import init_params, save_checkpoint
 
-from helpers import build_graph
+from helpers import build_graph, fuzzed_docs
 
 
 def run(argv):
@@ -190,6 +193,8 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
         ({"num_nodes": 3, "num_edges": 10}, "num_edges"),
         ({"num_heads": 0}, "num_heads"),
         ({"seed": -1}, "seed"),
+        # an integer beyond float's range
+        ({"learning_rate": 10**399}, "learning_rate"),
     ]
     for doc, field in bad_fields:
         cfg.write_text(json.dumps(doc))
@@ -198,6 +203,26 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"config {cfg}:" in err
         assert field in err
+
+
+_FULL_CONFIG = {
+    "epochs": 3, "graphs_per_epoch": 2, "num_nodes": 6, "num_edges": 7,
+    "learning_rate": 0.001, "baseline_sync_period": 2, "temperature": 1.0, "seed": 5,
+    "score_config": {"aggregator": "product"}, "dataset_mode": "fixed",
+    "embed_dim": 8, "num_heads": 2, "ff_dim": 8, "score_clip": 10.0,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=fuzzed_docs(_FULL_CONFIG))
+def test_train_config_fuzz_raises_only_apgf_errors_naming_the_file(tmp_path_factory, doc):
+    # parse and validate only: a fuzzed epochs or graphs_per_epoch can be huge
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cli._train_config_from_file(path)
+    except ApgfError as exc:
+        assert f"config {path}: " in str(exc)
 
 
 # -- compare ---------------------------------------------------------------
@@ -401,13 +426,26 @@ def test_bad_graph_or_config_names_the_file(tmp_path, compare_inputs, capsys, ma
     assert str(path) in err and field in err
 
 
-@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
-def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+# valid JSON, but its integer is past Python's 4,300-digit parsing limit;
+# json.dumps refuses such an integer, so it is written as text
+HUGE_INT_JSON = "9" * 5000
+
+UTF16_BYTES = b"\xff\xfe{\x00}\x00"  # a UTF-16 byte-order mark
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [(kind, UTF16_BYTES) for kind in ("graph", "config", "checkpoint")]
+    + [(kind, HUGE_INT_JSON.encode()) for kind in ("graph", "config", "checkpoint")],
+    ids=["graph", "config", "checkpoint", "graph-5000-digits", "config-5000-digits",
+         "checkpoint-5000-digits"],
+)
+def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind, content):
     graph_path, ckpt_path = compare_inputs
     config_path = tmp_path / "cfg.json"
     write_config(config_path, epochs=1)
     bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
-    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+    bad.write_bytes(content)
     if kind == "config":
         argv = ["train", "--config", config_path, "--out-dir", tmp_path / "out"]
     else:
@@ -421,12 +459,18 @@ def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys,
 DEEP_JSON = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion limit
 
 
-@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
-def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+@pytest.mark.parametrize(
+    "kind, text",
+    [(kind, DEEP_JSON) for kind in ("graph", "config", "checkpoint")]
+    + [(kind, HUGE_INT_JSON) for kind in ("graph", "config", "checkpoint")],
+    ids=["graph", "config", "checkpoint", "graph-5000-digits", "config-5000-digits",
+         "checkpoint-5000-digits"],
+)
+def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind, text):
     graph_path, ckpt_path = compare_inputs
     config_path = tmp_path / "cfg.json"
     bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
-    bad.write_text(DEEP_JSON)
+    bad.write_text(text)
     if kind == "config":
         argv = ["train", "--config", config_path, "--out-dir", tmp_path / "out"]
     else:
@@ -482,6 +526,56 @@ def test_compare_deeply_nested_oracle_cache_is_recomputed(tmp_path, compare_inpu
     a, b = json.loads(fresh.read_text()), json.loads(deep.read_text())
     del a["wall_clock"], b["wall_clock"]
     assert a == b
+
+
+def test_compare_oversized_integer_oracle_cache_is_recomputed(tmp_path, compare_inputs):
+    graph_path, ckpt_path = compare_inputs
+    fresh, huge = tmp_path / "fresh.json", tmp_path / "huge.json"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, fresh) == EXIT_OK
+    huge.write_text(HUGE_INT_JSON)
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, huge) == EXIT_OK
+    a, b = json.loads(fresh.read_text()), json.loads(huge.read_text())
+    del a["wall_clock"], b["wall_clock"]
+    assert a == b
+
+
+def test_compare_reads_a_json_integer_wall_clock_as_a_float(tmp_path, compare_inputs, capsys):
+    # a number field takes any JSON number, in a cache as in a config
+    graph_path, ckpt_path = compare_inputs
+    cache = tmp_path / "cache.json"
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_OK
+    doc = json.loads(cache.read_text())
+    doc["wall_clock"] = 2
+    cache.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache) == EXIT_OK
+    assert "in 2.000000s (cache hit)" in capsys.readouterr().out
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["oracle"]["wall_clock"] == 2.0
+
+
+@pytest.fixture(scope="module")
+def cache_case(tmp_path_factory):
+    """A small graph, its oracle digest and the document of its cache."""
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [0.9, 0.5, 0.7, 0.2], start=1)
+    digest = cli._oracle_digest(graph_to_json(graph), "product")
+    path = tmp_path_factory.mktemp("cache") / "cache.json"
+    cli._write_oracle_cache(path, digest, cli.brute_force_scores(graph, cli.ScoreConfig()))
+    return graph, digest, json.loads(path.read_text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_oracle_cache_fuzz_raises_only_apgf_errors_naming_the_file(
+    tmp_path_factory, cache_case, data
+):
+    # the digest matches, so a fuzzed field reaches the field checks
+    graph, digest, doc = cache_case
+    path = tmp_path_factory.mktemp("fuzz") / "cache.json"
+    path.write_text(json.dumps(data.draw(fuzzed_docs(doc))))
+    try:
+        cli._load_oracle_cache(path, digest, graph, "product")
+    except ApgfError as exc:
+        assert f"oracle cache {path}: " in str(exc)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgf.errors import GraphFormatError, ValidationError
+from apgf.errors import ApgfError, GraphFormatError, ValidationError
 from apgf.graphgen import (
     generate_random_graph,
     graph_from_json,
@@ -12,7 +14,7 @@ from apgf.graphgen import (
     save_graph,
 )
 
-from helpers import build_graph
+from helpers import build_graph, fuzzed_docs
 
 
 def is_connected(graph):
@@ -214,3 +216,17 @@ def test_graph_constructor_rejects_bad_structure():
         build_graph(2, [(0, 5)], [0.1, 0.2])
     with pytest.raises(ValidationError, match="connected"):
         build_graph(4, [(0, 1), (2, 3)], [0.1, 0.2, 0.3, 0.4])
+
+
+_GRAPH_DOC = json.loads(graph_to_json(build_graph(3, [(0, 1), (1, 2)], [0.1, 0.5, 0.9])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=fuzzed_docs(_GRAPH_DOC))
+def test_load_graph_fuzz_raises_only_apgf_errors_naming_the_file(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_graph(path)
+    except ApgfError as exc:
+        assert f"graph {path}: " in str(exc)

@@ -32,6 +32,7 @@ from helpers import (
     central_difference,
     dense_encode,
     dense_score_matrix,
+    fuzzed_docs,
     identity_model,
     max_relative_error,
     node_rows,
@@ -602,12 +603,16 @@ _BIAS = "params/encoder.ff_in_bias"  # small_params' [1, 12] bias
         (2, _BIAS + "/data", _b64([0.0] * 11), "ff_in_bias.data' holds 88 bytes"),
         (2, _BIAS + "/data", _b64([0.0] * 11 + [math.nan]), "ff_in_bias.data' holds non-finite"),
         (2, _BIAS + "/data", _b64([0.0] * 11 + [math.inf]), "ff_in_bias.data' holds non-finite"),
+        # a header size is a JSON integer, as in graph files and train configs
+        (2, "hyper/embed_dim", 8.0, "hyper.embed_dim' must be an integer, got 8.0"),
+        (1, "hyper/ff_dim", True, "hyper.ff_dim' must be an integer, got True"),
+        (2, "hyper/score_clip", 10**400, "hyper.score_clip"),
     ],
     ids=[
         "version", "divisible", "header-type", "missing", "extra", "shape", "count", "values",
         "values-nan", "version-string", "version-true", "version-float", "version-float-2",
         "data-not-string", "data-not-base64", "data-bad-padding", "data-byte-count", "data-nan",
-        "data-inf",
+        "data-inf", "header-integral-float", "header-boolean", "header-overflow",
     ],
 )
 def test_checkpoint_rejects_each_malformed_field(tmp_path, version, key, value, message):
@@ -627,26 +632,21 @@ def test_checkpoint_rejects_each_malformed_field(tmp_path, version, key, value, 
     assert str(path) in str(info.value)
 
 
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=12,
-)
+def test_checkpoint_score_clip_may_be_a_json_integer(tmp_path):
+    path = tmp_path / "ckpt.json"
+    doc = _document(small_params(seed=1))
+    doc["hyper"]["score_clip"] = 10
+    path.write_text(json.dumps(doc))
+    loaded = load_checkpoint(path)
+    assert type(loaded.score_clip) is float and loaded.score_clip == 10.0
 
 
 @st.composite
 def _checkpoint_docs(draw):
     """Arbitrary JSON, or a valid tiny version 1 or 2 checkpoint with one
     field replaced by it."""
-    if draw(st.booleans()):
-        return draw(_json_values)
     params = init_params(0, embed_dim=2, num_heads=1, ff_dim=1)
-    doc = _document(params, version=draw(st.sampled_from([1, 2])))
-    holders = [doc, doc["hyper"], doc["params"]] + list(doc["params"].values())
-    holder = draw(st.sampled_from(holders))
-    holder[draw(st.sampled_from(sorted(holder)))] = draw(_json_values)
-    return doc
+    return draw(fuzzed_docs(_document(params, version=draw(st.sampled_from([1, 2])))))
 
 
 @settings(max_examples=300, deadline=None)
