@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import reprlib
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
@@ -20,15 +21,18 @@ _NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list",
 
 
 def parse_json(data: str | bytes):
-    """Parse JSON text, or UTF-8 bytes. Bytes that are not UTF-8, and any
-    ValueError (bad syntax, an integer past Python's digit limit) or
-    RecursionError (nesting too deep) of ``json.loads``, raise ValidationError."""
+    """Parse JSON text, or UTF-8 bytes. Bytes that are not UTF-8, bad
+    syntax, nesting too deep for ``json.loads`` and an integer literal past
+    Python's digit limit raise ValidationError."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"not UTF-8 text: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json.loads' only other one: int() refusing a long literal
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"an integer literal has more than {limit} digits") from exc
 
 
 def read_json(path):

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ValidationError
 from .files import atomic_write_text, json_value, read_json, reading
 from .graphgen import WeightedGraph
-from .numcore import ForwardTape, ParamBuffer, RowIndex, Segments, Tape
+from .numcore import ForwardTape, RowIndex, Segments, Tape
 
 CHECKPOINT_VERSION = 2  # the version written; version 1 is still read
 
@@ -69,10 +70,11 @@ def param_spec(embed_dim: int, num_heads: int, ff_dim: int) -> dict[str, tuple]:
 
 
 @dataclass
-class ModelParams(ParamBuffer):
-    """Hyperparameters plus every ``param_spec`` entry, as a ``ParamBuffer``:
-    one flat float64 ``buffer`` in spec order, zeros unless given, and
-    ``tensors``, a view of it per name."""
+class ModelParams:
+    """Hyperparameters plus every ``param_spec`` entry: one flat, writable,
+    C-contiguous float64 ``buffer`` in spec order, zeros unless given, and
+    ``tensors``, a read-only mapping of each name to a reshaped view of
+    its slice. A value changes by writing into its view or the buffer."""
 
     embed_dim: int
     num_heads: int
@@ -83,7 +85,16 @@ class ModelParams(ParamBuffer):
     def __post_init__(self):
         _check_hyper(self.hyper())
         spec = param_spec(self.embed_dim, self.num_heads, self.ff_dim)
-        ParamBuffer.__init__(self, {name: shape for name, (shape, _) in spec.items()}, self.buffer)
+        sizes = [math.prod(shape) for shape, _ in spec.values()]
+        b = self.buffer = np.zeros(sum(sizes)) if self.buffer is None else self.buffer
+        # carray: C-contiguous, aligned and writable, as an in-place Adam step needs
+        if b.shape != (sum(sizes),) or b.dtype != np.float64 or not b.flags.carray:
+            raise ValidationError(
+                f"parameters need a writable C-contiguous float64 buffer of {sum(sizes)} values, "
+                f"got {b.dtype} {b.shape}{'' if b.flags.writeable else ', read-only'}"
+            )
+        parts = zip(spec.items(), np.split(b, np.cumsum(sizes)[:-1]))
+        self.tensors = MappingProxyType({name: t.reshape(shape) for (name, (shape, _)), t in parts})
 
     def hyper(self) -> dict:
         return {key: getattr(self, key) for key in HYPER_FIELDS}

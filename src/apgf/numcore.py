@@ -6,9 +6,10 @@ shapes, rejects non-finite results, and appends its local gradient rule
 to a ``Tape``; ``Tape.backward`` replays the records in reverse and
 returns the exact chain-rule gradients of the arrays it is asked for.
 Adjoints are keyed by array identity, so an op always returns a new
-array object, never one of its inputs. Parameters are a ``ParamBuffer``,
-one flat float64 buffer read through a view per name, and ``adam_step``
-updates the whole buffer at once from the gradients ``backward`` returns.
+array object, never one of its inputs. ``adam_step`` updates parameters
+held in one flat float64 buffer, read through a view per name, as
+``model.ModelParams`` holds them: in place, the whole buffer at once,
+from the gradients ``backward`` returns.
 
 Sparse structure is plain index data: a ``RowIndex`` names the rows a
 ``gather_rows`` reads (its backward scatters through the same index),
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "Tape",
     "RowIndex",
     "Segments",
-    "ParamBuffer",
     "AdamState",
     "adam_step",
 ]
@@ -384,32 +383,6 @@ class ForwardTape(Tape):
         pass
 
 
-class ParamBuffer:
-    """Named float64 arrays held in one flat, C-contiguous ``buffer``:
-    ``tensors`` maps each name of ``shapes``, in order, to a reshaped view
-    of the next slice of it. The mapping is read-only; a value changes by
-    writing into its view, or every value by installing a new buffer.
-    Without a buffer, every value is zero."""
-
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]], buffer: np.ndarray | None = None):
-        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
-        self.size = sum(map(math.prod, self.shapes.values()))
-        self.install(np.zeros(self.size) if buffer is None else buffer)
-
-    def install(self, buffer: np.ndarray) -> None:
-        """Hold the values in ``buffer`` from now on; the old buffer and
-        its views are left as they are."""
-        if buffer.shape != (self.size,) or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
-            raise ValidationError(
-                f"parameters need a C-contiguous float64 buffer of {self.size} values, "
-                f"got {buffer.dtype} {buffer.shape}"
-            )
-        ends = np.cumsum([math.prod(shape) for shape in self.shapes.values()])
-        parts = zip(self.shapes.items(), np.split(buffer, ends[:-1]))
-        self.buffer = buffer
-        self.tensors = MappingProxyType({name: part.reshape(shape) for (name, shape), part in parts})
-
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -417,50 +390,52 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """The shared step counter and the moment estimates, each one
-    ``ParamBuffer`` laid out as the parameters are. The moments and the
-    step's two scratch buffers are made at the first step and reused."""
+    """The shared step counter and the moment estimates, each one flat
+    float64 array laid out as the parameters' buffer. The moments and the
+    step's scratch rows are made at the first step and reused."""
 
     learning_rate: float = 1e-3
     step: int = 0
-    first_moment: ParamBuffer | None = None
-    second_moment: ParamBuffer | None = None
-    _scratch: tuple[ParamBuffer, np.ndarray] | None = field(default=None, repr=False)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
+    _scratch: np.ndarray | None = field(default=None, repr=False)  # [gathered grads, work]
 
 
-def adam_step(params: ParamBuffer, grads: Mapping[str, np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update of ``params`` and ``state``.
+def adam_step(params, grads: Mapping[str, np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    Each parameter entry gets its own effective step size from its moment
-    estimates. The gradients are gathered into one buffer and checked
-    before anything changes, the moments are updated in place, and the
-    new values are one new buffer that ``params`` installs, so the old
-    buffer and its views are kept. Every op is elementwise, so the whole
-    buffer rounds exactly as one array per parameter would.
+    ``params`` holds its values in one flat float64 ``buffer`` and reads
+    them through ``tensors``, a view of the buffer's consecutive slices
+    per name, in order, as ``model.ModelParams`` does. Each entry gets its
+    own effective step size from its moment estimates. The gradients are
+    gathered into one row and checked before anything changes; then the
+    moments and the buffer are updated in place, so every view sees the
+    new values. Every op is elementwise, so the whole buffer rounds
+    exactly as one array per parameter would.
     """
     if not 0 < state.learning_rate < math.inf:  # also false for NaN
         raise ValidationError(f"learning_rate must be positive and finite, got {state.learning_rate}")
     if state._scratch is None:
-        state.first_moment = ParamBuffer(params.shapes)
-        state.second_moment = ParamBuffer(params.shapes)
-        state._scratch = ParamBuffer(params.shapes), np.empty(params.size)
-    gathered, work = state._scratch
+        state.first_moment = np.zeros_like(params.buffer)
+        state.second_moment = np.zeros_like(params.buffer)
+        state._scratch = np.empty((2, params.buffer.size))
+    checked = {}
     for name, p in params.tensors.items():
         if name not in grads:
             raise ValidationError(f"missing gradient for parameter {name!r}")
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
+        grad = checked[name] = np.asarray(grads[name], dtype=np.float64)
+        if grad.shape != p.shape:
             raise ValidationError(
-                f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}"
+                f"gradient shape {grad.shape} does not match parameter {name!r} shape {p.shape}"
             )
-        gathered.tensors[name][...] = g
-    g = gathered.buffer
+    g, work = state._scratch
+    np.concatenate([grad.reshape(-1) for grad in checked.values()], out=g)
     if not np.isfinite(g).all():
-        name = next(name for name, t in gathered.tensors.items() if not np.isfinite(t).all())
+        name = next(name for name, grad in checked.items() if not np.isfinite(grad).all())
         raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m, v = state.first_moment.buffer, state.second_moment.buffer
+    m, v = state.first_moment, state.second_moment
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=work)
     v *= b2
@@ -471,4 +446,4 @@ def adam_step(params: ParamBuffer, grads: Mapping[str, np.ndarray], state: AdamS
     np.divide(m, 1.0 - b1**state.step, out=g)
     g *= state.learning_rate
     g /= work
-    params.install(params.buffer - g)
+    params.buffer -= g

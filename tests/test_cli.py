@@ -433,25 +433,12 @@ HUGE_INT_JSON = "9" * 5000
 UTF16_BYTES = b"\xff\xfe{\x00}\x00"  # a UTF-16 byte-order mark
 
 
-@pytest.mark.parametrize(
-    "kind, content",
-    [(kind, UTF16_BYTES) for kind in ("graph", "config", "checkpoint")]
-    + [(kind, HUGE_INT_JSON.encode()) for kind in ("graph", "config", "checkpoint")],
-    ids=["graph", "config", "checkpoint", "graph-5000-digits", "config-5000-digits",
-         "checkpoint-5000-digits"],
-)
-def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind, content):
-    graph_path, ckpt_path = compare_inputs
-    config_path = tmp_path / "cfg.json"
-    write_config(config_path, epochs=1)
-    bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
-    bad.write_bytes(content)
-    if kind == "config":
-        argv = ["train", "--config", config_path, "--out-dir", tmp_path / "out"]
-    else:
-        argv = ["compare", "--graph", graph_path, "--checkpoint", ckpt_path]
-        argv += ["--out-dir", tmp_path / "out"]
-    assert run([str(a) for a in argv]) == EXIT_VALIDATION
+@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
+def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+    write_config(tmp_path / "cfg.json", epochs=1)
+    argv, bad = _argv_with_bad_input(tmp_path, compare_inputs, kind)
+    bad.write_bytes(UTF16_BYTES)
+    assert run(argv) == EXIT_VALIDATION
     assert str(bad) in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ckpt.json", "graph.json"]
 
@@ -459,26 +446,38 @@ def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys,
 DEEP_JSON = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion limit
 
 
-@pytest.mark.parametrize(
-    "kind, text",
-    [(kind, DEEP_JSON) for kind in ("graph", "config", "checkpoint")]
-    + [(kind, HUGE_INT_JSON) for kind in ("graph", "config", "checkpoint")],
-    ids=["graph", "config", "checkpoint", "graph-5000-digits", "config-5000-digits",
-         "checkpoint-5000-digits"],
-)
-def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind, text):
+@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
+def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+    argv, bad = _argv_with_bad_input(tmp_path, compare_inputs, kind)
+    bad.write_text(DEEP_JSON)
+    assert run(argv) == EXIT_VALIDATION
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
+def test_overlong_integer_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+    argv, bad = _argv_with_bad_input(tmp_path, compare_inputs, kind)
+    bad.write_text(HUGE_INT_JSON)
+    assert run(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(bad) in err and "an integer literal has more than 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _argv_with_bad_input(tmp_path, compare_inputs, kind):
+    """The train (config) or compare (graph, checkpoint) argv that reads
+    the ``kind`` input file, and that file's path."""
     graph_path, ckpt_path = compare_inputs
     config_path = tmp_path / "cfg.json"
-    bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
-    bad.write_text(text)
     if kind == "config":
         argv = ["train", "--config", config_path, "--out-dir", tmp_path / "out"]
     else:
         argv = ["compare", "--graph", graph_path, "--checkpoint", ckpt_path]
         argv += ["--out-dir", tmp_path / "out"]
-    assert run([str(a) for a in argv]) == EXIT_VALIDATION
-    assert str(bad) in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    bad = {"graph": graph_path, "config": config_path, "checkpoint": ckpt_path}[kind]
+    return [str(a) for a in argv], bad
 
 
 def run_compare_with_cache(tmp_path, graph_path, ckpt_path, cache, out_dir=None):

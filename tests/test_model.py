@@ -452,6 +452,9 @@ def test_parameters_are_views_of_one_buffer_in_spec_order(tmp_path):
     assert not np.shares_memory(copied.buffer, params.buffer)
     with pytest.raises(ValidationError, match=r"buffer of 13 values, got float64 \(3,\)"):
         ModelParams(1, 1, 1, 10.0, buffer=np.zeros(3))
+    # Adam updates the buffer in place, so a read-only one is refused up front
+    with pytest.raises(ValidationError, match=r"writable .* got float64 \(13,\), read-only"):
+        ModelParams(1, 1, 1, 10.0, buffer=np.frombuffer(bytes(8 * 13), "<f8"))
 
 
 def test_decoder_gradients_match_finite_differences():

@@ -1,4 +1,5 @@
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
 from apgf.model import init_params
-from apgf.numcore import AdamState, ParamBuffer, RowIndex, Segments, Tape, adam_step
+from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step
 
 from helpers import (
     CheckedTape,
@@ -452,9 +453,12 @@ def test_backward_frees_intermediates_as_it_replays():
 
 
 def make_params(*arrays):
-    """A ``ParamBuffer`` holding ``arrays`` as p0, p1, ..."""
-    flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64)
-    return ParamBuffer({f"p{i}": np.shape(a) for i, a in enumerate(arrays)}, flat)
+    """A stand-in for ``ModelParams``: ``arrays`` as p0, p1, ..., views of
+    consecutive slices of one flat float64 ``buffer``."""
+    buffer = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64)
+    parts = np.split(buffer, np.cumsum([np.size(a) for a in arrays])[:-1])
+    tensors = {f"p{i}": part.reshape(np.shape(a)) for i, (a, part) in enumerate(zip(arrays, parts))}
+    return SimpleNamespace(buffer=buffer, tensors=tensors)
 
 
 def test_adam_zero_grads_leave_params_unchanged():
@@ -467,25 +471,23 @@ def test_adam_zero_grads_leave_params_unchanged():
     assert state.step == 3
 
 
-def test_adam_replaces_each_parameter_and_leaves_the_old_array_alone():
-    params = make_params(np.array([1.0, -2.0]))
-    old, old_buffer = params.tensors["p0"], params.buffer
-    adam_step(params, {"p0": np.array([0.5, 0.5])}, AdamState())
-    assert params.tensors["p0"] is not old
-    assert params.buffer is not old_buffer
-    assert np.shares_memory(params.tensors["p0"], params.buffer)
-    assert not np.array_equal(params.tensors["p0"], old)
-    np.testing.assert_array_equal(old, [1.0, -2.0])
-    np.testing.assert_array_equal(old_buffer, [1.0, -2.0])
+def test_adam_updates_the_buffer_in_place():
+    params = make_params(np.array([1.0, -2.0]), np.array([[0.5]]))
+    buffer, views = params.buffer, dict(params.tensors)
+    adam_step(params, {"p0": np.array([0.5, 0.5]), "p1": np.array([[-1.0]])}, AdamState())
+    assert params.buffer is buffer
+    for name, t in params.tensors.items():
+        assert t is views[name] and np.shares_memory(t, params.buffer)
+    assert not np.array_equal(params.buffer, [1.0, -2.0, 0.5])
 
 
 def test_adam_moments_decay_after_grads_vanish():
     params = make_params(np.array([1.0]))
     state = AdamState()
     adam_step(params, {"p0": np.array([2.0])}, state)
-    m1 = state.first_moment.tensors["p0"].copy()
+    m1 = state.first_moment.copy()
     adam_step(params, {"p0": np.array([0.0])}, state)
-    assert abs(state.first_moment.tensors["p0"][0]) < abs(m1[0])
+    assert abs(state.first_moment[0]) < abs(m1[0])
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
@@ -524,14 +526,14 @@ def test_adam_rejects_bad_grads():
         with pytest.raises(ValidationError, match="learning_rate"):
             adam_step(params, {"p0": np.zeros(2)}, AdamState(learning_rate=learning_rate))
     np.testing.assert_array_equal(params.buffer, [1.0, 2.0, 3.0])
-    assert state.step == 0 and not state.first_moment.buffer.any()
+    assert state.step == 0 and not state.first_moment.any() and not state.second_moment.any()
 
 
 @pytest.mark.parametrize("sizes", [dict(), dict(embed_dim=2, num_heads=1, ff_dim=3)])
 def test_flat_adam_matches_the_per_name_loop_bit_for_bit(sizes):
     # the paper config's 33,280 parameters, and a tiny model's
     params = init_params(seed=3, **sizes)
-    reference = dict(params.tensors)
+    reference = {name: t.copy() for name, t in params.tensors.items()}
     state, reference_state = AdamState(learning_rate=1e-3), ReferenceAdam(learning_rate=1e-3)
     rng = np.random.default_rng(4)
     for step in range(24):
@@ -543,9 +545,10 @@ def test_flat_adam_matches_the_per_name_loop_bit_for_bit(sizes):
         adam_step(params, grads, state)
         reference_state.update(reference, grads)
         for name, t in params.tensors.items():
-            for a, b in [
-                (t, reference[name]),
-                (state.first_moment.tensors[name], reference_state.first_moment[name]),
-                (state.second_moment.tensors[name], reference_state.second_moment[name]),
-            ]:
-                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), f"{step} {name}")
+            np.testing.assert_array_equal(t.view(np.uint64), reference[name].view(np.uint64), f"{step} {name}")
+        for flat, moments in [
+            (state.first_moment, reference_state.first_moment),
+            (state.second_moment, reference_state.second_moment),
+        ]:
+            concatenated = np.concatenate([moments[name].reshape(-1) for name in params.tensors])
+            np.testing.assert_array_equal(flat.view(np.uint64), concatenated.view(np.uint64), f"{step}")

@@ -225,6 +225,19 @@ def test_final_checkpoint_is_the_returned_policy_encoded_once(
         assert final == (tmp_path / "run" / "checkpoint_epoch_0020.json").read_bytes()
 
 
+@pytest.mark.parametrize("dataset_mode", ["fixed", "resampled"])
+def test_every_adam_step_updates_the_one_policy_buffer(monkeypatch, dataset_mode):
+    buffers = []
+
+    def recorded(params, grads, state):
+        buffers.append(id(params.buffer))
+        adam_step(params, grads, state)
+
+    monkeypatch.setattr(trainer, "adam_step", recorded)
+    policy, _ = train(tiny_config(epochs=3, baseline_sync_period=2, dataset_mode=dataset_mode))
+    assert buffers == [id(policy.buffer)] * 3
+
+
 def test_single_node_training_writes_zero_loss(tmp_path):
     # no epoch makes a move, so every loss is the recorded zero
     train(tiny_config(epochs=2, num_nodes=1, num_edges=0), out_dir=tmp_path)
