@@ -433,36 +433,45 @@ HUGE_INT_JSON = "9" * 5000
 UTF16_BYTES = b"\xff\xfe{\x00}\x00"  # a UTF-16 byte-order mark
 
 
-@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
-def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+KINDS = ("graph", "config", "checkpoint")
+KIND_IDS = list(KINDS) + [f"{kind}-5000-digits" for kind in KINDS]
+DIGIT_LIMIT_MESSAGE = "an integer literal has more than 4300 digits"
+
+
+def _assert_names_bad_input(err, bad, content):
+    assert str(bad) in err
+    if content in (HUGE_INT_JSON, HUGE_INT_JSON.encode()):
+        # the message states the limit without Python's advice to raise it
+        assert DIGIT_LIMIT_MESSAGE in err and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [(kind, UTF16_BYTES) for kind in KINDS] + [(kind, HUGE_INT_JSON.encode()) for kind in KINDS],
+    ids=KIND_IDS,
+)
+def test_non_utf8_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind, content):
     write_config(tmp_path / "cfg.json", epochs=1)
     argv, bad = _argv_with_bad_input(tmp_path, compare_inputs, kind)
-    bad.write_bytes(UTF16_BYTES)
+    bad.write_bytes(content)
     assert run(argv) == EXIT_VALIDATION
-    assert str(bad) in capsys.readouterr().err
+    _assert_names_bad_input(capsys.readouterr().err, bad, content)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ckpt.json", "graph.json"]
 
 
 DEEP_JSON = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion limit
 
 
-@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
-def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
+@pytest.mark.parametrize(
+    "kind, text",
+    [(kind, DEEP_JSON) for kind in KINDS] + [(kind, HUGE_INT_JSON) for kind in KINDS],
+    ids=KIND_IDS,
+)
+def test_deeply_nested_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind, text):
     argv, bad = _argv_with_bad_input(tmp_path, compare_inputs, kind)
-    bad.write_text(DEEP_JSON)
+    bad.write_text(text)
     assert run(argv) == EXIT_VALIDATION
-    assert str(bad) in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("kind", ["graph", "config", "checkpoint"])
-def test_overlong_integer_input_file_exits_2_naming_it(tmp_path, compare_inputs, capsys, kind):
-    argv, bad = _argv_with_bad_input(tmp_path, compare_inputs, kind)
-    bad.write_text(HUGE_INT_JSON)
-    assert run(argv) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert str(bad) in err and "an integer literal has more than 4300 digits" in err
-    assert "set_int_max_str_digits" not in err
+    _assert_names_bad_input(capsys.readouterr().err, bad, text)
     assert not (tmp_path / "out").exists()
 
 
