@@ -13,6 +13,7 @@ field.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,11 +31,12 @@ TREE_MODES = ("random_attach", "star")
 class WeightedGraph:
     """Undirected connected graph with per-node weights in [0, 1].
 
-    Its directed edges, both directions of each edge, are held once in
-    CSR form, ordered by source node, then target node: node i's
-    neighbours are ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
+    Its directed edges, both directions of each edge, are held in CSR
+    form, ordered by source node, then target node: node i's neighbours
+    are ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
     ``neighbors[i]`` holds the same nodes as a tuple. Both arrays are
-    read-only.
+    read-only. Node ids, ``num_nodes`` and ``start_index`` are any
+    integers, numpy's too, and are stored as Python ints.
     """
 
     num_nodes: int
@@ -46,13 +48,14 @@ class WeightedGraph:
     neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.num_nodes
+        n = self.num_nodes = _node_id(self.num_nodes, "num_nodes")
         if n <= 0:
             raise ValidationError("num_nodes must be positive")
+        self.start_index = _node_id(self.start_index, "start_index")
         normalized = []
         seen = set()
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _node_id(e[0], "an edge endpoint"), _node_id(e[1], "an edge endpoint")
             if u == v:
                 raise ValidationError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -115,6 +118,14 @@ class WeightedGraph:
             and self.start_index == other.start_index
             and np.array_equal(self.node_weights, other.node_weights)
         )
+
+
+def _node_id(value, name: str) -> int:
+    """``value`` as a Python int: any integer, numpy's too, but no float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def generate_random_graph(

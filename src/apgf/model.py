@@ -201,6 +201,14 @@ class GraphBatch(tuple):
         """The union's ``[N, 1]`` node weights."""
         return np.concatenate([g.node_weights for g in self]).reshape(self.num_nodes, 1)
 
+    def split(self, scores: np.ndarray) -> list[np.ndarray]:
+        """Each graph's part of ``scores``, one entry per directed edge of the
+        union in ``edges`` order, as ``edge_scores`` gives: views, in batch order."""
+        ends = np.cumsum([g.indices.size for g in self]).tolist()
+        if len(scores) != ends[-1]:
+            raise ValidationError(f"{len(scores)} scores for a batch of {ends[-1]} directed edges")
+        return [scores[end - g.indices.size : end] for g, end in zip(self, ends)]
+
 
 def encode(
     graphs: Sequence[WeightedGraph], params: ModelParams, tape: Tape | None = None
@@ -349,10 +357,10 @@ def _params_from_doc(doc) -> ModelParams:
         if name not in blobs:
             raise ValidationError(f"missing parameter {name!r}")
         blob = json_value(blobs[name], dict, f"field 'params.{name}'")
-        if blob.get("shape") != list(shape):
-            raise ValidationError(
-                f"parameter {name!r} has shape {blob.get('shape')!r}, header implies {list(shape)}"
-            )
+        field = f"field 'params.{name}.shape'"
+        stored = [json_value(d, int, field) for d in json_value(blob.get("shape"), list, field)]
+        if stored != list(shape):
+            raise ValidationError(f"{field} is {stored}, header implies {list(shape)}")
         field = f"field 'params.{name}.{payload}'"
         flat = decode(blob.get(payload), math.prod(shape), field)
         if not np.isfinite(flat).all():

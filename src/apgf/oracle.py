@@ -16,8 +16,8 @@ path from the start. Two searches find it, one per aggregator:
   "Semiring frameworks and algorithms for shortest-distance problems"
   (2002), for Dijkstra over such semirings.
 - ``sum``: the best path is a longest simple path, which is NP-hard, and
-  Dijkstra is wrong for it. One recursive DFS from the start enumerates
-  every simple path once; each is a candidate for the node it ends at,
+  Dijkstra is wrong for it. One DFS from the start, on an explicit
+  stack, enumerates every simple path once; each is a candidate for the node it ends at,
   which keeps the best-scoring one (the first found on ties). The search
   is factorial in the node count, so a node cap refuses large graphs.
   Memoization is deliberately absent: the best simple path does not
@@ -169,26 +169,33 @@ def _every_simple_path(
     best_score = [-math.inf] * n
     best_path: list[list[int]] = [[] for _ in range(n)]
     explored = [0] * n
+    explored[start] = 1
+    best_score[start], best_path[start] = weights[start], [start]
     path = [start]
     on_path = [False] * n
     on_path[start] = True
-
-    def extend(node: int, score: float) -> None:
-        explored[node] += 1
-        if score > best_score[node]:
-            best_score[node] = score
-            best_path[node] = list(path)
-        for nb in neighbors[node]:
-            if on_path[nb]:
-                continue
-            path.append(nb)
-            on_path[nb] = True
-            extend(nb, fold(score, weights[nb]))
-            path.pop()
-            on_path[nb] = False
-
-    extend(start, weights[start])
-    return best_score, best_path, explored
+    # the recursive search's order on an explicit stack, so a path may be
+    # longer than Python's recursion limit: ``score`` and ``untried`` belong
+    # to the path's last node, ``stack`` holds them for the nodes before it
+    score, untried, stack = weights[start], iter(neighbors[start]), []
+    while True:
+        for nb in untried:
+            if not on_path[nb]:
+                break
+        else:  # every neighbour tried: back up one node
+            on_path[path.pop()] = False
+            if not stack:
+                return best_score, best_path, explored
+            score, untried = stack.pop()
+            continue
+        stack.append((score, untried))
+        score, untried = fold(score, weights[nb]), iter(neighbors[nb])
+        path.append(nb)
+        on_path[nb] = True
+        explored[nb] += 1
+        if score > best_score[nb]:
+            best_score[nb] = score
+            best_path[nb] = list(path)
 
 
 def compare(oracle: OracleResult, rollout: RolloutResult) -> ComparisonReport:

@@ -19,19 +19,18 @@ rollout walks its graph's slice of the resulting edge scores, and one
 loss expression and one backward pass cover all rollouts. A set of
 graphs is one ``GraphBatch``, so the index of their union is built once
 per set: once per run in ``fixed`` mode, once per epoch in
-``resampled``. The baseline's scores of the training graphs change only
-when the baseline is synced or the graphs are resampled, so they are
-computed once and reused until then. In the first epoch and the epoch
-after each sync the baseline's parameters equal the policy's, so its
-scores are the policy's taped ones; otherwise they take one untaped
-pass. In ``fixed`` mode the baseline never needs a pass of its own, so
-only ``resampled`` mode keeps a copy of its parameters.
+``resampled``. The baseline's scores follow one rule on the epoch: in
+the first epoch of each sync period, epoch ``k * baseline_sync_period +
+1``, the baseline's parameters equal the policy's, so its scores are the
+policy's taped ones. In the period's other epochs a ``fixed`` set keeps
+those scores, as neither the baseline nor the graphs have changed, and
+a ``resampled`` set takes one untaped pass of the frozen baseline. Only
+``resampled`` mode therefore keeps a copy of the baseline's parameters.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import time
 import warnings
@@ -155,12 +154,6 @@ def _training_graphs(config: TrainConfig, rng: np.random.Generator) -> GraphBatc
     )
 
 
-def _per_graph(scores: np.ndarray, graphs: Sequence[WeightedGraph]) -> list[np.ndarray]:
-    """A batch's edge scores split into each graph's own."""
-    ends = itertools.accumulate(g.indices.size for g in graphs)
-    return [scores[end - g.indices.size : end] for g, end in zip(graphs, ends)]
-
-
 def train(
     config: TrainConfig,
     out_dir: str | Path | None = None,
@@ -189,23 +182,21 @@ def train(
         out_path.mkdir(parents=True, exist_ok=True)
 
     metrics: list[EpochMetrics] = []
-    baseline_scores = None  # the baseline's per-graph edge scores until the next sync or resample
-    baseline_is_policy = True  # until the first Adam step, and again after each sync
     train_started = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         epoch_started = time.perf_counter()
         if resampled:
             graphs = _training_graphs(config, rng)
-            baseline_scores = None
 
         tape = Tape()
         try:
             scores = edge_scores(encode(graphs, policy, tape), graphs, policy, tape)
-            per_graph = _per_graph(scores, graphs)
-            if baseline_scores is None:
-                baseline_scores = per_graph if baseline_is_policy else _per_graph(
-                    edge_scores(encode(graphs, baseline), graphs, baseline), graphs
-                )
+            per_graph = graphs.split(scores)
+            if (epoch - 1) % config.baseline_sync_period == 0:  # the baseline is the policy
+                baseline_scores = per_graph
+            elif resampled:  # a fixed set keeps its scores until the next sync
+                frozen = edge_scores(encode(graphs, baseline), graphs, baseline)
+                baseline_scores = graphs.split(frozen)
             sampled, baseline_rewards = [], []
             for graph, own, baseline_own in zip(graphs, per_graph, baseline_scores):
                 start = int(rng.integers(graph.num_nodes))
@@ -224,12 +215,11 @@ def train(
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
-        synced = baseline_is_policy = epoch % config.baseline_sync_period == 0
-        if synced:
-            baseline = copy_params(policy) if resampled else None
-            baseline_scores = None
-            if out_path is not None:
-                save_checkpoint(policy, out_path / f"checkpoint_epoch_{epoch:04d}.json")
+        synced = epoch % config.baseline_sync_period == 0
+        if synced and resampled:
+            baseline = copy_params(policy)
+        if synced and out_path is not None:
+            save_checkpoint(policy, out_path / f"checkpoint_epoch_{epoch:04d}.json")
 
         metrics.append(
             EpochMetrics(

@@ -1,6 +1,9 @@
+import functools
 import json
+import operator
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from apgf.errors import ApgfError
 from apgf.graphgen import graph_to_json, load_graph, save_graph, generate_random_graph
 from apgf.model import init_params, save_checkpoint
 
-from helpers import build_graph, fuzzed_docs
+from helpers import build_graph, fuzzed_docs, path_graph
 
 
 def run(argv):
@@ -282,6 +285,22 @@ def test_compare_oracle_cache_reuse(tmp_path, compare_inputs, aggregator):
     assert (d1 / "comparison.csv").read_bytes() == (d2 / "comparison.csv").read_bytes()
     assert (d1 / "comparison.svg").read_bytes() == (d2 / "comparison.svg").read_bytes()
     assert cache.read_bytes() == cache_bytes
+
+
+def test_compare_sum_oracle_follows_a_path_longer_than_the_recursion_limit(tmp_path):
+    weights = np.random.default_rng(8).uniform(0.1, 1.0, size=1500)
+    graph_path, ckpt = tmp_path / "chain.json", tmp_path / "c.json"
+    save_graph(path_graph(weights), graph_path)
+    save_checkpoint(init_params(1, embed_dim=4, num_heads=1, ff_dim=4), ckpt)
+    code = run(
+        ["compare", "--graph", str(graph_path), "--checkpoint", str(ckpt),
+         "--out-dir", str(tmp_path / "o"), "--aggregator", "sum", "--cap", "2000"]
+    )
+    assert code == EXIT_OK
+    rows = (tmp_path / "o" / "comparison.csv").read_text().splitlines()[1:]
+    # a chain from its end has one path to each node, which the walk takes too
+    assert [row.split(",")[3] for row in rows] == ["1.0"] * 1500
+    assert float(rows[-1].split(",")[1]) == functools.reduce(operator.add, weights.tolist())
 
 
 def test_compare_cap_refusal(tmp_path, capsys):

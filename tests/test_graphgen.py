@@ -216,6 +216,23 @@ def test_graph_constructor_rejects_bad_structure():
         build_graph(2, [(0, 5)], [0.1, 0.2])
     with pytest.raises(ValidationError, match="connected"):
         build_graph(4, [(0, 1), (2, 3)], [0.1, 0.2, 0.3, 0.4])
+    # node ids are integers: a float is refused, not truncated
+    with pytest.raises(ValidationError, match="edge endpoint must be an integer, got 1.7"):
+        build_graph(2, [(0, 1.7)], [0.1, 0.2])
+    with pytest.raises(ValidationError, match="edge endpoint must be an integer"):
+        build_graph(2, [(np.float64(0.0), 1)], [0.1, 0.2])
+    with pytest.raises(ValidationError, match="start_index must be an integer, got 0.5"):
+        build_graph(2, [(0, 1)], [0.1, 0.2], start=0.5)
+    with pytest.raises(ValidationError, match="num_nodes must be an integer, got 2.0"):
+        build_graph(2.0, [(0, 1)], [0.1, 0.2])
+
+
+def test_graph_constructor_takes_numpy_integer_node_ids_as_ints():
+    i32, i64 = np.int32, np.int64
+    g = build_graph(i64(3), [(i32(2), i64(1)), (i64(0), np.uint8(1))], [0.1, 0.2, 0.3], i64(2))
+    assert g == build_graph(3, [(1, 2), (0, 1)], [0.1, 0.2, 0.3], start=2)
+    ids = [g.num_nodes, g.start_index, *(u for e in g.edges for u in e)]
+    assert all(type(x) is int for x in ids)
 
 
 _GRAPH_DOC = json.loads(graph_to_json(build_graph(3, [(0, 1), (1, 2)], [0.1, 0.5, 0.9])))

@@ -118,26 +118,36 @@ def test_batched_scores_equal_single_graph_scores_bit_for_bit():
         batched = edge_scores(emb, graphs, params)
         assert emb.shape == (sum(g.num_nodes for g in graphs), params.embed_dim)
         assert batched.shape == (sum(2 * g.num_edges for g in graphs),)
-        first_edge = 0
-        for g, rows in zip(graphs, node_rows(graphs)):
+        for g, rows, own in zip(graphs, node_rows(graphs), GraphBatch(graphs).split(batched)):
             single_emb = encode([g], params)
-            single = edge_scores(single_emb, [g], params)
             np.testing.assert_array_equal(emb[rows], single_emb)
-            np.testing.assert_array_equal(batched[first_edge : first_edge + single.size], single)
-            first_edge += single.size
+            np.testing.assert_array_equal(own, edge_scores(single_emb, [g], params))
+
+
+def test_a_graph_batch_splits_its_scores_into_each_graphs_own_views():
+    graphs = [generate_random_graph(n, e, seed=n) for n, e in [(2, 1), (7, 9), (1, 0), (5, 4)]]
+    batch = GraphBatch(graphs)
+    scores = np.arange(sum(2 * g.num_edges for g in graphs), dtype=np.float64)
+    parts = batch.split(scores)
+    assert [p.tolist() for p in parts] == [
+        list(range(0, 2)), list(range(2, 20)), [], list(range(20, 28))
+    ]
+    assert all(np.shares_memory(p, scores) for p in parts if p.size)
+    for wrong in (scores[:-1], np.zeros(29)):
+        with pytest.raises(ValidationError, match=f"{wrong.size} scores for a batch of 28 "):
+            batch.split(wrong)
 
 
 def test_a_graph_batch_gives_a_plain_lists_results_bit_for_bit():
     graphs = _reference_cases()["mixed"]  # 1, 7, 20 and 33 nodes
     params = init_params(35)
-    ends = np.cumsum([g.indices.size for g in graphs])[:-1]
     batch = GraphBatch(graphs)
     results = []
     # the batch twice: the second pass reuses the index the first built
     for given in (list(graphs), batch, batch):
         tape = Tape()
         scores = edge_scores(encode(given, params, tape), given, params, tape)
-        per_graph = np.split(scores, ends)
+        per_graph = batch.split(scores)
         walks = [walk(g, own, g.start_index, "greedy") for g, own in zip(graphs, per_graph)]
         log_probs = move_log_probs(scores, given, walks, 0.7, tape)
         grads = tape.backward(tape.sum(log_probs), params.tensors)
@@ -610,12 +620,16 @@ _BIAS = "params/encoder.ff_in_bias"  # small_params' [1, 12] bias
         (2, "hyper/embed_dim", 8.0, "hyper.embed_dim' must be an integer, got 8.0"),
         (1, "hyper/ff_dim", True, "hyper.ff_dim' must be an integer, got True"),
         (2, "hyper/score_clip", 10**400, "hyper.score_clip"),
+        # so is every entry of a stored shape: true and 12.0 compare equal to 1 and 12
+        (2, _BIAS + "/shape", [True, 12], "ff_in_bias.shape' must be an integer, got True"),
+        (1, _BIAS + "/shape", [1, 12.0], "ff_in_bias.shape' must be an integer, got 12.0"),
     ],
     ids=[
         "version", "divisible", "header-type", "missing", "extra", "shape", "count", "values",
         "values-nan", "version-string", "version-true", "version-float", "version-float-2",
         "data-not-string", "data-not-base64", "data-bad-padding", "data-byte-count", "data-nan",
         "data-inf", "header-integral-float", "header-boolean", "header-overflow",
+        "shape-boolean", "shape-integral-float",
     ],
 )
 def test_checkpoint_rejects_each_malformed_field(tmp_path, version, key, value, message):

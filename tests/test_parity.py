@@ -36,7 +36,8 @@ def test_parity_against_head_passes_at_a_tiny_config(git_checkout):
         "reward_columns", "mean_loss", "checkpoint", "reruns", "walks", "gradients", "golden",
         "oracle",
     }
-    assert checks["walks"]["graphs"] == 4 and checks["reward_columns"]["runs"] == 1
+    # seed 3, and a resampled run at seed 3
+    assert checks["walks"]["graphs"] == 4 and checks["reward_columns"]["runs"] == 2
     # greedy, then sampled at three temperatures
     assert checks["walks"]["walks_per_graph"] == 4 and checks["walks"]["differing_walks"] == 0
     assert checks["oracle"]["graphs"] == 4

@@ -15,8 +15,11 @@ fails, 2 when the revision cannot be exported or a probe crashes.
 Checks, each with its worst difference:
 
 - ``reward_columns``: ``apgf train`` at the paper config (the default
-  train config) for ``--epochs`` epochs per seed; every column of
-  ``metrics.csv`` but ``mean_loss`` is byte-identical.
+  train config) for ``--epochs`` epochs per seed, plus one run at the
+  first seed in ``RESAMPLED``, a resampled set synced every second epoch,
+  so both the policy's scores and the frozen baseline's own pass serve
+  as the baseline's; every column of ``metrics.csv`` but ``mean_loss`` is
+  byte-identical.
 - ``mean_loss``: within ``LOSS_RTOL`` relative, row by row.
 - ``checkpoint``: the largest absolute difference between the values of
   the trained ``checkpoint_*.json`` files, each read by its own tree's
@@ -72,6 +75,7 @@ GRAD_RTOL = 1e-8
 GRAD_TEMPERATURE = 0.7  # not the train default of 1, so the loss's temperature is exercised
 WALK_NODES, WALK_EDGES = 20, 25
 SAMPLE_TEMPERATURES = (0.3, 1.0, 3.0)
+RESAMPLED = {"dataset_mode": "resampled", "baseline_sync_period": 2}
 PINNED_SIZES = ({}, {"embed_dim": 8, "num_heads": 2, "ff_dim": 6, "score_clip": 3.0})
 
 
@@ -111,15 +115,22 @@ def _probe_train(out: Path, tree: Path, epochs: int, seeds: list[int], **_) -> N
     from apgf.cli import main
     from apgf.model import load_checkpoint
 
-    runs = [(f"seed{s}", s) for s in seeds] + [("rerun", seeds[0])]
-    for name, seed in runs:
+    runs = {**_train_runs(seeds), "rerun": {"seed": seeds[0]}}
+    for name, fields in runs.items():
         config = out / f"{name}.json"
-        config.write_text(json.dumps({"epochs": epochs, "seed": seed}))
+        config.write_text(json.dumps({"epochs": epochs, **fields}))
         code = main(["train", "--config", str(config), "--out-dir", str(out / name)])
         if code != 0:
-            raise RuntimeError(f"apgf train exited {code} for seed {seed}")
+            raise RuntimeError(f"apgf train exited {code} for run {name}")
         for path in (out / name).glob("checkpoint_*.json"):
             np.savez(path.with_suffix(".npz"), **load_checkpoint(path).tensors)
+
+
+def _train_runs(seeds: list[int]) -> dict[str, dict]:
+    """The gated training runs: each one's name and its config's fields
+    besides ``epochs``."""
+    runs = {f"seed{s}": {"seed": s} for s in seeds}
+    return {**runs, "resampled": {"seed": seeds[0], **RESAMPLED}}
 
 
 def _array(scores):
@@ -268,12 +279,13 @@ def _rel(a: float, b: float) -> float:
 def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, dict]:
     import numpy as np
 
-    rewards = {"pass": True, "runs": len(seeds), "differing_rows": 0}
+    runs = list(_train_runs(seeds))
+    rewards = {"pass": True, "runs": len(runs), "differing_rows": 0}
     loss = {"pass": True, "tolerance": LOSS_RTOL, "worst_rel": 0.0}
     checkpoint = {"gated": False, "worst_abs": 0.0, "byte_equal": True}
-    for s in seeds:
-        a = _csv_columns(this / f"seed{s}" / "metrics.csv")
-        b = _csv_columns(that / f"seed{s}" / "metrics.csv")
+    for run in runs:
+        a = _csv_columns(this / run / "metrics.csv")
+        b = _csv_columns(that / run / "metrics.csv")
         for name in set(a) | set(b):
             if name == "mean_loss":
                 continue
@@ -285,7 +297,7 @@ def _check_train(this: Path, that: Path, seeds: list[int]) -> tuple[dict, dict, 
             rewards["differing_rows"] += sum(x != y for x, y in zip(col_a, col_b))
         for x, y in zip(a["mean_loss"], b["mean_loss"]):
             loss["worst_rel"] = max(loss["worst_rel"], _rel(float(x), float(y)))
-        run_a, run_b = this / f"seed{s}", that / f"seed{s}"
+        run_a, run_b = this / run, that / run
         both = {p.name for p in run_a.glob("*.npz")} & {p.name for p in run_b.glob("*.npz")}
         for arrays in sorted(both):
             va, vb = np.load(run_a / arrays), np.load(run_b / arrays)
