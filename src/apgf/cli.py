@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import typing
 from datetime import datetime, timezone
@@ -196,9 +197,10 @@ def _load_oracle_cache(
 
     An unreadable file or one for another graph is a miss. A file for
     this graph must have one entry per node whose path runs from the
-    start to that node along graph edges and whose score is exactly that
-    path's score, and whose path count is the sum of the entries' counts;
-    anything else is a ValidationError.
+    start to that node along graph edges, whose score is exactly that
+    path's score and whose path count is at least 1, its own path; its
+    path count must be the sum of the entries' counts and its wall clock
+    finite and not negative. Anything else is a ValidationError.
     """
     try:
         doc = read_json(path)
@@ -237,13 +239,16 @@ def _load_oracle_cache(
                 raise bad(where + "path")
             if score != path_score([graph.node_weights[v] for v in route], aggregator):
                 raise bad(where + "score")
-            per_node[end] = EndNodeBest(
-                score=score, path=route, explored_paths=field(entry, "explored_paths", int, where)
-            )
+            count = field(entry, "explored_paths", int, where)
+            if count < 1:
+                raise bad(where + "explored_paths")
+            per_node[end] = EndNodeBest(score=score, path=route, explored_paths=count)
         explored = field(doc, "explored_path_count", int)
         if explored != sum(best.explored_paths for best in per_node.values()):
             raise bad("explored_path_count")
         wall_clock = field(doc, "wall_clock", float)
+        if not 0.0 <= wall_clock < math.inf:  # also false for NaN
+            raise bad("wall_clock")
     return OracleResult(per_node=per_node, explored_path_count=explored, wall_clock=wall_clock)
 
 

@@ -13,7 +13,6 @@ import reprlib
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ValidationError
 
@@ -64,9 +63,8 @@ def json_value(value, kind: type, name: str):
     raise ValidationError(f"{name} must be {_NOUNS[kind]}, got {reprlib.repr(value)}")
 
 
-def atomic_write_text(path, text: str | Iterable[str]) -> None:
-    """Write ``text`` (one string, or chunks written as they come) to a
-    sibling temp file, then rename it over ``path``.
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then rename it over ``path``.
 
     A crash or an exception at any point leaves either the old file or
     the new one, never a truncated file.
@@ -75,7 +73,7 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -12,7 +12,6 @@ field.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,20 +30,17 @@ TREE_MODES = ("random_attach", "star")
 class WeightedGraph:
     """Undirected connected graph with per-node weights in [0, 1].
 
-    Its directed edges, both directions of each edge, are held in CSR
-    form, ordered by source node, then target node: node i's neighbours
-    are ``indices[indptr[i]:indptr[i + 1]]``, ascending, and
-    ``neighbors[i]`` holds the same nodes as a tuple. Both arrays are
-    read-only. Node ids, ``num_nodes`` and ``start_index`` are any
-    integers, numpy's too, and are stored as Python ints.
+    Its adjacency is ``neighbors``: node i's neighbours, ascending, as
+    the tuple ``neighbors[i]``. Read node by node, it lists the directed
+    edges, both directions of each edge, by source, then target. Node
+    ids, ``num_nodes`` and ``start_index`` are any integers, numpy's
+    too, and are stored as Python ints.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     node_weights: np.ndarray
     start_index: int
-    indptr: np.ndarray = field(init=False, repr=False)  # [num_nodes + 1]
-    indices: np.ndarray = field(init=False, repr=False)  # [2 * num_edges]
     neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,9 +81,6 @@ class WeightedGraph:
             neighbors[u].append(v)
             neighbors[v].append(u)
         self.neighbors = tuple(map(tuple, neighbors))
-        self.indices = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.intp)
-        self.indptr = np.array([0, *itertools.accumulate(map(len, neighbors))], dtype=np.intp)
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
 
         # connectivity: BFS from node 0
         seen_nodes = {0}

@@ -12,8 +12,8 @@ node j as
     score(i, j) = clip * tanh( (Q v_i) . (K v_j) / sqrt(embed_dim) )
 
 so every score lands in [-clip, +clip], and scores only the moves a
-walk can make: one score per directed edge, in the CSR order of the
-batch's disjoint union, so its cost too grows with the number of edges.
+walk can make, one per directed edge of the batch's disjoint union, so
+its cost too grows with the number of edges.
 A temperature softmax turns the scores of the unvisited neighbors into
 move probabilities. Both take a batch of graphs of any sizes, a single
 graph being a batch of one: the encoder returns the union's
@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -170,12 +171,13 @@ class GraphBatch(tuple):
 
     @cached_property
     def edges(self) -> tuple[RowIndex, RowIndex]:
-        """Source and target of every directed edge of the union: the
-        graphs' CSR targets, shifted by each graph's first node, so sorted
-        by source, then target."""
-        firsts = np.repeat(self.firsts, [g.indices.size for g in self])
-        cols = np.concatenate([g.indices for g in self]) + firsts
-        # every edge is listed in both directions, so the sources in CSR
+        """Source and target of every directed edge of the union: each
+        graph's ``neighbors``, node by node, shifted by the graph's first
+        node, so sorted by source, then target."""
+        counts = [2 * g.num_edges for g in self]
+        targets = chain.from_iterable(chain.from_iterable(g.neighbors) for g in self)
+        cols = np.fromiter(targets, np.intp, sum(counts)) + np.repeat(self.firsts, counts)
+        # every edge is listed in both directions, so the sources in this
         # order are the targets, sorted
         return RowIndex(np.sort(cols), self.num_nodes), RowIndex(cols, self.num_nodes)
 
@@ -204,10 +206,10 @@ class GraphBatch(tuple):
     def split(self, scores: np.ndarray) -> list[np.ndarray]:
         """Each graph's part of ``scores``, one entry per directed edge of the
         union in ``edges`` order, as ``edge_scores`` gives: views, in batch order."""
-        ends = np.cumsum([g.indices.size for g in self]).tolist()
+        ends = np.cumsum([2 * g.num_edges for g in self]).tolist()
         if len(scores) != ends[-1]:
             raise ValidationError(f"{len(scores)} scores for a batch of {ends[-1]} directed edges")
-        return [scores[end - g.indices.size : end] for g, end in zip(self, ends)]
+        return [scores[end - 2 * g.num_edges : end] for g, end in zip(self, ends)]
 
 
 def encode(
@@ -277,7 +279,7 @@ def edge_scores(
     query and its target's key, so work and memory grow with the number
     of edges. The inputs are fixed for a whole rollout, so a rollout
     scores its graph once and reads each decision from the current
-    node's CSR slice.
+    node's slice.
     """
     batch = GraphBatch.of(graphs)
     if emb.ndim != 2 or emb.shape[0] != batch.num_nodes:
@@ -297,23 +299,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
     ``params`` in ``param_spec`` order, each entry ``{"shape", "data"}``:
     its shape, and the base64 of its little-endian float64 bytes in
     row-major order, so every value round-trips bit for bit."""
-    atomic_write_text(path, _checkpoint_chunks(params))
-
-
-def _checkpoint_chunks(params: ModelParams):
-    """The checkpoint text as chunks: the header, then one chunk per
-    parameter, the base64 of its slice of the buffer's bytes beside its
-    shape, each encoded by json's C encoder, so the whole text is never
-    held at once."""
-    head = json.dumps({"version": CHECKPOINT_VERSION, "hyper": params.hyper()})
-    yield head[:-1] + ', "params": {'
-    raw = memoryview(np.asarray(params.buffer, dtype="<f8")).cast("B")
-    separator, start = "", 0
+    doc = {"version": CHECKPOINT_VERSION, "hyper": params.hyper(), "params": {}}
     for name, t in params.tensors.items():
-        data = base64.b64encode(raw[start : start + 8 * t.size]).decode("ascii")
-        yield f"{separator}{json.dumps(name)}: {json.dumps({'shape': list(t.shape), 'data': data})}"
-        separator, start = ", ", start + 8 * t.size
-    yield "}}\n"
+        data = base64.b64encode(t.astype("<f8", copy=False)).decode("ascii")
+        doc["params"][name] = {"shape": list(t.shape), "data": data}
+    atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -373,9 +363,11 @@ def _params_from_doc(doc) -> ModelParams:
 
 
 def _values_array(values, size: int, field: str) -> np.ndarray:
-    """Version 1: a JSON list of ``size`` numbers, as a float64 array."""
+    """Version 1: a JSON list of ``size`` numbers, as a float64 array. A
+    boolean is not a JSON number, though ``np.array`` casts one among numbers."""
+    numbers = isinstance(values, list) and not any(type(v) is bool for v in values)
     try:
-        arr = np.array(values) if isinstance(values, list) else None
+        arr = np.array(values) if numbers else None
     except (ValueError, TypeError, OverflowError):
         arr = None
     if arr is None or arr.dtype.kind not in "fi" or arr.shape != (size,):

@@ -19,7 +19,7 @@ three agree bit for bit.
 
 A rollout is plain, untaped data. ``walk`` runs the traversal on a
 graph's plain edge scores, reading at each move only the candidates'
-entries of the current node's CSR slice; ``decode_all`` encodes one
+entries of the current node's slice; ``decode_all`` encodes one
 graph, scores its edges and walks it without recording anything.
 ``move_log_probs`` is the one differentiable route from recorded walks
 back to the scores: it turns the moves of any number of walks into one
@@ -34,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,11 +134,11 @@ def walk(
     score_config: ScoreConfig = ScoreConfig(),
 ) -> RolloutResult:
     """The DFS traversal over the graph's decoder scores, one per directed
-    edge in the graph's CSR order (``edge_scores`` of the graph alone).
+    edge in ``neighbors`` order (``edge_scores`` of the graph alone).
 
     A move records its ``selected`` node and ``candidates``, all that
     ``move_log_probs`` needs, and reads only its candidates' scores, from
-    the current node's CSR slice: ``mode="greedy"`` takes the highest
+    the current node's slice: ``mode="greedy"`` takes the highest
     (the lowest index on ties);
     ``mode="sample"`` takes the first candidate whose running softmax
     probability at ``temperature``, on Python floats, exceeds the move's
@@ -152,13 +153,14 @@ def walk(
     if mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
     _check_temperature(temperature)
-    if scores.shape != graph.indices.shape:
+    if scores.shape != (2 * graph.num_edges,):
         raise ValidationError(
-            f"walk needs one score per directed edge, {graph.indices.size}, got {scores.shape}"
+            f"walk needs one score per directed edge, {2 * graph.num_edges}, got {scores.shape}"
         )
 
     weights = graph.node_weights.tolist()
-    values, firsts, neighbors = scores.tolist(), graph.indptr.tolist(), graph.neighbors
+    values, neighbors = scores.tolist(), graph.neighbors
+    firsts = list(accumulate(map(len, neighbors), initial=0))  # each node's slice of values
     fold = score_config.fold
     inv_temperature = 1.0 / temperature
     draws = rng.random(n - 1).tolist() if mode == "sample" else None
@@ -185,7 +187,7 @@ def walk(
             nxt = options[0]
         else:
             stack.append(current)
-            # the current node's CSR slice lines up with its neighbors
+            # the current node's slice lines up with its neighbors
             own = values[firsts[current] : firsts[current + 1]]
             option_scores = [s for j, s in zip(neighbors[current], own) if not visited[j]]
             if mode == "greedy":

@@ -46,7 +46,8 @@ from .graphgen import WeightedGraph, generate_random_graph
 from .model import GraphBatch, ModelParams, copy_params, edge_scores, encode, init_params
 from .model import save_checkpoint
 from .numcore import AdamState, Tape, adam_step
-from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, compare, exceeds_cap
+from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, check_node_cap
+from .oracle import compare, exceeds_cap
 from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
 
 DATASET_MODES = ("fixed", "resampled")
@@ -277,7 +278,10 @@ def evaluate(
     with_oracle: bool = True,
 ) -> list[EvalResult]:
     """Greedy rewards on held-out graphs, each compared against the
-    oracle; a ``sum`` graph above the node cap skips the comparison."""
+    oracle; a ``sum`` graph above the node cap skips the comparison, and
+    a cap below 1 is refused whenever the oracle runs."""
+    if with_oracle:
+        check_node_cap(node_cap)
     results = []
     for i, graph in enumerate(eval_graphs):
         rolled = decode_all(

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import operator
 import re
 
@@ -605,6 +606,13 @@ def test_load_oracle_cache_fuzz_raises_only_apgf_errors_naming_the_file(
         assert f"oracle cache {path}: " in str(exc)
 
 
+def _negate_counts(doc):
+    """Negate every entry's path count and the total, which stays their sum."""
+    for entry in doc["entries"].values():
+        entry["explored_paths"] = -entry["explored_paths"]
+    doc["explored_path_count"] = -doc["explored_path_count"]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -618,6 +626,12 @@ def test_load_oracle_cache_fuzz_raises_only_apgf_errors_naming_the_file(
         ("entries.0.score", 5.0),
         # the path count must be the sum of the entries' counts
         pytest.param("explored_path_count", 12, id="explored_path_count-not-the-sum"),
+        # a wall clock is a finite duration
+        ("wall_clock", math.nan),
+        ("wall_clock", math.inf),
+        ("wall_clock", -3.0),
+        # each entry counts at least its own path, even when the total agrees
+        pytest.param("entries.0.explored_paths", _negate_counts, id="negated-counts"),
     ],
 )
 def test_compare_broken_oracle_cache_names_file_and_field(
@@ -633,6 +647,8 @@ def test_compare_broken_oracle_cache_names_file_and_field(
         target = target[parent]
     if value is None:
         del target[key]
+    elif callable(value):
+        value(doc)
     else:
         target[key] = value
     cache.write_text(json.dumps(doc))

@@ -126,10 +126,6 @@ def test_neighbors_equal_a_scan_of_the_edges(num_nodes, extra, seed, star, data)
     )
     assert g.neighbors == expected
     assert all(type(v) is int for row in g.neighbors for v in row)
-    # the CSR arrays hold the same lists, flat, and are read-only
-    assert g.indices.tolist() == [v for row in expected for v in row]
-    assert g.indptr.tolist() == [0, *np.cumsum([len(row) for row in expected]).tolist()]
-    assert not g.indices.flags.writeable and not g.indptr.flags.writeable
     # the same graph given its edges in any order and orientation
     shuffled = data.draw(st.permutations(g.edges))
     flips = data.draw(st.lists(st.booleans(), min_size=num_edges, max_size=num_edges))

@@ -549,9 +549,8 @@ def _assert_same_bits(a, b):
 def test_checkpoint_is_json_dumps_of_the_document(
     tmp_path_factory, num_heads, head_dim, ff_dim, score_clip, data
 ):
-    # the writer frames its chunks by hand; they must add up to the
-    # document the loader reads, as json.dumps writes it, and the loader
-    # must give back every value bit for bit
+    # the writer's bytes are json.dumps of the document the loader reads,
+    # and the loader must give back every value bit for bit
     params = init_params(0, num_heads * head_dim, num_heads, ff_dim, score_clip)
     for name, t in params.tensors.items():
         values = data.draw(st.lists(_stored_floats, min_size=t.size, max_size=t.size), label=name)
@@ -606,6 +605,8 @@ _BIAS = "params/encoder.ff_in_bias"  # small_params' [1, 12] bias
         (1, _BIAS + "/values", [0.0], "params.encoder.ff_in_bias.values"),
         (1, _BIAS + "/values", None, "params.encoder.ff_in_bias.values"),
         (1, _BIAS + "/values", [0.0] * 11 + [math.nan], "ff_in_bias.values' holds non-finite"),
+        # a boolean is no JSON number, even among numbers
+        (1, _BIAS + "/values", [True] + [0.0] * 11, "params.encoder.ff_in_bias.values"),
         (2, "version", "2", "version '2'"),
         (1, "version", True, "version True"),
         (1, "version", 1.0, "version 1.0"),
@@ -626,10 +627,10 @@ _BIAS = "params/encoder.ff_in_bias"  # small_params' [1, 12] bias
     ],
     ids=[
         "version", "divisible", "header-type", "missing", "extra", "shape", "count", "values",
-        "values-nan", "version-string", "version-true", "version-float", "version-float-2",
-        "data-not-string", "data-not-base64", "data-bad-padding", "data-byte-count", "data-nan",
-        "data-inf", "header-integral-float", "header-boolean", "header-overflow",
-        "shape-boolean", "shape-integral-float",
+        "values-nan", "values-boolean", "version-string", "version-true", "version-float",
+        "version-float-2", "data-not-string", "data-not-base64", "data-bad-padding",
+        "data-byte-count", "data-nan", "data-inf", "header-integral-float", "header-boolean",
+        "header-overflow", "shape-boolean", "shape-integral-float",
     ],
 )
 def test_checkpoint_rejects_each_malformed_field(tmp_path, version, key, value, message):

@@ -229,7 +229,7 @@ def test_forced_moves_skip_the_softmax(monkeypatch):
 @pytest.mark.parametrize("temperature", [1e-3, 1e3])
 def test_extreme_temperatures_sample_without_overflow(temperature):
     graph = generate_random_graph(20, 40, seed=3)
-    scores = np.linspace(-10.0, 10.0, graph.indices.size)  # distinct, spanning [-clip, clip]
+    scores = np.linspace(-10.0, 10.0, 2 * graph.num_edges)  # distinct, spanning [-clip, clip]
     greedy = walk(graph, scores, graph.start_index, "greedy")
     for seed in range(10):
         rng = np.random.default_rng(seed)

@@ -381,3 +381,13 @@ def test_evaluate_skips_oracle_above_cap():
     (result,) = evaluate(params, [g], ScoreConfig(aggregator="sum"), node_cap=10)
     assert result.report is None
     assert np.isfinite(result.greedy_reward)
+
+
+@pytest.mark.parametrize("aggregator", ["product", "sum"])
+@pytest.mark.parametrize("node_cap", [0, -3])
+def test_evaluate_refuses_a_node_cap_below_one(aggregator, node_cap):
+    # a cap below 1 admits no graph, so it is an error, not a skipped comparison
+    g = generate_random_graph(6, 6, seed=1)
+    params = init_params(2, embed_dim=4, num_heads=1, ff_dim=4)
+    with pytest.raises(ValidationError, match="node_cap"):
+        evaluate(params, [g], ScoreConfig(aggregator), node_cap=node_cap)
