@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import html
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 _escape = partial(html.escape, quote=False)  # &, < and >, all that XML text needs
 
@@ -17,6 +17,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 _WIDTH, _HEIGHT = 880, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 48, 56
+_PLOT_W, _PLOT_H = _WIDTH - _MARGIN_L - _MARGIN_R, _HEIGHT - _MARGIN_T - _MARGIN_B
+_BORDER = (
+    f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{_PLOT_W}" height="{_PLOT_H}" '
+    'fill="none" stroke="#888888"/>\n'
+)
 
 
 def _series_desc(xs: Sequence[float], series: Mapping[str, Sequence[float]]) -> str:
@@ -52,18 +57,38 @@ def _frame(title: str, x_label: str, y_label: str, body: str, desc: str) -> str:
     )
 
 
-def _y_ticks(y0: float, y1: float, to_py) -> str:
-    parts = []
+def _y_scale(
+    xs: Sequence, series: Mapping[str, Sequence[float]], names: tuple[str, str, str], floor: bool
+) -> tuple[Callable[[float], float], str]:
+    """The y-to-pixel map of a chart of ``series`` over ``xs``, which must
+    hold one value per x, and its y ticks' SVG. ``names`` name the chart,
+    its xs and their unit in errors; ``floor`` starts the y axis at 0 or below."""
+    chart, xs_name, unit = names
+    if not xs or not series:
+        raise ValueError(f"{chart} needs {xs_name} and at least one series")
+    for label, ys in series.items():
+        if len(ys) != len(xs):
+            raise ValueError(f"series {label!r} length {len(ys)} != {len(xs)} {unit}")
+
+    all_y = [y for ys in series.values() for y in ys]
+    y0, y1 = _axis_range(all_y)
+    if floor:
+        y0 = min(0.0, min(all_y))
+
+    def py(y: float) -> float:
+        return _MARGIN_T + (1 - (y - y0) / (y1 - y0)) * _PLOT_H
+
+    ticks = []
     for i in range(5):
         v = y0 + (y1 - y0) * i / 4
-        py = to_py(v)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{py:.2f}" '
+        y = py(v)
+        ticks.append(
+            f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{y:.2f}" '
             'stroke="#dddddd" stroke-width="1"/>\n'
-            f'<text x="{_MARGIN_L - 6}" y="{py + 4:.2f}" text-anchor="end" font-size="11">'
+            f'<text x="{_MARGIN_L - 6}" y="{y + 4:.2f}" text-anchor="end" font-size="11">'
             f"{v:.5g}</text>\n"
         )
-    return "".join(parts)
+    return py, "".join(ticks)
 
 
 def line_chart(
@@ -74,35 +99,20 @@ def line_chart(
     y_label: str = "",
 ) -> str:
     """Polyline chart of one or more equally-long series over xs."""
-    if not xs or not series:
-        raise ValueError("line_chart needs xs and at least one series")
-    for label, ys in series.items():
-        if len(ys) != len(xs):
-            raise ValueError(f"series {label!r} length {len(ys)} != {len(xs)} x values")
-
+    py, y_ticks = _y_scale(xs, series, ("line_chart", "xs", "x values"), floor=False)
     x0, x1 = _axis_range(list(xs))
-    all_y = [y for ys in series.values() for y in ys]
-    y0, y1 = _axis_range(all_y)
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - x0) / (x1 - x0) * plot_w
+        return _MARGIN_L + (x - x0) / (x1 - x0) * _PLOT_W
 
-    def py(y: float) -> float:
-        return _MARGIN_T + (1 - (y - y0) / (y1 - y0)) * plot_h
-
-    body = [_y_ticks(y0, y1, py)]
+    body = [y_ticks]
     for i in range(5):
         v = x0 + (x1 - x0) * i / 4
         body.append(
             f'<text x="{px(v):.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
             f'font-size="11">{v:.5g}</text>\n'
         )
-    body.append(
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#888888"/>\n'
-    )
+    body.append(_BORDER)
     for k, (label, ys) in enumerate(series.items()):
         color = PALETTE[k % len(PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -126,26 +136,14 @@ def grouped_bar_chart(
     y_label: str = "",
 ) -> str:
     """Side-by-side bars per category, one bar per series."""
-    if not categories or not series:
-        raise ValueError("grouped_bar_chart needs categories and at least one series")
-    for label, ys in series.items():
-        if len(ys) != len(categories):
-            raise ValueError(f"series {label!r} length {len(ys)} != {len(categories)} categories")
-
-    all_y = [y for ys in series.values() for y in ys]
-    y0 = min(0.0, min(all_y))
-    _, y1 = _axis_range(all_y)
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    names = ("grouped_bar_chart", "categories", "categories")
+    py, y_ticks = _y_scale(categories, series, names, floor=True)
     n_cat, n_ser = len(categories), len(series)
-    slot = plot_w / n_cat
+    slot = _PLOT_W / n_cat
     bar = slot * 0.8 / n_ser
 
-    def py(y: float) -> float:
-        return _MARGIN_T + (1 - (y - y0) / (y1 - y0)) * plot_h
-
-    body = [_y_ticks(y0, y1, py)]
-    base = py(y0)
+    body = [y_ticks]
+    base = _MARGIN_T + _PLOT_H  # py of the y axis' floor
     for k, (label, ys) in enumerate(series.items()):
         color = PALETTE[k % len(PALETTE)]
         for c, y in enumerate(ys):
@@ -168,9 +166,6 @@ def grouped_bar_chart(
             f'<text x="{cx:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
             f'font-size="11">{_escape(str(categories[c]))}</text>\n'
         )
-    body.append(
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#888888"/>\n'
-    )
+    body.append(_BORDER)
     xs = list(range(len(categories)))
     return _frame(title, x_label, y_label, "".join(body), _series_desc(xs, series))

@@ -228,23 +228,15 @@ class Tape:
         self._record(out, (a,), lambda g: (g.T,))
         return out
 
-    def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        old = a.shape
-        try:
-            out = a.reshape(shape)
-        except ValueError as exc:
-            raise ValidationError(f"cannot reshape {old} to {shape}") from exc
-        self._record(out, (a,), lambda g: (g.reshape(old),))
-        return out
-
     def gather_rows(
         self, a: np.ndarray, indices: Sequence[int] | np.ndarray | RowIndex
     ) -> np.ndarray:
-        """Rows ``indices`` of a 2-d array, repeats allowed. The backward
-        scatter-adds each gathered row's adjoint in index order. One
-        ``RowIndex`` serves every gather from arrays of its row count."""
-        if a.ndim != 2:
-            raise ValidationError(f"gather_rows needs a 2-d array, got shape {a.shape}")
+        """Rows ``indices`` of an array along its first axis, repeats allowed;
+        each entry of a 1-d array is one row. The backward scatter-adds each
+        gathered row's adjoint in index order. One ``RowIndex`` serves every
+        gather from arrays of its row count."""
+        if a.ndim == 0:
+            raise ValidationError("gather_rows needs an array with rows, got a 0-d array")
         index = indices if isinstance(indices, RowIndex) else RowIndex(indices, a.shape[0])
         if index.num_rows != a.shape[0]:
             raise ValidationError(

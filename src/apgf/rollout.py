@@ -230,8 +230,12 @@ def _sample(options: list[int], scores: list[float], inv_temperature: float, u: 
 
 
 def _check_temperature(temperature: float) -> None:
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
+    """Scores are scaled by 1 / ``temperature``, so the temperature and its
+    reciprocal must both be positive and finite: 1e-320's reciprocal is inf."""
+    if not (temperature > 0 and 0 < 1 / temperature < math.inf):  # also false for NaN
+        raise ValidationError(
+            f"temperature must be positive and finite, with a finite reciprocal, got {temperature}"
+        )
 
 
 def move_log_probs(
@@ -275,6 +279,6 @@ def move_log_probs(
     at = np.searchsorted(keys, wanted)
     if at.max() >= keys.size or not np.array_equal(keys[at], wanted):
         raise ValidationError("a recorded move's candidate is not a neighbor of its node")
-    entries = tape.gather_rows(tape.reshape(scores, (scores.size, 1)), at)
+    entries = tape.gather_rows(scores, at)
     probs = tape.segment_softmax(tape.mul_scalar(entries, 1.0 / temperature), Segments(counts))
-    return tape.log(tape.reshape(tape.gather_rows(probs, chosen), (moves,)))
+    return tape.log(tape.gather_rows(probs, chosen))

@@ -48,7 +48,8 @@ from .model import save_checkpoint
 from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, check_node_cap
 from .oracle import compare, exceeds_cap
-from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
+from .rollout import RolloutResult, ScoreConfig, _check_temperature, decode_all, move_log_probs
+from .rollout import walk
 
 DATASET_MODES = ("fixed", "resampled")
 
@@ -85,10 +86,14 @@ class TrainConfig:
                 f"num_edges must be between num_nodes - 1 and {max_edges}, "
                 f"got {self.num_edges} for {self.num_nodes} nodes"
             )
-        for name in ("learning_rate", "temperature", "score_clip"):
+        for name in ("learning_rate", "score_clip"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # also false for NaN
                 problems.append(f"{name} must be positive and finite, got {value}")
+        try:
+            _check_temperature(self.temperature)
+        except ValidationError as exc:
+            problems.append(str(exc))
         if self.baseline_sync_period < 1:
             problems.append(f"baseline_sync_period must be >= 1, got {self.baseline_sync_period}")
         if self.dataset_mode not in DATASET_MODES:
@@ -126,7 +131,8 @@ def reinforce_loss(
     read from the walk and its step log probabilities come from
     ``move_log_probs`` on ``tape``. Rewards enter as constants, so the
     gradient flows only through the log-probability terms: each weighs
-    ``-(reward - baseline_reward) / B`` of its walk.
+    ``-(reward - baseline_reward) / B`` of its walk. The loss is a 0-d
+    array recorded on ``tape``, 0 when no walk made a move.
     """
     if len(baseline_rewards) != len(walks):
         raise ValidationError(f"{len(walks)} walks but {len(baseline_rewards)} baseline rewards")
@@ -142,9 +148,9 @@ def reinforce_loss(
             stacklevel=2,
         )
     if log_probs is None:  # still a record of the tape, so it can be differentiated
-        return tape.reshape(np.zeros(1), (1,))
+        return tape.sum(np.zeros(0))
     coef = np.repeat([scale * -a for a in advantages], steps)
-    return tape.reshape(tape.sum(tape.mul(log_probs, coef)), (1,))
+    return tape.sum(tape.mul(log_probs, coef))
 
 
 def _training_graphs(config: TrainConfig, rng: np.random.Generator) -> GraphBatch:

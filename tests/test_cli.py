@@ -199,6 +199,9 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
         ({"seed": -1}, "seed"),
         # an integer beyond float's range
         ({"learning_rate": 10**399}, "learning_rate"),
+        # temperatures whose reciprocals overflow
+        ({"temperature": 1e-320}, "temperature"),
+        ({"temperature": 5e-324}, "temperature"),
     ]
     for doc, field in bad_fields:
         cfg.write_text(json.dumps(doc))

@@ -373,7 +373,8 @@ def test_candidate_probs_examples():
 
 def test_candidate_probs_temperature_must_be_positive():
     graph = star_graph([1.0, 0.3, 0.6], center=0)
-    for temperature in (0.0, -1.0):
+    # 1 / temperature overflows at 1e-320 and 5e-324
+    for temperature in (0.0, -1.0, 1e-320, 5e-324):
         with pytest.raises(ValidationError, match="temperature"):
             decode_all(
                 graph, identity_model(), 0, temperature=temperature, rng=np.random.default_rng(0)

@@ -127,12 +127,12 @@ OP_CASES = {
     "leaky_relu": (lambda t, a: t.leaky_relu(a, 0.2), [(4, 4)]),
     "tanh": (lambda t, a: t.tanh(a), [(4, 3)]),
     "log": (lambda t, a: t.log(t.mul(a, a)), [(3, 3)]),
-    "sum": (lambda t, a: t.reshape(t.sum(a), (1,)), [(4, 2)]),
+    "sum": (lambda t, a: t.sum(a), [(4, 2)]),
     "transpose": (lambda t, a: t.transpose(a), [(3, 5)]),
-    "reshape": (lambda t, a: t.reshape(a, (2, 6)), [(3, 4)]),
-    "reshape_same_shape": (lambda t, a: t.reshape(a, (3, 4)), [(3, 4)]),
     "gather_rows": (lambda t, a: t.gather_rows(a, [2, 0, 2]), [(4, 3)]),
     "gather_rows_index": (lambda t, a: t.gather_rows(a, RowIndex([1, 1, 3, 0, 1], 4)), [(4, 2)]),
+    # each entry of a 1-d array is one row, as the loss gathers the edge scores
+    "gather_rows_1d": (lambda t, a: t.gather_rows(a, [3, 0, 3, 1]), [(5,)]),
     # segments of 1, 3 and 2 entries: a one-entry segment, and several columns (heads)
     "segment_softmax": (lambda t, a: t.segment_softmax(a, Segments([1, 3, 2])), [(6, 4)]),
     "segment_softmax_1d": (lambda t, a: t.segment_softmax(a, Segments([2, 1, 3])), [(6,)]),
@@ -423,6 +423,14 @@ def test_row_index_rejects_non_integer_indices():
             RowIndex(indices, 4)
     assert Tape().gather_rows(a, []).shape == (0, 3)
     assert RowIndex(np.array([], dtype=np.uint8), 4).rows.dtype == np.intp
+
+
+def test_gather_rows_takes_rows_of_any_width_but_not_a_0d_array():
+    a = np.arange(5.0)
+    np.testing.assert_array_equal(Tape().gather_rows(a, [4, 0, 4]), [4.0, 0.0, 4.0])
+    assert Tape().gather_rows(np.zeros((3, 2, 2)), [1]).shape == (1, 2, 2)
+    with pytest.raises(ValidationError, match="0-d"):
+        Tape().gather_rows(np.array(1.0), [0])
 
 
 def test_tape_consumed_once():

@@ -306,7 +306,8 @@ def test_step_log_probs_match_per_step_reference(seed):
 def test_move_log_probs_temperature_must_be_positive():
     graph = fig10_graph()
     result = decode_all(graph, identity_model(), 0, mode="greedy")
-    for temperature in (0.0, -1.0, float("nan")):
+    # 1 / temperature overflows at 1e-320 and 5e-324
+    for temperature in (0.0, -1.0, float("nan"), 1e-320, 5e-324):
         with pytest.raises(ValidationError, match="temperature"):
             recorded_log_probs(graph, identity_model(), result, temperature)
 

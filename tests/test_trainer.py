@@ -81,6 +81,20 @@ def test_no_move_loss_is_recorded_on_the_tape():
     assert t.backward(loss, {"scores": scores})["scores"].shape == (0,)
 
 
+def test_loss_is_a_0d_array_with_and_without_moves():
+    one_node = build_graph(1, [], [0.6])
+    still = walk(one_node, np.zeros(0), 0, mode="greedy")
+    moved = two_leaf_star_walk(STAR_WEIGHTS, 1)
+    for graph, rollout, scores in (
+        (one_node, still, np.zeros(0)),
+        (STAR, moved, np.array([0.3, 0.1, 0.0, 0.0])),
+    ):
+        t = Tape()
+        loss = reinforce_loss(scores, [graph], [rollout], [rollout.reward], 1.0, t)
+        assert isinstance(loss, np.ndarray) and loss.shape == ()
+        assert t.backward(loss, {"scores": scores})["scores"].shape == scores.shape
+
+
 def test_empty_batch_is_rejected():
     with pytest.raises(ValidationError, match="empty batch"):
         reinforce_loss(np.zeros(0), [], [], [], 1.0, Tape())
@@ -344,6 +358,10 @@ def test_config_validation_names_fields():
         TrainConfig(dataset_mode="stream").validate()
     with pytest.raises(ValidationError, match="divisible"):
         TrainConfig(embed_dim=10, num_heads=4).validate()
+    # 1 / temperature overflows at 1e-320 and 5e-324
+    for temperature in (0.0, float("inf"), 1e-320, 5e-324):
+        with pytest.raises(ValidationError, match="temperature"):
+            TrainConfig(temperature=temperature).validate()
 
 
 def test_resampled_mode_changes_graph_stream():
@@ -391,3 +409,20 @@ def test_evaluate_refuses_a_node_cap_below_one(aggregator, node_cap):
     params = init_params(2, embed_dim=4, num_heads=1, ff_dim=4)
     with pytest.raises(ValidationError, match="node_cap"):
         evaluate(params, [g], ScoreConfig(aggregator), node_cap=node_cap)
+
+
+@pytest.mark.parametrize("aggregator", ["product", "sum"])
+def test_evaluate_without_oracle_is_the_greedy_walk_alone(monkeypatch, aggregator):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(trainer, "brute_force_scores", no_oracle)
+    graphs = [generate_random_graph(n, n + 3, seed=n) for n in (5, 9, 14)]
+    params = init_params(6, embed_dim=8, num_heads=2, ff_dim=8)
+    config = ScoreConfig(aggregator)
+    # a cap below 1 is refused only when the oracle runs
+    results = evaluate(params, graphs, config, node_cap=0, with_oracle=False)
+    greedy = [decode_all(g, params, g.start_index, "greedy", score_config=config) for g in graphs]
+    assert [r.graph_index for r in results] == [0, 1, 2]
+    assert [r.greedy_reward for r in results] == [w.reward for w in greedy]
+    assert all(r.report is None for r in results)

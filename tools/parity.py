@@ -133,35 +133,15 @@ def _train_runs(seeds: list[int]) -> dict[str, dict]:
     return {**runs, "resampled": {"seed": seeds[0], **RESAMPLED}}
 
 
-def _array(scores):
-    # Revisions that still have ``numcore.Tensor`` return scores boxed in
-    # one, with the array as ``.values``; this lets one probe read both.
-    return getattr(scores, "values", scores)
-
-
 def _decoder(graphs, params, tape=None):
     """This tree's decoder scores of ``graphs``: each graph's own scores,
     as its walk takes them, and the leading arguments of its
-    ``reinforce_loss``. Revisions before the edge-list decoder score a
-    dense ``[B, n, n]`` matrix, and their loss takes no graphs."""
-    import numpy as np
-
+    ``reinforce_loss``."""
     from apgf import model
 
-    if hasattr(model, "edge_scores"):
-        scores = model.edge_scores(model.encode(graphs, params, tape), graphs, params, tape)
-        ends = np.cumsum([2 * g.num_edges for g in graphs])[:-1]
-        return np.split(scores, ends), (scores, graphs)
-    scores = model.score_matrix(model.encode(graphs, params, tape), params, tape)
-    return list(_array(scores)), (scores,)
-
-
-def _at_edges(graph, own):
-    """A graph's own decoder scores at its directed edges, by source, then
-    target: as they are in edge form, picked from a dense matrix."""
-    if own.ndim == 1:
-        return own
-    return [own[i, j] for i in range(graph.num_nodes) for j in graph.neighbors[i]]
+    batch = model.GraphBatch(graphs)
+    scores = model.edge_scores(model.encode(batch, params, tape), batch, params, tape)
+    return batch.split(scores), (scores, batch)
 
 
 def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
@@ -179,7 +159,7 @@ def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
         for t in SAMPLE_TEMPERATURES:
             rng = np.random.default_rng(k)
             rolled[f"sampled_t{t}"] = walk(graph, own, graph.start_index, "sample", t, rng)
-        scores.extend(_at_edges(graph, own))
+        scores.extend(own)
         facts.append(
             {
                 "neighbors": graph.neighbors,
