@@ -13,7 +13,9 @@ field.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +134,11 @@ def generate_random_graph(
     In ``random_attach`` mode each node i > 0 attaches to a uniformly
     random earlier node; ``star`` mode instead wires every node to one
     random hub. Extra edges are drawn uniformly among the missing pairs
-    until the requested count is reached.
+    until the requested count is reached, in O(n + e) time and memory.
     """
+    num_nodes = _node_id(num_nodes, "num_nodes")
+    num_edges = _node_id(num_edges, "num_edges")
+    seed = _node_id(seed, "seed")
     if num_nodes <= 0:
         raise ValidationError("num_nodes must be positive")
     if seed < 0:
@@ -168,15 +173,8 @@ def generate_random_graph(
 
     extra = num_edges - len(edge_set)
     if extra > 0:
-        non_edges = [
-            (u, v)
-            for u in range(num_nodes)
-            for v in range(u + 1, num_nodes)
-            if (u, v) not in edge_set
-        ]
-        picks = rng.choice(len(non_edges), size=extra, replace=False)
-        for k in picks:
-            edge_set.add(non_edges[int(k)])
+        picks = rng.choice(max_edges - len(edge_set), size=extra, replace=False)
+        edge_set.update(_missing_pairs(num_nodes, edge_set, picks.tolist()))
 
     start = int(rng.integers(num_nodes))
     return WeightedGraph(
@@ -185,6 +183,27 @@ def generate_random_graph(
         node_weights=weights,
         start_index=start,
     )
+
+
+def _missing_pairs(
+    num_nodes: int, edges: set[tuple[int, int]], ranks: list[int]
+) -> list[tuple[int, int]]:
+    """The pairs ``(u, v)``, ``u < v``, not in ``edges`` whose ranks among
+    all such missing pairs, in lexicographic order, are ``ranks``, found
+    without listing the missing pairs (Batagelj & Brandes, 2005)."""
+    # row u's pairs (u, u + 1), ..., (u, n - 1) start at rank first[u]
+    first = list(accumulate(range(num_nodes - 1, 0, -1), initial=0))
+    taken = sorted(first[u] + v - u - 1 for u, v in edges)
+    # below[i]: how many missing pairs rank before the i-th taken pair
+    below = [t - i for i, t in enumerate(taken)]
+    pairs = []
+    for k in ranks:
+        # the k-th missing pair's rank is k plus the taken pairs below it,
+        # those with below[i] <= k
+        r = k + bisect_right(below, k)
+        u = bisect_right(first, r) - 1
+        pairs.append((u, r - first[u] + u + 1))
+    return pairs
 
 
 def _format_weight(w: float) -> str:

@@ -26,13 +26,33 @@ op sequence produce bit-identical outputs.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
+
+# By default glibc serves an array above 128 KB with a fresh mmap, or trims
+# the heap top once it is freed, so each op's [E, d] and [n, d] temporaries
+# fault their pages in afresh: about 1,000 minor faults per evaluate of a
+# 600-node graph loaded from a file, and 300-520 per paper-config epoch.
+# M_TOP_PAD makes glibc grow the heap by 64 MiB more than it needs and keep
+# that much when it trims, so the temporaries come from pages already
+# touched: 2-4 faults per evaluate, 0-5 per epoch. Other libcs are left alone.
+_M_TOP_PAD = -2
+try:
+    _glibc = os.confstr("CS_GNU_LIBC_VERSION")
+except (AttributeError, ValueError, OSError):  # no confstr, no such name, another libc
+    _glibc = None
+if _glibc:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt.restype = ctypes.c_int
+    _mallopt(_M_TOP_PAD, 64 << 20)
 
 __all__ = [
     "Tape",

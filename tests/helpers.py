@@ -171,6 +171,32 @@ def build_graph(num_nodes, edges, weights, start=0) -> WeightedGraph:
     )
 
 
+def reference_random_graph(num_nodes, num_edges, seed, tree_mode="random_attach") -> WeightedGraph:
+    """``generate_random_graph``'s draw the O(n²) way: list every missing
+    pair in lexicographic order, then pick the extra edges from the list.
+    The same RNG calls in the same order, so the same graph."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, size=num_nodes)
+    edge_set = set()
+    if tree_mode == "star" and num_nodes > 1:
+        hub = int(rng.integers(num_nodes))
+        edge_set.update((min(hub, i), max(hub, i)) for i in range(num_nodes) if i != hub)
+    else:
+        edge_set.update((int(rng.integers(i)), i) for i in range(1, num_nodes))
+    extra = num_edges - len(edge_set)
+    if extra > 0:
+        non_edges = [
+            (u, v)
+            for u in range(num_nodes)
+            for v in range(u + 1, num_nodes)
+            if (u, v) not in edge_set
+        ]
+        for k in rng.choice(len(non_edges), size=extra, replace=False):
+            edge_set.add(non_edges[int(k)])
+    start = int(rng.integers(num_nodes))
+    return build_graph(num_nodes, sorted(edge_set), weights, start=start)
+
+
 def fig10_graph(weights=None, start=0) -> WeightedGraph:
     """The six-node example tree: a-b, a-c, c-d, c-e, d-f as 0..5."""
     if weights is None:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from apgf.graphgen import (
     save_graph,
 )
 
-from helpers import build_graph, fuzzed_docs
+from helpers import build_graph, fuzzed_docs, reference_random_graph
 
 
 def is_connected(graph):
@@ -89,6 +91,57 @@ def test_generation_errors():
         generate_random_graph(0, 0, seed=0)
     with pytest.raises(ValidationError, match="tree_mode"):
         generate_random_graph(4, 3, seed=0, tree_mode="ring")
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((20.0, 25, 1), "num_nodes"), ((20, 25.0, 1), "num_edges"), ((20, 25, 1.5), "seed")],
+)
+def test_generator_arguments_must_be_integers(args, name):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got"):
+        generate_random_graph(*args)
+
+
+def _edge_counts(n):
+    """Every edge count at n <= 8, six counts from a tree to the complete graph above."""
+    lo, hi = n - 1, n * (n - 1) // 2
+    if n <= 8:
+        return range(lo, hi + 1)
+    return [lo, lo + 1, lo + n // 4 + 2, (lo + hi) // 2, hi - 1, hi]
+
+
+@pytest.mark.parametrize("tree_mode", ["random_attach", "star"])
+def test_generator_equals_the_missing_pairs_reference(tree_mode):
+    for n in range(1, 61):
+        for e in _edge_counts(n):
+            for seed in (0, 5):
+                expected = reference_random_graph(n, e, seed, tree_mode)
+                assert generate_random_graph(n, e, seed, tree_mode) == expected, (n, e, seed)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((20, 25, 1), "db8985654f30504b75b45712c62585bdc37f60c72154d4abf820207c5943f7d9"),
+        ((16, 32, 1), "c300d63c59075c875de4b86e575b8079c5cbb712e0559eef4f205ced4f816dec"),
+        ((800, 880, 1), "00a098b2faad4f5d85c15c58d9a03063f2362b994341d1bbaa750ae03aea4116"),
+        ((30, 40, 1, "star"), "1033b0d46389ae0b4e16e2891973bda35b90347043ff842855b55fe65425bc16"),
+    ],
+)
+def test_generated_graph_bytes_are_pinned(args, digest):
+    text = graph_to_json(generate_random_graph(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generator_memory_is_linear_in_the_graph():
+    # listing the missing pairs of 1,200 nodes peaked at 68.7 MB
+    tracemalloc.start()
+    try:
+        generate_random_graph(1200, 1320, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @settings(max_examples=50, deadline=None)

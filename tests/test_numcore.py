@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgf.errors import NumericError, ValidationError
+from apgf.graphgen import generate_random_graph, save_graph
 from apgf.model import init_params
 from apgf.numcore import AdamState, RowIndex, Segments, Tape, adam_step
 
@@ -560,3 +566,70 @@ def test_flat_adam_matches_the_per_name_loop_bit_for_bit(sizes):
         ]:
             concatenated = np.concatenate([moments[name].reshape(-1) for name in params.tensors])
             np.testing.assert_array_equal(flat.view(np.uint64), concatenated.view(np.uint64), f"{step}")
+
+
+# -- heap policy (glibc) -------------------------------------------------
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_FAULTS = """
+import resource, sys
+from apgf import graphgen, model, trainer
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+if sys.argv[1] == "evaluate":
+    graph, params = graphgen.load_graph(sys.argv[2]), model.init_params(seed=0)
+    trainer.evaluate(params, [graph], with_oracle=False)
+    before = faults()
+    for _ in range(5):
+        trainer.evaluate(params, [graph], with_oracle=False)
+    print((faults() - before) / 5)
+else:  # faults between the Adam steps of epochs 2 and 12
+    marks, step = [], trainer.adam_step
+    trainer.adam_step = lambda *args: (step(*args), marks.append(faults()))
+    trainer.train(trainer.TrainConfig(epochs=12))
+    print((marks[11] - marks[1]) / 10)
+"""
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports apgf from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def _child_faults(*args) -> float:
+    """Minor page faults per call, counted by getrusage in a fresh process."""
+    done = _python(_FAULTS, *args)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap policy applies to glibc only")
+def test_evaluate_of_a_loaded_large_graph_reuses_heap_pages(tmp_path):
+    # about 1,000 faults per call when glibc maps each large temporary afresh
+    path = tmp_path / "g600.json"
+    save_graph(generate_random_graph(600, 660, seed=3), path)
+    assert _child_faults("evaluate", str(path)) < 50
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap policy applies to glibc only")
+def test_paper_config_epochs_reuse_heap_pages():
+    # 300-520 faults per epoch when glibc trims the heap top after each backward
+    assert _child_faults("train") < 50
+
+
+@pytest.mark.parametrize("error", ["AttributeError", "ValueError", "OSError"])
+def test_numcore_leaves_the_allocator_alone_without_glibc(error):
+    # no os.confstr, a name the platform lacks, or a libc that refuses it
+    code = (
+        f"import ctypes, os\ndef confstr(name): raise {error}\nos.confstr = confstr\n"
+        "ctypes.CDLL = None\nimport apgf.numcore\nprint(apgf.numcore._glibc)"
+    )
+    done = _python(code)
+    assert done.returncode == 0 and done.stdout == "None\n", done.stderr
