@@ -14,8 +14,8 @@ node j as
 so every score lands in [-clip, +clip], and scores only the moves a
 walk can make, one per directed edge of the batch's disjoint union, so
 its cost too grows with the number of edges.
-A temperature softmax turns the scores of the unvisited neighbors into
-move probabilities. Both take a batch of graphs of any sizes, a single
+A softmax over the scores of the unvisited neighbors gives the move
+probabilities. Both take a batch of graphs of any sizes, a single
 graph being a batch of one: the encoder returns the union's
 ``[N, embed_dim]`` float64 embeddings, one row per node, the decoder one
 ``[E]`` array of edge scores. The parameters are one flat float64

@@ -25,7 +25,8 @@ graph, scores its edges and walks it without recording anything.
 back to the scores: it turns the moves of any number of walks into one
 expression on a tape. It too reads only candidate entries, and
 normalizes each move's with ``segment_softmax``, the op the encoder's
-attention uses.
+attention uses. Neither rescales its scores: a caller that wants a
+sharper or flatter softmax scales them once and hands both one array.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ def decode_all(
     params: ModelParams,
     start: int,
     mode: str = "sample",
-    temperature: float = 1.0,
     rng: np.random.Generator | None = None,
     score_config: ScoreConfig = ScoreConfig(),
 ) -> RolloutResult:
@@ -121,7 +121,7 @@ def decode_all(
     """
     batch = GraphBatch([graph])
     scores = edge_scores(encode(batch, params), batch, params)
-    return walk(graph, scores, start, mode, temperature, rng, score_config)
+    return walk(graph, scores, start, mode, rng, score_config)
 
 
 def walk(
@@ -129,7 +129,6 @@ def walk(
     scores: np.ndarray,
     start: int,
     mode: str = "sample",
-    temperature: float = 1.0,
     rng: np.random.Generator | None = None,
     score_config: ScoreConfig = ScoreConfig(),
 ) -> RolloutResult:
@@ -141,9 +140,9 @@ def walk(
     the current node's slice: ``mode="greedy"`` takes the highest
     (the lowest index on ties);
     ``mode="sample"`` takes the first candidate whose running softmax
-    probability at ``temperature``, on Python floats, exceeds the move's
-    uniform, one of n - 1 drawn from ``rng`` at once. A lone candidate is
-    taken without a softmax: its probability is exactly 1.
+    probability, on Python floats, exceeds the move's uniform, one of
+    n - 1 drawn from ``rng`` at once. A lone candidate is taken without
+    a softmax: its probability is exactly 1.
     """
     n = graph.num_nodes
     if not (0 <= start < n):
@@ -152,7 +151,6 @@ def walk(
         raise ValidationError(f"mode must be 'sample' or 'greedy', got {mode!r}")
     if mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
-    _check_temperature(temperature)
     if scores.shape != (2 * graph.num_edges,):
         raise ValidationError(
             f"walk needs one score per directed edge, {2 * graph.num_edges}, got {scores.shape}"
@@ -162,7 +160,6 @@ def walk(
     values, neighbors = scores.tolist(), graph.neighbors
     firsts = list(accumulate(map(len, neighbors), initial=0))  # each node's slice of values
     fold = score_config.fold
-    inv_temperature = 1.0 / temperature
     draws = rng.random(n - 1).tolist() if mode == "sample" else None
     visited = [v == start for v in range(n)]
     current = start
@@ -194,7 +191,7 @@ def walk(
                 # index finds the first maximum, so the lowest index wins ties
                 nxt = options[option_scores.index(max(option_scores))]
             else:
-                nxt = _sample(options, option_scores, inv_temperature, draws[move])
+                nxt = _sample(options, option_scores, draws[move])
 
         visited[nxt] = True
         visit_order.append(nxt)
@@ -212,14 +209,12 @@ def walk(
     )
 
 
-def _sample(options: list[int], scores: list[float], inv_temperature: float, u: float) -> int:
+def _sample(options: list[int], scores: list[float], u: float) -> int:
     """The first of ``options`` whose running softmax probability exceeds
-    the uniform ``u``, the softmax taken over ``scores`` scaled by
-    ``inv_temperature``, stabilized by subtracting their max, on Python
-    floats."""
-    scaled = [s * inv_temperature for s in scores]
-    peak = max(scaled)
-    weights = [math.exp(x - peak) for x in scaled]
+    the uniform ``u``, the softmax taken over ``scores``, stabilized by
+    subtracting their max, on Python floats."""
+    peak = max(scores)
+    weights = [math.exp(x - peak) for x in scores]
     total = sum(weights)
     acc = 0.0
     for j, w in zip(options, weights):
@@ -229,20 +224,10 @@ def _sample(options: list[int], scores: list[float], inv_temperature: float, u: 
     return options[-1]  # guard against accumulated rounding
 
 
-def _check_temperature(temperature: float) -> None:
-    """Scores are scaled by 1 / ``temperature``, so the temperature and its
-    reciprocal must both be positive and finite: 1e-320's reciprocal is inf."""
-    if not (temperature > 0 and 0 < 1 / temperature < math.inf):  # also false for NaN
-        raise ValidationError(
-            f"temperature must be positive and finite, with a finite reciprocal, got {temperature}"
-        )
-
-
 def move_log_probs(
     scores: np.ndarray,
     graphs: Sequence[WeightedGraph],
     walks: Sequence[RolloutResult],
-    temperature: float,
     tape: Tape,
 ) -> np.ndarray | None:
     """log p(next | selected) of every move of every walk, as one array.
@@ -252,10 +237,9 @@ def move_log_probs(
     trace order, after those of the walks before it (None when no walk
     made a move). All moves share one expression that reads, like the
     walk, only each move's candidate entries: gathered from the edge
-    scores, they get a softmax at ``temperature`` with one segment per
-    move, and the log of the chosen entry is each move's term.
+    scores, they get a softmax with one segment per move, and the log of
+    the chosen entry is each move's term.
     """
-    _check_temperature(temperature)
     if len(walks) != len(graphs):
         raise ValidationError(f"{len(walks)} walks but {len(graphs)} graphs")
     batch = GraphBatch.of(graphs)
@@ -280,5 +264,5 @@ def move_log_probs(
     if at.max() >= keys.size or not np.array_equal(keys[at], wanted):
         raise ValidationError("a recorded move's candidate is not a neighbor of its node")
     entries = tape.gather_rows(scores, at)
-    probs = tape.segment_softmax(tape.mul_scalar(entries, 1.0 / temperature), Segments(counts))
+    probs = tape.segment_softmax(entries, Segments(counts))
     return tape.log(tape.gather_rows(probs, chosen))

@@ -14,9 +14,13 @@ The baseline network is never touched by gradients; every
 Runs are bit-reproducible from the config seed.
 
 An epoch is one batched computation: the policy encodes and scores all
-of the epoch's graphs, as one disjoint union, in one taped pass, every
-rollout walks its graph's slice of the resulting edge scores, and one
-loss expression and one backward pass cover all rollouts. A set of
+of the epoch's graphs, as one disjoint union, in one taped pass, and
+scales the edge scores by 1 / ``temperature`` once, on the tape; every
+sampled rollout walks its graph's slice of that array, and one loss
+expression on the same array and one backward pass cover all rollouts,
+so a move is differentiated under the distribution it was sampled from.
+Greedy baseline walks read unscaled scores, which scaling could round
+into ties. A set of
 graphs is one ``GraphBatch``, so the index of their union is built once
 per set: once per run in ``fixed`` mode, once per epoch in
 ``resampled``. The baseline's scores follow one rule on the epoch: in
@@ -48,8 +52,7 @@ from .model import save_checkpoint
 from .numcore import AdamState, Tape, adam_step
 from .oracle import ComparisonReport, DEFAULT_NODE_CAP, brute_force_scores, check_node_cap
 from .oracle import compare, exceeds_cap
-from .rollout import RolloutResult, ScoreConfig, _check_temperature, decode_all, move_log_probs
-from .rollout import walk
+from .rollout import RolloutResult, ScoreConfig, decode_all, move_log_probs, walk
 
 DATASET_MODES = ("fixed", "resampled")
 
@@ -90,10 +93,16 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # also false for NaN
                 problems.append(f"{name} must be positive and finite, got {value}")
-        try:
-            _check_temperature(self.temperature)
-        except ValidationError as exc:
-            problems.append(str(exc))
+        # training scales scores in [-score_clip, score_clip] by 1 / temperature, so
+        # that factor and, for a valid clip, the largest scaled score must be finite:
+        # 1 / 1e-320 overflows, and so does 10 / 1e-308
+        scale = 1 / self.temperature if self.temperature > 0 else math.nan
+        largest = self.score_clip * scale if 0 < self.score_clip < math.inf else scale
+        if not (0 < scale < math.inf and largest < math.inf):  # also false for NaN
+            problems.append(
+                "temperature must be positive, with 1 / temperature and "
+                f"score_clip / temperature finite, got {self.temperature}"
+            )
         if self.baseline_sync_period < 1:
             problems.append(f"baseline_sync_period must be >= 1, got {self.baseline_sync_period}")
         if self.dataset_mode not in DATASET_MODES:
@@ -121,14 +130,13 @@ def reinforce_loss(
     graphs: Sequence[WeightedGraph],
     walks: Sequence[RolloutResult],
     baseline_rewards: Sequence[float],
-    temperature: float,
     tape: Tape,
 ) -> np.ndarray:
     """The mean over ``walks`` of -(reward - baseline_reward) * sum(log probs).
 
-    ``walks[b]`` walked ``graphs[b]`` at ``temperature``, with the scores
-    of its edges in ``scores``, the batch's ``edge_scores``; its reward is
-    read from the walk and its step log probabilities come from
+    ``walks[b]`` walked ``graphs[b]`` on its slice of ``scores``, the
+    batch's taped edge scores as the walks read them; its reward is read
+    from the walk and its step log probabilities come from
     ``move_log_probs`` on ``tape``. Rewards enter as constants, so the
     gradient flows only through the log-probability terms: each weighs
     ``-(reward - baseline_reward) / B`` of its walk. The loss is a 0-d
@@ -138,7 +146,7 @@ def reinforce_loss(
         raise ValidationError(f"{len(walks)} walks but {len(baseline_rewards)} baseline rewards")
     if not walks:
         raise ValidationError("reinforce_loss needs at least one walk, got an empty batch")
-    log_probs = move_log_probs(scores, graphs, walks, temperature, tape)
+    log_probs = move_log_probs(scores, graphs, walks, tape)
     scale = 1.0 / len(walks)
     advantages = [w.reward - float(b) for w, b in zip(walks, baseline_rewards)]
     steps = [len(w.selected) for w in walks]
@@ -198,26 +206,23 @@ def train(
         tape = Tape()
         try:
             scores = edge_scores(encode(graphs, policy, tape), graphs, policy, tape)
-            per_graph = graphs.split(scores)
+            # the walks sample from, and the loss differentiates, this one array
+            scaled = tape.mul_scalar(scores, 1.0 / config.temperature)
             if (epoch - 1) % config.baseline_sync_period == 0:  # the baseline is the policy
-                baseline_scores = per_graph
+                baseline_scores = graphs.split(scores)
             elif resampled:  # a fixed set keeps its scores until the next sync
                 frozen = edge_scores(encode(graphs, baseline), graphs, baseline)
                 baseline_scores = graphs.split(frozen)
             sampled, baseline_rewards = [], []
-            for graph, own, baseline_own in zip(graphs, per_graph, baseline_scores):
+            for graph, own, baseline_own in zip(graphs, graphs.split(scaled), baseline_scores):
                 start = int(rng.integers(graph.num_nodes))
-                rolled = walk(
-                    graph, own, start, "sample", config.temperature, rng, config.score_config
-                )
+                rolled = walk(graph, own, start, "sample", rng, config.score_config)
                 reference = walk(
                     graph, baseline_own, start, "greedy", score_config=config.score_config
                 )
                 sampled.append(rolled)
                 baseline_rewards.append(reference.reward)
-            mean_loss_t = reinforce_loss(
-                scores, graphs, sampled, baseline_rewards, config.temperature, tape
-            )
+            mean_loss_t = reinforce_loss(scaled, graphs, sampled, baseline_rewards, tape)
             adam_step(policy, tape.backward(mean_loss_t, policy.tensors), adam)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc

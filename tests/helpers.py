@@ -262,10 +262,12 @@ def reference_dfs(graph: WeightedGraph, start: int, choices, aggregator: str):
 
 def recorded_log_probs(graph: WeightedGraph, params, walk: RolloutResult, temperature=1.0):
     """The library's ``move_log_probs`` of a recorded walk of ``graph``
-    under ``params``, untaped: an array, or None when it made no move."""
+    under ``params`` at ``temperature``, untaped: an array, or None when it
+    made no move. The edge scores are scaled by 1 / temperature first, as
+    training scales them."""
     tape = ForwardTape()
     scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
-    return move_log_probs(scores, [graph], [walk], temperature, tape)
+    return move_log_probs(tape.mul_scalar(scores, 1.0 / temperature), [graph], [walk], tape)
 
 
 def masked_softmax(tape: Tape, a: np.ndarray, mask) -> np.ndarray:

@@ -44,7 +44,7 @@ def test_criterion_1_gradient_integrity():
 
     def loss(t: Tape):
         scores = edge_scores(encode([graph], params, t), [graph], params, t)
-        return reinforce_loss(scores, [graph], [sampled], [baseline_reward], 1.0, t)
+        return reinforce_loss(scores, [graph], [sampled], [baseline_reward], t)
 
     def loss_value() -> float:
         return loss(Tape()).item()

@@ -202,6 +202,9 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
         # temperatures whose reciprocals overflow
         ({"temperature": 1e-320}, "temperature"),
         ({"temperature": 5e-324}, "temperature"),
+        # temperatures at which the largest scaled score, score_clip / temperature, overflows
+        ({"temperature": 1e-308}, "temperature"),
+        ({"score_clip": 1e300, "temperature": 1e-10}, "temperature"),
     ]
     for doc, field in bad_fields:
         cfg.write_text(json.dumps(doc))
@@ -210,6 +213,14 @@ def test_train_invalid_config_names_every_bad_field(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"config {cfg}:" in err
         assert field in err
+
+
+def test_train_accepts_a_temperature_whose_scaled_scores_stay_finite(tmp_path, capsys):
+    # scores lie in [-10, 10], and 10 / 1e-300 is finite
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, temperature=1e-300, score_clip=10.0)
+    assert run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 _FULL_CONFIG = {

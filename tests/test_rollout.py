@@ -189,7 +189,7 @@ def test_branch_trace_matches_eager_reference_dfs(mode, aggregator):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(20, 20))
         start = int(rng.integers(20))
-        result = walk(graph, at_edges(graph, rows), start, mode, 0.8, rng, config)
+        result = walk(graph, at_edges(graph, rows) * (1 / 0.8), start, mode, rng, config)
         expected, per_node = reference_dfs(graph, start, result.visit_order[1:], aggregator)
         trace = [(r.selected, r.neighbors, r.next, r.visited, r.stack) for r in result.branch_trace]
         assert trace == expected
@@ -209,9 +209,9 @@ def test_sampled_walk_draws_one_uniform_per_move(n, e):
 def test_forced_moves_skip_the_softmax(monkeypatch):
     calls, sample = [], apgf.rollout._sample
 
-    def spy(options, scores, inv_temperature, u):
+    def spy(options, scores, u):
         calls.append(len(scores))
-        return sample(options, scores, inv_temperature, u)
+        return sample(options, scores, u)
 
     monkeypatch.setattr(apgf.rollout, "_sample", spy)
     graph = path_graph([0.9, 0.5, 0.7, 0.2, 0.4])
@@ -231,18 +231,18 @@ def test_extreme_temperatures_sample_without_overflow(temperature):
     graph = generate_random_graph(20, 40, seed=3)
     scores = np.linspace(-10.0, 10.0, 2 * graph.num_edges)  # distinct, spanning [-clip, clip]
     greedy = walk(graph, scores, graph.start_index, "greedy")
+    scaled = scores * (1 / temperature)  # as training scales them
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        result = walk(graph, scores, graph.start_index, "sample", temperature, rng)
+        result = walk(graph, scaled, graph.start_index, "sample", rng)
         assert sorted(result.visit_order) == list(range(20))
         assert math.isfinite(result.reward)
         if temperature < 1:  # the scores' gaps are worth exp(-250) and less: greedy
             assert result.visit_order == greedy.visit_order
     # cold: the highest of three whatever the uniform; hot: near uniform
-    assert apgf.rollout._sample([4, 5, 6], [9.9, 10.0, -10.0], 1 / temperature, 0.999) == (
-        5 if temperature < 1 else 6
-    )
-    assert apgf.rollout._sample([4, 5, 6], [9.9, 10.0, -10.0], 1 / temperature, 0.5) == 5
+    three = [s * (1 / temperature) for s in (9.9, 10.0, -10.0)]
+    assert apgf.rollout._sample([4, 5, 6], three, 0.999) == (5 if temperature < 1 else 6)
+    assert apgf.rollout._sample([4, 5, 6], three, 0.5) == 5
 
 
 def test_sum_aggregator_reward():
@@ -287,9 +287,8 @@ def test_step_log_probs_match_per_step_reference(seed):
     graph = generate_random_graph(20, 25, seed=1000 + seed)
     params = init_params(seed, embed_dim=8, num_heads=2, ff_dim=8)
     temperature = 0.5 + seed / 10
-    sampled = decode_all(
-        graph, params, graph.start_index, temperature=temperature, rng=np.random.default_rng(seed)
-    )
+    scaled = edge_scores(encode([graph], params), [graph], params) * (1 / temperature)
+    sampled = walk(graph, scaled, graph.start_index, rng=np.random.default_rng(seed))
     expected = reference_step_log_probs(
         encode([graph], params),
         params.tensors["decoder.query_proj"],
@@ -303,15 +302,6 @@ def test_step_log_probs_match_per_step_reference(seed):
     np.testing.assert_allclose(log_probs, expected, rtol=0, atol=1e-12)
 
 
-def test_move_log_probs_temperature_must_be_positive():
-    graph = fig10_graph()
-    result = decode_all(graph, identity_model(), 0, mode="greedy")
-    # 1 / temperature overflows at 1e-320 and 5e-324
-    for temperature in (0.0, -1.0, float("nan"), 1e-320, 5e-324):
-        with pytest.raises(ValidationError, match="temperature"):
-            recorded_log_probs(graph, identity_model(), result, temperature)
-
-
 def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
     params = init_params(4, embed_dim=8, num_heads=2, ff_dim=8)
     beyond_encode = []
@@ -321,36 +311,35 @@ def test_sampled_rollout_tape_records_do_not_grow_with_graph_size():
         encode([graph], params, encoder_tape)
         scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
         result = walk(graph, scores, graph.start_index, rng=np.random.default_rng(n))
-        move_log_probs(scores, [graph], [result], 1.0, tape)
+        move_log_probs(scores, [graph], [result], tape)
         beyond_encode.append(len(tape) - len(encoder_tape))
     assert beyond_encode[0] == beyond_encode[1]
 
 
 def test_batched_walks_match_single_graph_rollouts():
     # one score array and one log-prob expression for a batch give every
-    # graph exactly what its own decode_all and log probabilities give
+    # graph exactly what its own scores, walk and log probabilities give
     graphs = [generate_random_graph(10, 13, seed=400 + s) for s in range(5)]
     params = init_params(8, embed_dim=8, num_heads=2, ff_dim=8)
     tape = Tape()
     scores = edge_scores(encode(graphs, params, tape), graphs, params, tape)
-    per_graph = np.split(scores, 5)  # 26 directed edges each
+    scaled = tape.mul_scalar(scores, 1 / 0.7)  # sampled at temperature 0.7
+    per_graph = np.split(scaled, 5)  # 26 directed edges each
     rng = np.random.default_rng(9)
-    walks = [
-        walk(g, own, g.start_index, temperature=0.7, rng=rng)
-        for g, own in zip(graphs, per_graph)
-    ]
-    log_probs = move_log_probs(scores, graphs, walks, 0.7, tape)
+    walks = [walk(g, own, g.start_index, rng=rng) for g, own in zip(graphs, per_graph)]
+    log_probs = move_log_probs(scaled, graphs, walks, tape)
     rng = np.random.default_rng(9)
     offset = 0
     for g, w in zip(graphs, walks):
-        single = decode_all(g, params, g.start_index, temperature=0.7, rng=rng)
+        own = edge_scores(encode([g], params), [g], params) * (1 / 0.7)
+        single = walk(g, own, g.start_index, rng=rng)
         assert single.visit_order == w.visit_order and single.reward == w.reward
         np.testing.assert_array_equal(
             log_probs[offset : offset + 9], recorded_log_probs(g, params, single, 0.7)
         )
         offset += 9
     assert offset == log_probs.size
-    for g, own in zip(graphs, per_graph):
+    for g, own in zip(graphs, np.split(scores, 5)):
         greedy = walk(g, own, g.start_index, mode="greedy")
         assert greedy.visit_order == decode_all(g, params, g.start_index, mode="greedy").visit_order
 
@@ -436,9 +425,9 @@ def test_scores_must_be_one_per_directed_edge():
         with pytest.raises(ValidationError, match="directed edge"):
             walk(graph, scores, 0, mode="greedy")
         with pytest.raises(ValidationError, match="directed edges"):
-            move_log_probs(scores, [graph], [walk_record], 1.0, Tape())
+            move_log_probs(scores, [graph], [walk_record], Tape())
     with pytest.raises(ValidationError, match="1 walks but 2 graphs"):
-        move_log_probs(np.zeros(20), [graph, graph], [walk_record], 1.0, Tape())
+        move_log_probs(np.zeros(20), [graph, graph], [walk_record], Tape())
 
 
 def test_move_log_probs_rejects_a_candidate_that_is_no_neighbor():

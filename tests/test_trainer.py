@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from apgf.errors import NumericError, ValidationError
 from apgf.graphgen import generate_random_graph
 from apgf.model import GraphBatch, copy_params, edge_scores, encode, init_params, save_checkpoint
 from apgf.numcore import AdamState, Tape, adam_step
-from apgf.rollout import ScoreConfig, decode_all, walk
+from apgf.rollout import ScoreConfig, decode_all, move_log_probs, walk
 from apgf.trainer import TrainConfig, evaluate, metrics_to_csv, reinforce_loss, train
 
 from helpers import (
@@ -49,7 +50,7 @@ def test_loss_zero_when_reward_equals_baseline():
     t = Tape()
     scores = at_edges(STAR, np.array([[0.0, 0.3, 0.1]] * 3))
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
-    loss = reinforce_loss(scores, [STAR], [rollout], [rollout.reward], 1.0, t)
+    loss = reinforce_loss(scores, [STAR], [rollout], [rollout.reward], t)
     assert loss.item() == 0.0
 
 
@@ -60,7 +61,7 @@ def test_loss_matches_hand_value():
     gap = math.log(math.exp(2.0) - 1.0)
     scores = at_edges(STAR, np.array([[0.0, 0.0, gap]] * 3))
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
-    loss = reinforce_loss(scores, [STAR], [rollout], [rollout.reward - 1.0], 1.0, t)
+    loss = reinforce_loss(scores, [STAR], [rollout], [rollout.reward - 1.0], t)
     assert loss.item() == pytest.approx(2.0, rel=1e-12)
 
 
@@ -69,7 +70,7 @@ def test_empty_log_probs_with_advantage_warns_and_zeroes():
     graph = build_graph(1, [], [0.6])
     rollout = walk(graph, np.zeros(0), 0, mode="greedy")
     with pytest.warns(UserWarning, match="no choices"):
-        loss = reinforce_loss(np.zeros(0), [graph], [rollout], [rollout.reward - 2.0], 1.0, t)
+        loss = reinforce_loss(np.zeros(0), [graph], [rollout], [rollout.reward - 2.0], t)
     assert loss.item() == 0.0
 
 
@@ -77,7 +78,7 @@ def test_no_move_loss_is_recorded_on_the_tape():
     t = Tape()
     graph, scores = build_graph(1, [], [0.6]), np.zeros(0)  # one node, no edge to score
     rollout = walk(graph, scores, 0, mode="greedy")
-    loss = reinforce_loss(scores, [graph], [rollout], [rollout.reward], 1.0, t)
+    loss = reinforce_loss(scores, [graph], [rollout], [rollout.reward], t)
     assert t.backward(loss, {"scores": scores})["scores"].shape == (0,)
 
 
@@ -90,14 +91,14 @@ def test_loss_is_a_0d_array_with_and_without_moves():
         (STAR, moved, np.array([0.3, 0.1, 0.0, 0.0])),
     ):
         t = Tape()
-        loss = reinforce_loss(scores, [graph], [rollout], [rollout.reward], 1.0, t)
+        loss = reinforce_loss(scores, [graph], [rollout], [rollout.reward], t)
         assert isinstance(loss, np.ndarray) and loss.shape == ()
         assert t.backward(loss, {"scores": scores})["scores"].shape == scores.shape
 
 
 def test_empty_batch_is_rejected():
     with pytest.raises(ValidationError, match="empty batch"):
-        reinforce_loss(np.zeros(0), [], [], [], 1.0, Tape())
+        reinforce_loss(np.zeros(0), [], [], [], Tape())
 
 
 def test_positive_advantage_raises_probability_of_taken_action():
@@ -111,7 +112,7 @@ def test_positive_advantage_raises_probability_of_taken_action():
 
     tape = Tape()
     scores = edge_scores(encode([graph], params, tape), [graph], params, tape)
-    loss = reinforce_loss(scores, [graph], [rolled], [rolled.reward - 1.0], 1.0, tape)
+    loss = reinforce_loss(scores, [graph], [rolled], [rolled.reward - 1.0], tape)
     adam_step(params, tape.backward(loss, params.tensors), AdamState(learning_rate=1e-3))
 
     prob_after = [math.exp(lp) for lp in recorded_log_probs(graph, params, rolled)]
@@ -124,20 +125,21 @@ def test_positive_advantage_raises_probability_of_taken_action():
 def test_mean_loss_is_the_mean_of_rollout_losses():
     rng = np.random.default_rng(5)
     graphs = [generate_random_graph(6, 8, seed=s) for s in range(3)]
-    raw = [at_edges(g, rng.normal(size=(6, 6))) for g in graphs]
-    walks = [walk(g, raw[b], g.start_index, temperature=0.8, rng=rng) for b, g in enumerate(graphs)]
+    # scaled by 1 / temperature in advance, as training scales them
+    raw = [at_edges(g, rng.normal(size=(6, 6))) * (1 / 0.8) for g in graphs]
+    walks = [walk(g, raw[b], g.start_index, rng=rng) for b, g in enumerate(graphs)]
     baselines = [walks[0].reward - 0.5, walks[1].reward, walks[2].reward + 0.75]
 
     batched_tape = Tape()
     batched_scores = np.concatenate(raw)
-    batched = reinforce_loss(batched_scores, graphs, walks, baselines, 0.8, batched_tape)
+    batched = reinforce_loss(batched_scores, graphs, walks, baselines, batched_tape)
     batched_grad = batched_tape.backward(batched, {"scores": batched_scores})["scores"]
 
     per_rollout, grads = [], []
     for b in range(3):
         scores = raw[b]
         t = Tape()
-        loss = reinforce_loss(scores, [graphs[b]], [walks[b]], [baselines[b]], 0.8, t)
+        loss = reinforce_loss(scores, [graphs[b]], [walks[b]], [baselines[b]], t)
         per_rollout.append(loss.item())
         grads.append(t.backward(loss, {"scores": scores})["scores"])
     assert batched.item() == pytest.approx(np.mean(per_rollout), rel=1e-14)
@@ -157,7 +159,7 @@ def test_batch_counts_must_agree(num_walks, num_baselines, counts):
     rollout = two_leaf_star_walk(STAR_WEIGHTS, 1)
     scores = np.array([0.3, 0.1, 0.0, 0.0])
     with pytest.raises(ValidationError, match=counts):
-        reinforce_loss(scores, [STAR], [rollout] * num_walks, [0.0] * num_baselines, 1.0, Tape())
+        reinforce_loss(scores, [STAR], [rollout] * num_walks, [0.0] * num_baselines, Tape())
 
 
 # -- train loop ----------------------------------------------------------------
@@ -268,13 +270,13 @@ def test_no_branch_graphs_with_synced_baseline_give_zero_loss():
     tape = Tape()
     rng = np.random.default_rng(0)
     scores = edge_scores(encode(graphs, policy, tape), graphs, policy, tape)
-    per_graph = np.split(scores, 3)
-    sampled = [walk(g, own, 0, temperature=1e-6, rng=rng) for g, own in zip(graphs, per_graph)]
+    scaled = tape.mul_scalar(scores, 1 / 1e-6)  # sampled at temperature 1e-6
+    sampled = [walk(g, own, 0, rng=rng) for g, own in zip(graphs, np.split(scaled, 3))]
     references = [decode_all(g, baseline, 0, mode="greedy") for g in graphs]
     for rolled, reference in zip(sampled, references):
         assert rolled.reward == reference.reward
     rewards = [r.reward for r in references]
-    total_loss = reinforce_loss(scores, graphs, sampled, rewards, 1e-6, tape)
+    total_loss = reinforce_loss(scaled, graphs, sampled, rewards, tape)
     assert total_loss.item() == 0.0
 
 
@@ -358,10 +360,59 @@ def test_config_validation_names_fields():
         TrainConfig(dataset_mode="stream").validate()
     with pytest.raises(ValidationError, match="divisible"):
         TrainConfig(embed_dim=10, num_heads=4).validate()
-    # 1 / temperature overflows at 1e-320 and 5e-324
-    for temperature in (0.0, float("inf"), 1e-320, 5e-324):
+    # 1 / temperature overflows at 1e-320 and 5e-324, and score_clip / temperature
+    # at 1e-308 for the default clip of 10
+    for temperature in (0.0, float("inf"), 1e-320, 5e-324, 1e-308):
         with pytest.raises(ValidationError, match="temperature"):
             TrainConfig(temperature=temperature).validate()
+    TrainConfig(temperature=1e-300).validate()
+    with pytest.raises(ValidationError, match="temperature"):
+        TrainConfig(score_clip=1e300, temperature=1e-10).validate()
+    # a clip that is refused on its own does not also get the temperature refused
+    for score_clip in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="score_clip") as refused:
+            TrainConfig(score_clip=score_clip, temperature=1e-308).validate()
+        assert "temperature" not in str(refused.value)
+
+
+def test_only_the_trainer_takes_a_temperature():
+    # the trainer scales the scores once; the walk and the loss read what they are given
+    for function in (walk, decode_all, move_log_probs, reinforce_loss):
+        assert "temperature" not in inspect.signature(function).parameters, function.__name__
+
+
+@pytest.mark.parametrize("dataset_mode", trainer.DATASET_MODES)
+def test_sampled_walks_and_the_loss_read_one_scaled_array(monkeypatch, dataset_mode):
+    # per epoch: the policy's taped edge scores, the arrays the sampled walks
+    # read, and the array the loss differentiates, in call order
+    events = []
+
+    def spy(name, function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            events.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(trainer, name, wrapper)
+
+    for name in ("edge_scores", "walk", "reinforce_loss"):
+        spy(name, getattr(trainer, name))
+    train(tiny_config(epochs=3, temperature=0.7, dataset_mode=dataset_mode))
+
+    losses = [k for k, event in enumerate(events) if event[0] == "reinforce_loss"]
+    assert len(losses) == 3
+    begin = 0
+    for end in losses:
+        epoch = events[begin:end]
+        # the policy's pass is the one taped: the frozen baseline's passes no tape
+        (scores,) = [e[2] for e in epoch if e[0] == "edge_scores" and len(e[1]) == 4]
+        sampled = [e[1][1] for e in epoch if e[0] == "walk" and e[1][3] == "sample"]
+        scaled = events[end][1][0]
+        assert len(sampled) == 3
+        assert all(own.base is scaled for own in sampled)
+        np.testing.assert_array_equal(np.concatenate(sampled), scaled)
+        np.testing.assert_array_equal(scaled, scores * (1 / 0.7))
+        begin = end + 1
 
 
 def test_resampled_mode_changes_graph_stream():

@@ -72,7 +72,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LOSS_RTOL = 1e-8
 GRAD_RTOL = 1e-8
-GRAD_TEMPERATURE = 0.7  # not the train default of 1, so the loss's temperature is exercised
+GRAD_TEMPERATURE = 0.7  # not the train default of 1, so scaling by 1 / temperature is exercised
 WALK_NODES, WALK_EDGES = 20, 25
 SAMPLE_TEMPERATURES = (0.3, 1.0, 3.0)
 RESAMPLED = {"dataset_mode": "resampled", "baseline_sync_period": 2}
@@ -135,13 +135,32 @@ def _train_runs(seeds: list[int]) -> dict[str, dict]:
 
 def _decoder(graphs, params, tape=None):
     """This tree's decoder scores of ``graphs``: each graph's own scores,
-    as its walk takes them, and the leading arguments of its
-    ``reinforce_loss``."""
+    as its walk takes them, and the batch's scores with the batch."""
     from apgf import model
 
     batch = model.GraphBatch(graphs)
     scores = model.edge_scores(model.encode(batch, params, tape), batch, params, tape)
     return batch.split(scores), (scores, batch)
+
+
+def _at_temperature(scores, temperature, tape=None):
+    """This tree's route to sampling at ``temperature``: the scores its
+    sampled walks and its ``reinforce_loss`` read, and the arguments that
+    carry the temperature into ``walk`` and ``reinforce_loss``, just before
+    ``rng`` and ``tape``. A tree whose ``walk`` takes a temperature scales
+    inside the walk and the loss; one whose does not is handed the scores
+    scaled once by 1 / temperature, on ``tape`` when given, as its trainer
+    scales them. The helper can go once every revision compared is of the
+    second kind."""
+    import inspect
+
+    from apgf.rollout import walk
+
+    if "temperature" in inspect.signature(walk).parameters:
+        return scores, (temperature,)
+    if tape is None:
+        return scores * (1.0 / temperature), ()
+    return tape.mul_scalar(scores, 1.0 / temperature), ()
 
 
 def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
@@ -158,7 +177,10 @@ def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
         rolled = {"greedy": walk(graph, own, graph.start_index, "greedy")}
         for t in SAMPLE_TEMPERATURES:
             rng = np.random.default_rng(k)
-            rolled[f"sampled_t{t}"] = walk(graph, own, graph.start_index, "sample", t, rng)
+            tempered, extra = _at_temperature(own, t)
+            rolled[f"sampled_t{t}"] = walk(
+                graph, tempered, graph.start_index, "sample", *extra, rng
+            )
         scores.extend(own)
         facts.append(
             {
@@ -183,14 +205,15 @@ def _probe_gradients(out: Path, tree: Path, **_) -> None:
     policy, baseline = init_params(3), init_params(4)
     rng = np.random.default_rng(3)
     tape = Tape()
-    per_graph, loss_head = _decoder(graphs, policy, tape)
+    _, (scores, batch) = _decoder(graphs, policy, tape)
+    tempered, extra = _at_temperature(scores, GRAD_TEMPERATURE, tape)
     baseline_per_graph, _ = _decoder(graphs, baseline)
     sampled, baseline_rewards = [], []
-    for graph, own, baseline_own in zip(graphs, per_graph, baseline_per_graph):
+    for graph, own, baseline_own in zip(graphs, batch.split(tempered), baseline_per_graph):
         start = int(rng.integers(graph.num_nodes))
-        sampled.append(walk(graph, own, start, "sample", GRAD_TEMPERATURE, rng))
+        sampled.append(walk(graph, own, start, "sample", *extra, rng))
         baseline_rewards.append(walk(graph, baseline_own, start, "greedy").reward)
-    loss = reinforce_loss(*loss_head, sampled, baseline_rewards, GRAD_TEMPERATURE, tape)
+    loss = reinforce_loss(tempered, batch, sampled, baseline_rewards, *extra, tape)
     grads = tape.backward(loss, policy.tensors)
     np.savez(out / "gradients.npz", **grads)
 
