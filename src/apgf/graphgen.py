@@ -36,7 +36,10 @@ class WeightedGraph:
     the tuple ``neighbors[i]``. Read node by node, it lists the directed
     edges, both directions of each edge, by source, then target. Node
     ids, ``num_nodes`` and ``start_index`` are any integers, numpy's
-    too, and are stored as Python ints.
+    too, and are stored as Python ints; ``edges``, given in any order and
+    orientation, as the sorted ``(u, v)``, ``u < v``. The constructor is
+    the one statement of a graph's rules; each error names the field as
+    a graph file does.
     """
 
     num_nodes: int
@@ -48,57 +51,52 @@ class WeightedGraph:
     def __post_init__(self):
         n = self.num_nodes = _node_id(self.num_nodes, "num_nodes")
         if n <= 0:
-            raise ValidationError("num_nodes must be positive")
-        self.start_index = _node_id(self.start_index, "start_index")
-        normalized = []
-        seen = set()
-        for e in self.edges:
-            u, v = _node_id(e[0], "an edge endpoint"), _node_id(e[1], "an edge endpoint")
+            raise ValidationError(f"num_nodes must be positive, got {n}")
+        start = self.start_index = _node_id(self.start_index, "start_index")
+        if not 0 <= start < n:
+            raise ValidationError(f"start_index must be in [0, {n}), got {start}")
+        # checked before anything of size n is built: a file may claim 10**12 nodes
+        w = self.node_weights = np.asarray(self.node_weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ValidationError(f"weights must be a list of {n} numbers, got shape {w.shape}")
+        outside = np.flatnonzero(~((w >= 0.0) & (w <= 1.0)))  # NaN too
+        if outside.size:
+            i = outside[0]
+            raise ValidationError(f"weights[{i}] = {w[i]}: weight out of range [0, 1]")
+
+        adjacent: list[set[int]] = [set() for _ in range(n)]
+        index = operator.index
+        for i, edge in enumerate(self.edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edges[{i}] must be a pair of nodes, got {edge!r}") from None
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                name = f"edges[{i}]: edge endpoint"
+                u, v = _node_id(u, name), _node_id(v, name)  # one of them raises
             if u == v:
-                raise ValidationError(f"self-loop at node {u}")
+                raise ValidationError(f"edges[{i}]: self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u}, {v}) out of range for {n} nodes")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            normalized.append(key)
-        self.edges = tuple(sorted(normalized))
+                raise ValidationError(f"edges[{i}] = ({u}, {v}) out of range for {n} nodes")
+            if v in adjacent[u]:
+                raise ValidationError(f"edges[{i}]: duplicate edge ({min(u, v)}, {max(u, v)})")
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        self.neighbors = tuple(tuple(sorted(row)) for row in adjacent)
+        self.edges = tuple((u, v) for u, row in enumerate(self.neighbors) for v in row if u < v)
 
-        self.node_weights = np.asarray(self.node_weights, dtype=np.float64)
-        if self.node_weights.shape != (n,):
-            raise ValidationError(
-                f"node_weights length {self.node_weights.shape} does not match {n} nodes"
-            )
-        w = self.node_weights
-        if not np.all((w >= 0.0) & (w <= 1.0)):  # also false for NaN
-            raise ValidationError("weight out of range [0, 1]")
-        if not (0 <= self.start_index < n):
-            raise ValidationError(f"start_index {self.start_index} out of range for {n} nodes")
-
-        # edges are sorted, so node i meets its lower neighbours (as v) before
-        # its higher ones (as u), each in ascending order
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        self.neighbors = tuple(map(tuple, neighbors))
-
-        # connectivity: BFS from node 0
-        seen_nodes = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors[u]:
-                    if v not in seen_nodes:
-                        seen_nodes.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen_nodes) != n:
-            raise ValidationError(
-                f"graph is not connected: {n - len(seen_nodes)} of {n} nodes unreachable"
-            )
+        reached = [False] * n
+        reached[0] = True
+        stack = [0]
+        while stack:
+            for v in self.neighbors[stack.pop()]:
+                if not reached[v]:
+                    reached[v] = True
+                    stack.append(v)
+        if missing := reached.count(False):
+            raise ValidationError(f"edges: not connected, {missing} of {n} nodes unreachable")
 
     @property
     def num_edges(self) -> int:
@@ -177,12 +175,7 @@ def generate_random_graph(
         edge_set.update(_missing_pairs(num_nodes, edge_set, picks.tolist()))
 
     start = int(rng.integers(num_nodes))
-    return WeightedGraph(
-        num_nodes=num_nodes,
-        edges=tuple(sorted(edge_set)),
-        node_weights=weights,
-        start_index=start,
-    )
+    return WeightedGraph(num_nodes, edge_set, weights, start)
 
 
 def _missing_pairs(
@@ -245,33 +238,15 @@ def _graph_from_doc(doc) -> WeightedGraph:
         raise ValidationError(f"unsupported version {version!r} (expected {GRAPH_FILE_VERSION})")
 
     num_nodes = json_value(doc.get("num_nodes"), int, "num_nodes")
-    if num_nodes <= 0:
-        raise ValidationError(f"num_nodes must be a positive integer, got {num_nodes!r}")
-
     start = json_value(doc.get("start_index"), int, "start_index")
-    if not (0 <= start < num_nodes):
-        raise ValidationError(f"start_index must be in [0, {num_nodes}), got {start!r}")
-
-    weights = doc.get("weights")
-    if not isinstance(weights, list) or len(weights) != num_nodes:
-        raise ValidationError(f"weights must be a list of {num_nodes} numbers")
-    for i, w in enumerate(weights):
-        if not (0.0 <= json_value(w, float, f"weights[{i}]") <= 1.0):
-            raise ValidationError(f"weights[{i}] = {w!r}: weight out of range [0, 1]")
-
+    weights = json_value(doc.get("weights"), list, "weights")
+    weights = [json_value(w, float, f"weights[{i}]") for i, w in enumerate(weights)]
     edges = json_value(doc.get("edges"), list, "edges")
-    pairs = []
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
             raise ValidationError(f"edges[{i}] is not an integer pair: {e!r}")
-        pairs.append((e[0], e[1]))
-
-    return WeightedGraph(
-        num_nodes=num_nodes,
-        edges=tuple(pairs),
-        node_weights=np.asarray(weights, dtype=np.float64),
-        start_index=start,
-    )
+    # WeightedGraph checks the values: counts, ranges, duplicates, connectivity
+    return WeightedGraph(num_nodes, edges, weights, start)
 
 
 def load_graph(path) -> WeightedGraph:

@@ -171,12 +171,10 @@ def walk(
     for move in range(n - 1):
         # neighbors are sorted, so the candidates are in ascending order
         options = [j for j in neighbors[current] if not visited[j]]
-        while not options:  # backtrack to the latest branch point with options left
-            if not stack:
-                raise ValidationError(
-                    f"rollout stuck at node {visit_order[-1]} with {n - len(visit_order)} nodes "
-                    "unvisited; graph violates the connectivity invariant"
-                )
+        # backtrack to the latest branch point with options left; a connected
+        # graph always has one: a node left with an unvisited neighbour had
+        # two or more options then, so it was pushed
+        while not options:
             current = stack.pop()
             options = [j for j in neighbors[current] if not visited[j]]
 

@@ -93,15 +93,15 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # also false for NaN
                 problems.append(f"{name} must be positive and finite, got {value}")
-        # training scales scores in [-score_clip, score_clip] by 1 / temperature, so
-        # that factor and, for a valid clip, the largest scaled score must be finite:
-        # 1 / 1e-320 overflows, and so does 10 / 1e-308
+        # training scales scores in [-score_clip, score_clip] by 1 / temperature, and a
+        # softmax subtracts the largest: that factor and, for a valid clip, the widest
+        # gap 2 * score_clip / temperature must be finite (not 1 / 1e-320, 20 / 1e-307)
         scale = 1 / self.temperature if self.temperature > 0 else math.nan
-        largest = self.score_clip * scale if 0 < self.score_clip < math.inf else scale
-        if not (0 < scale < math.inf and largest < math.inf):  # also false for NaN
+        widest = 2 * self.score_clip * scale if 0 < self.score_clip < math.inf else scale
+        if not (0 < scale < math.inf and widest < math.inf):  # also false for NaN
             problems.append(
                 "temperature must be positive, with 1 / temperature and "
-                f"score_clip / temperature finite, got {self.temperature}"
+                f"2 * score_clip / temperature finite, got {self.temperature}"
             )
         if self.baseline_sync_period < 1:
             problems.append(f"baseline_sync_period must be >= 1, got {self.baseline_sync_period}")

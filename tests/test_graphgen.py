@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from apgf.errors import ApgfError, GraphFormatError, ValidationError
 from apgf.graphgen import (
+    WeightedGraph,
     generate_random_graph,
     graph_from_json,
     graph_to_json,
@@ -185,6 +186,8 @@ def test_neighbors_equal_a_scan_of_the_edges(num_nodes, extra, seed, star, data)
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(shuffled, flips)]
     rebuilt = build_graph(num_nodes, edges, g.node_weights, start=g.start_index)
     assert rebuilt.neighbors == expected
+    assert rebuilt.edges == g.edges
+    assert graph_to_json(rebuilt) == graph_to_json(g)
 
 
 def test_round_trip_tiny(tmp_path):
@@ -226,10 +229,25 @@ def test_malformed_file_errors_name_the_field():
         graph_from_json("{nope")
     with pytest.raises(GraphFormatError, match="version"):
         graph_from_json('{"version": 99}')
-    with pytest.raises(GraphFormatError, match="num_nodes"):
-        graph_from_json('{"version": 1, "num_nodes": -3}')
-    with pytest.raises(GraphFormatError, match="start_index"):
-        graph_from_json('{"version": 1, "num_nodes": 2, "start_index": 5}')
+    # each document below has one fault, the one its match names
+    def doc(num_nodes=2, start_index=0, weights="[0.1, 0.2]", edges="[[0, 1]]"):
+        return (
+            f'{{"version": 1, "num_nodes": {num_nodes}, "start_index": {start_index}, '
+            f'"weights": {weights}, "edges": {edges}}}'
+        )
+
+    for bad, match in (
+        (doc(num_nodes=-3), "num_nodes must be positive, got -3"),
+        (doc(num_nodes=0, weights="[]", edges="[]"), "num_nodes must be positive, got 0"),
+        (doc(start_index=5), r"start_index must be in \[0, 2\), got 5"),
+        (doc(weights="[0.1]"), "weights must be a list of 2 numbers"),
+        (doc(num_nodes=10**12), "weights must be a list of 1000000000000 numbers"),
+        (doc(weights="[0.1, 1.5]"), r"weights\[1\] = 1.5: weight out of range \[0, 1\]"),
+        (doc(edges="[[0, 1], [1, 1]]"), r"edges\[1\]: self-loop at node 1"),
+        (doc(edges="[[0, 1], [1, 0]]"), r"edges\[1\]: duplicate edge \(0, 1\)"),
+    ):
+        with pytest.raises(GraphFormatError, match=match):
+            graph_from_json(bad)
     # JSON booleans load as Python bools, which are ints
     one_node = '"weights": [0.5], "edges": []}'
     with pytest.raises(GraphFormatError, match="num_nodes"):
@@ -243,8 +261,6 @@ def test_malformed_file_errors_name_the_field():
         graph_from_json('{"version": true, "num_nodes": 1, "start_index": 0, ' + one_node)
     with pytest.raises(GraphFormatError, match="version"):
         graph_from_json('{"version": 1.0, "num_nodes": 1, "start_index": 0, ' + one_node)
-    with pytest.raises(GraphFormatError, match="weights"):
-        graph_from_json('{"version": 1, "num_nodes": 2, "start_index": 0, "weights": [0.1]}')
     with pytest.raises(GraphFormatError, match="edges"):
         graph_from_json(
             '{"version": 1, "num_nodes": 2, "start_index": 0, "weights": [0.1, 0.2], "edges": 7}'
@@ -274,6 +290,10 @@ def test_graph_constructor_rejects_bad_structure():
         build_graph(2, [(0, 1)], [0.1, 0.2], start=0.5)
     with pytest.raises(ValidationError, match="num_nodes must be an integer, got 2.0"):
         build_graph(2.0, [(0, 1)], [0.1, 0.2])
+    # an edge is a pair: not a triple cut short, nor a bare IndexError or TypeError
+    for edge in ((0, 1, 7), (0,), 5):
+        with pytest.raises(ValidationError, match=r"edges\[0\] must be a pair of nodes"):
+            WeightedGraph(2, [edge], np.array([0.1, 0.2]), 0)
 
 
 def test_graph_constructor_takes_numpy_integer_node_ids_as_ints():

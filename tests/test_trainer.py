@@ -360,9 +360,9 @@ def test_config_validation_names_fields():
         TrainConfig(dataset_mode="stream").validate()
     with pytest.raises(ValidationError, match="divisible"):
         TrainConfig(embed_dim=10, num_heads=4).validate()
-    # 1 / temperature overflows at 1e-320 and 5e-324, and score_clip / temperature
-    # at 1e-308 for the default clip of 10
-    for temperature in (0.0, float("inf"), 1e-320, 5e-324, 1e-308):
+    # 1 / temperature overflows at 1e-320 and 5e-324, and 2 * score_clip / temperature,
+    # the widest gap the softmax subtracts, at 1e-307 for the default clip of 10
+    for temperature in (0.0, float("inf"), 1e-320, 5e-324, 1e-308, 1e-307):
         with pytest.raises(ValidationError, match="temperature"):
             TrainConfig(temperature=temperature).validate()
     TrainConfig(temperature=1e-300).validate()

@@ -143,26 +143,6 @@ def _decoder(graphs, params, tape=None):
     return batch.split(scores), (scores, batch)
 
 
-def _at_temperature(scores, temperature, tape=None):
-    """This tree's route to sampling at ``temperature``: the scores its
-    sampled walks and its ``reinforce_loss`` read, and the arguments that
-    carry the temperature into ``walk`` and ``reinforce_loss``, just before
-    ``rng`` and ``tape``. A tree whose ``walk`` takes a temperature scales
-    inside the walk and the loss; one whose does not is handed the scores
-    scaled once by 1 / temperature, on ``tape`` when given, as its trainer
-    scales them. The helper can go once every revision compared is of the
-    second kind."""
-    import inspect
-
-    from apgf.rollout import walk
-
-    if "temperature" in inspect.signature(walk).parameters:
-        return scores, (temperature,)
-    if tape is None:
-        return scores * (1.0 / temperature), ()
-    return tape.mul_scalar(scores, 1.0 / temperature), ()
-
-
 def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
     import numpy as np
 
@@ -177,10 +157,8 @@ def _probe_walks(out: Path, tree: Path, walks: int, **_) -> None:
         rolled = {"greedy": walk(graph, own, graph.start_index, "greedy")}
         for t in SAMPLE_TEMPERATURES:
             rng = np.random.default_rng(k)
-            tempered, extra = _at_temperature(own, t)
-            rolled[f"sampled_t{t}"] = walk(
-                graph, tempered, graph.start_index, "sample", *extra, rng
-            )
+            tempered = own * (1.0 / t)  # as the trainer scales them
+            rolled[f"sampled_t{t}"] = walk(graph, tempered, graph.start_index, "sample", rng)
         scores.extend(own)
         facts.append(
             {
@@ -206,14 +184,14 @@ def _probe_gradients(out: Path, tree: Path, **_) -> None:
     rng = np.random.default_rng(3)
     tape = Tape()
     _, (scores, batch) = _decoder(graphs, policy, tape)
-    tempered, extra = _at_temperature(scores, GRAD_TEMPERATURE, tape)
+    tempered = tape.mul_scalar(scores, 1.0 / GRAD_TEMPERATURE)  # as the trainer scales them
     baseline_per_graph, _ = _decoder(graphs, baseline)
     sampled, baseline_rewards = [], []
     for graph, own, baseline_own in zip(graphs, batch.split(tempered), baseline_per_graph):
         start = int(rng.integers(graph.num_nodes))
-        sampled.append(walk(graph, own, start, "sample", *extra, rng))
+        sampled.append(walk(graph, own, start, "sample", rng))
         baseline_rewards.append(walk(graph, baseline_own, start, "greedy").reward)
-    loss = reinforce_loss(tempered, batch, sampled, baseline_rewards, *extra, tape)
+    loss = reinforce_loss(tempered, batch, sampled, baseline_rewards, tape)
     grads = tape.backward(loss, policy.tensors)
     np.savez(out / "gradients.npz", **grads)
 
